@@ -47,12 +47,20 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _file_mode() -> int:
+    """The mode open() gives a new file: 0o666 under the process umask."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, _file_mode())  # mkstemp creates the file 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -17,45 +17,54 @@ from .trajectories import PlanarPath, Trajectory, project_planar, subsample
 DEFAULT_CALIBRATION_FREQS = tuple(1.0 / m for m in range(2, 11))
 
 
+# Rows of the distance matrix computed per numpy call; bounds the kernel's
+# scratch memory to O(_ROW_BLOCK * |q|) floats, as in PlanarPath.diameter.
+_ROW_BLOCK = 512
+
+
 def _dfd_core(p, q):
-    n = p.shape[0]
+    """Eiter & Mannila's DP, one row at a time over plain Python floats.
+
+    Distances come from numpy in row blocks as sqrt(dx*dx + dy*dy), the same
+    float64 operations in the same order as a scalar loop, so the result is
+    bitwise that of the naive recursion.
+    """
     m = q.shape[0]
-    prev = np.empty(m)
-    curr = np.empty(m)
-    dx = p[0, 0] - q[0, 0]
-    dy = p[0, 1] - q[0, 1]
-    prev[0] = math.sqrt(dx * dx + dy * dy)
-    for j in range(1, m):
-        dx = p[0, 0] - q[j, 0]
-        dy = p[0, 1] - q[j, 1]
-        d = math.sqrt(dx * dx + dy * dy)
-        prev[j] = max(prev[j - 1], d)
-    for i in range(1, n):
-        dx = p[i, 0] - q[0, 0]
-        dy = p[i, 1] - q[0, 1]
-        curr[0] = max(prev[0], math.sqrt(dx * dx + dy * dy))
-        for j in range(1, m):
-            dx = p[i, 0] - q[j, 0]
-            dy = p[i, 1] - q[j, 1]
-            d = math.sqrt(dx * dx + dy * dy)
-            c = prev[j]
-            if prev[j - 1] < c:
-                c = prev[j - 1]
-            if curr[j - 1] < c:
-                c = curr[j - 1]
-            curr[j] = c if c > d else d
-        tmp = prev
-        prev = curr
-        curr = tmp
-    return prev[m - 1]
+    qx = q[:, 0]
+    qy = q[:, 1]
+    dp = None  # the DP row of the previous point of p
+    for start in range(0, p.shape[0], _ROW_BLOCK):
+        block = p[start : start + _ROW_BLOCK]
+        dx = block[:, 0, None] - qx
+        dy = block[:, 1, None] - qy
+        for row in np.sqrt(dx * dx + dy * dy).tolist():
+            if dp is None:  # first row: running maximum along q
+                dp = row
+                for j in range(1, m):
+                    if dp[j - 1] > dp[j]:
+                        dp[j] = dp[j - 1]
+                continue
+            # Overwrite the previous row in place, left to right; `diag`
+            # keeps the previous row's value at j - 1.
+            diag = dp[0]
+            d = row[0]
+            left = diag if diag > d else d
+            dp[0] = left
+            for j in range(1, m):
+                up = dp[j]
+                d = row[j]
+                c = up if up < diag else diag
+                if left < c:
+                    c = left
+                left = c if c > d else d
+                dp[j] = left
+                diag = up
+    return dp[-1]
 
 
-try:  # pragma: no cover - exercised implicitly on import
-    from numba import njit
-
-    _dfd_kernel = njit(cache=True)(_dfd_core)
-except ImportError:  # pragma: no cover
-    _dfd_kernel = _dfd_core
+# The Fréchet backend; there is only the one above (the benchmark harness
+# reports `_dfd_kernel is _dfd_core` as the `python` backend).
+_dfd_kernel = _dfd_core
 
 
 def discrete_frechet(p: PlanarPath | np.ndarray, q: PlanarPath | np.ndarray) -> float:
@@ -69,15 +78,18 @@ def discrete_frechet(p: PlanarPath | np.ndarray, q: PlanarPath | np.ndarray) -> 
     return float(_dfd_kernel(pa, qa))
 
 
-def path_similarity(full: PlanarPath, reconstructed: PlanarPath) -> float:
+def path_similarity(
+    full: PlanarPath, reconstructed: PlanarPath, diameter: float | None = None
+) -> float:
     """Similarity in [0, 1] between a full path and a reconstruction of it.
 
     1 - min(1, frechet / diameter(full)): 1.0 for an exact reconstruction,
     0.0 once the reconstruction strays by the full path's own extent.
+    `diameter` is `full.diameter()` when the caller already has it.
     """
     if len(full) < 2 or len(reconstructed) < 2:
         raise ValueError("path similarity requires at least 2 points per path")
-    diam = full.diameter()
+    diam = full.diameter() if diameter is None else diameter
     if diam <= 0.0:
         raise ValueError("full path has zero diameter; similarity undefined")
     d = discrete_frechet(full, reconstructed)
@@ -194,9 +206,10 @@ def mean_similarity_by_frequency(
     for traj in trajs:
         origin = traj.centroid()
         full = project_planar(traj, origin=origin)
+        diam = full.diameter()
         for f in freqs:
             sub = project_planar(subsample(traj, f), origin=origin)
-            sims[f].append(path_similarity(full, sub))
+            sims[f].append(path_similarity(full, sub, diam))
     return [(f, math.fsum(sims[f]) / len(sims[f])) for f in freqs]
 
 

@@ -159,17 +159,30 @@ class VehicleReconstruction(NamedTuple):
     similarity: float
 
 
-def adversary_reconstruct(
+class _FullPath(NamedTuple):
+    """A vehicle's full path projected about its centroid, and its diameter."""
+
+    origin: tuple[float, float]
+    path: PlanarPath
+    diameter: float
+
+
+def _full_paths(trajs: Sequence[Trajectory]) -> list[_FullPath]:
+    fulls = []
+    for traj in trajs:
+        origin = traj.centroid()
+        path = project_planar(traj, origin=origin)
+        fulls.append(_FullPath(origin, path, path.diameter()))
+    return fulls
+
+
+def _reconstruct(
     inboxes: Sequence[ServerInbox],
     adversary: AdversaryModel,
     trajs: Sequence[Trajectory],
+    fulls: Sequence[_FullPath],
 ) -> dict[str, VehicleReconstruction]:
-    """Reconstruct each vehicle's path from the compromised servers' samples.
-
-    Pools captured samples per vehicle, orders them by time, and scores the
-    resulting polyline against the vehicle's full path. Vehicles with fewer
-    than 2 captured samples score 0.
-    """
+    """adversary_reconstruct against precomputed full paths (one per trajectory)."""
     if not adversary.compromised:
         raise ValueError("no adversary: the compromised server set is empty")
     for sid in adversary.compromised:
@@ -182,24 +195,35 @@ def adversary_reconstruct(
             captured.setdefault(vid, []).append(sample)
 
     results: dict[str, VehicleReconstruction] = {}
-    for traj in trajs:
+    for traj, full in zip(trajs, fulls):
         samples = sorted(captured.get(traj.vehicle_id, []), key=lambda g: g.t)
-        origin = traj.centroid()
-        if len(samples) < 2:
-            path = (
-                project_planar(Trajectory(traj.vehicle_id, tuple(samples)), origin=origin)
-                if samples
-                else None
-            )
-            results[traj.vehicle_id] = VehicleReconstruction(path, 0.0)
+        if not samples:
+            results[traj.vehicle_id] = VehicleReconstruction(None, 0.0)
             continue
         reconstructed = project_planar(
-            Trajectory(traj.vehicle_id, tuple(samples)), origin=origin
+            Trajectory(traj.vehicle_id, tuple(samples)), origin=full.origin
         )
-        full = project_planar(traj, origin=origin)
-        score = path_similarity(full, reconstructed)
+        score = (
+            path_similarity(full.path, reconstructed, full.diameter)
+            if len(samples) >= 2
+            else 0.0
+        )
         results[traj.vehicle_id] = VehicleReconstruction(reconstructed, score)
     return results
+
+
+def adversary_reconstruct(
+    inboxes: Sequence[ServerInbox],
+    adversary: AdversaryModel,
+    trajs: Sequence[Trajectory],
+) -> dict[str, VehicleReconstruction]:
+    """Reconstruct each vehicle's path from the compromised servers' samples.
+
+    Pools captured samples per vehicle, orders them by time, and scores the
+    resulting polyline against the vehicle's full path. Vehicles with fewer
+    than 2 captured samples score 0.
+    """
+    return _reconstruct(inboxes, adversary, trajs, _full_paths(trajs))
 
 
 class CurvePoint(NamedTuple):
@@ -221,6 +245,8 @@ def empirical_privacy_curve(
         raise ValueError("f_d_values and s_values must be nonempty")
     if not seeds:
         raise ValueError("need at least one seed")
+    # Each vehicle's full path and diameter are the same for every (f_d, s, seed).
+    fulls = _full_paths(trajs)
     points = []
     for f_d in f_d_values:
         for s in s_values:
@@ -232,7 +258,7 @@ def empirical_privacy_curve(
             sims: list[float] = []
             for seed in seeds:
                 inboxes = route_samples(trajs, f_d, s, seed)
-                recon = adversary_reconstruct(inboxes, adversary, trajs)
+                recon = _reconstruct(inboxes, adversary, trajs, fulls)
                 sims.extend(r.similarity for r in recon.values())
             points.append(CurvePoint(float(f_d), int(s), math.fsum(sims) / len(sims)))
     return points

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import pytest
 
@@ -259,6 +260,27 @@ class TestManifestAndConfig:
         out = tmp_path / "t"
         assert run(["optimize", "--out", out, "--n-starts", 2]) == 0
         assert not [f for f in os.listdir(out) if f.startswith(".tmp")]
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["gen", "--vehicles", 3, "--duration", 10],
+            ["simulate", "--synthetic", "--s-values", "2", "--trials", 1],
+        ],
+    )
+    def test_written_files_get_the_umask_mode(self, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synthetic_vehicles": 4, "synthetic_duration": 20}))
+        out = tmp_path / "out"
+        previous = os.umask(0o027)
+        try:
+            assert run([*command, "--config", cfg, "--out", out]) == 0
+        finally:
+            os.umask(previous)
+        written = sorted(os.listdir(out))
+        assert "manifest.json" in written and len(written) > 1
+        for name in written:
+            assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o640, name
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

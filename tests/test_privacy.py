@@ -13,9 +13,12 @@ from vanetmarket import (
     fit_per_server_decay,
     mean_similarity_by_frequency,
     path_similarity,
+    project_planar,
+    subsample,
     total_loss,
     total_loss_raw,
 )
+from vanetmarket.privacy import _ROW_BLOCK
 
 
 def brute_force_frechet(p, q):
@@ -65,6 +68,41 @@ def naive_recursive_frechet(p, q):
         return max(min(rec(i - 1, j), rec(i - 1, j - 1), rec(i, j - 1)), d)
 
     return rec(len(p) - 1, len(q) - 1)
+
+
+def scalar_dp_frechet(p, q):
+    """Eiter & Mannila's DP with per-cell numpy-scalar arithmetic and math.sqrt:
+    the bitwise reference for paths too long for the naive recursion."""
+    n = p.shape[0]
+    m = q.shape[0]
+    prev = np.empty(m)
+    curr = np.empty(m)
+    dx = p[0, 0] - q[0, 0]
+    dy = p[0, 1] - q[0, 1]
+    prev[0] = math.sqrt(dx * dx + dy * dy)
+    for j in range(1, m):
+        dx = p[0, 0] - q[j, 0]
+        dy = p[0, 1] - q[j, 1]
+        d = math.sqrt(dx * dx + dy * dy)
+        prev[j] = max(prev[j - 1], d)
+    for i in range(1, n):
+        dx = p[i, 0] - q[0, 0]
+        dy = p[i, 1] - q[0, 1]
+        curr[0] = max(prev[0], math.sqrt(dx * dx + dy * dy))
+        for j in range(1, m):
+            dx = p[i, 0] - q[j, 0]
+            dy = p[i, 1] - q[j, 1]
+            d = math.sqrt(dx * dx + dy * dy)
+            c = prev[j]
+            if prev[j - 1] < c:
+                c = prev[j - 1]
+            if curr[j - 1] < c:
+                c = curr[j - 1]
+            curr[j] = c if c > d else d
+        tmp = prev
+        prev = curr
+        curr = tmp
+    return prev[m - 1]
 
 
 def random_path(rng, max_len=8, lattice=False):
@@ -119,6 +157,21 @@ class TestDiscreteFrechet:
             d2 = np.sqrt(((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=2))
             hausdorff = max(d2.min(axis=1).max(), d2.min(axis=0).max())
             assert discrete_frechet(p, q) >= hausdorff - 1e-12
+
+    def test_fleet_pairs_match_scalar_dp_exactly(self, fleet):
+        for traj in fleet:
+            origin = traj.centroid()
+            full = project_planar(traj, origin=origin)
+            for f in DEFAULT_CALIBRATION_FREQS:
+                sub = project_planar(subsample(traj, f), origin=origin)
+                assert discrete_frechet(full, sub) == scalar_dp_frechet(full.points, sub.points)
+
+    def test_pair_longer_than_row_block_matches_scalar_dp_exactly(self):
+        rng = np.random.default_rng(25)
+        p = np.cumsum(rng.normal(scale=300.0, size=(2 * _ROW_BLOCK + 37, 2)), axis=0)
+        q = p[::40] + rng.normal(scale=50.0, size=(len(p[::40]), 2))
+        assert discrete_frechet(p, q) == scalar_dp_frechet(p, q)
+        assert discrete_frechet(q, p) == scalar_dp_frechet(q, p)
 
     def test_accepts_planar_paths(self):
         p = PlanarPath(np.array([[0.0, 0.0], [1.0, 0.0]]))

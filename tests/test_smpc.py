@@ -233,6 +233,20 @@ class TestEmpiricalCurve:
         sims = [pt.mean_similarity for pt in curve]
         assert all(a >= b - 5e-3 for a, b in zip(sims, sims[1:]))
 
+    def test_matches_per_call_reconstruction_exactly(self, fleet):
+        f_d_values, s_values, seeds = (0.5, 0.2), [1, 2, 4], [0, 1]
+        expected = []
+        for f_d in f_d_values:
+            for s in s_values:
+                sims = []
+                for seed in seeds:
+                    inboxes = route_samples(fleet, f_d, s, seed)
+                    recon = adversary_reconstruct(inboxes, AdversaryModel(frozenset({0})), fleet)
+                    sims.extend(r.similarity for r in recon.values())
+                expected.append((f_d, s, math.fsum(sims) / len(sims)))
+        curve = empirical_privacy_curve(fleet, f_d_values, s_values, seeds=seeds)
+        assert [tuple(pt) for pt in curve] == expected
+
     def test_validation(self, small_fleet):
         with pytest.raises(ValueError):
             empirical_privacy_curve(small_fleet, [], [1])
