@@ -185,7 +185,7 @@ def profit_terms(params: EconParams, c1: float, f_d: float, s: float) -> ProfitB
     """
     v = expected_participants(params, c1, f_d, s)
     utility = eval_utility(params.utility, v, f_d)
-    server = per_server_cost(params, c1, f_d, s)
+    server = params.c2 * v * f_d / s + params.c3  # per_server_cost, from this v
     if params.server_cost_model == "total_times_s":
         server *= s
     payments = c1 * v * f_d

@@ -74,55 +74,76 @@ def nelder_mead(
     candidate points are clipped coordinate-wise into the box. Terminates when
     the simplex's relative diameter drops below `diameter_tol` or after
     `max_iter` iterations.
+
+    The simplex is kept as lists of Python floats, with the same operations in
+    the same order as the elementwise numpy form, so results are bitwise equal
+    to it; the objective still receives each point as an ndarray.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
-    dim = len(x0)
+    lower = np.asarray(lower, dtype=float).tolist()
+    upper = np.asarray(upper, dtype=float).tolist()
+    bounds = list(zip(lower, upper))
     nfev = 0
 
-    def evaluate(x: np.ndarray) -> float:
+    def evaluate(x: list[float]) -> float:
         nonlocal nfev
         nfev += 1
-        val = objective(x)
+        val = objective(np.array(x))
         if not math.isfinite(val):
-            raise NonFiniteObjective(f"objective returned {val} at {x.tolist()}")
+            raise NonFiniteObjective(f"objective returned {val} at {x}")
         return val
 
-    def clip(x: np.ndarray) -> np.ndarray:
-        return np.clip(x, lower, upper)
+    def clip(x) -> list[float]:
+        return [min(max(v, lo), hi) for v, (lo, hi) in zip(x, bounds)]
+
+    def toward(a: list[float], coef: float, b: list[float]) -> list[float]:
+        """The point a + coef * (b - a), clipped into the box."""
+        return clip(u + coef * (v - u) for u, v in zip(a, b))
+
+    x0 = np.asarray(x0, dtype=float).tolist()
+    dim = len(x0)
+    if not len(lower) == len(upper) == dim:
+        raise ValueError(
+            f"x0, lower and upper must have one length, got {dim}, {len(lower)}, {len(upper)}"
+        )
+    x0 = clip(x0)
 
     # Initial simplex: perturb each coordinate by 5% of its box range,
     # stepping inward when the positive step would leave the box.
     simplex = [x0]
     for k in range(dim):
         step = 0.05 * (upper[k] - lower[k])
-        vertex = x0.copy()
+        vertex = list(x0)
         vertex[k] = x0[k] + step if x0[k] + step <= upper[k] else x0[k] - step
         simplex.append(vertex)
     values = [evaluate(v) for v in simplex]
 
     def rel_diameter() -> float:
-        best = simplex[int(np.argmax(values))]
-        scale = np.maximum(1.0, np.abs(best))
-        return max(float(np.max(np.abs(v - best) / scale)) for v in simplex)
+        best = simplex[0]  # the simplex is sorted best first
+        scale = [max(1.0, abs(b)) for b in best]
+        return max(abs(a - b) / c for v in simplex for a, b, c in zip(v, best, scale))
 
     converged = False
     for _ in range(max_iter):
-        order = np.argsort(values)[::-1]  # descending: best first
+        # Exact ties are common on the loss-clamp plateau. np.argsort orders
+        # them unstably, and a stable sort would change the results.
+        order = np.argsort(values)[::-1].tolist()  # descending: best first
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
         if rel_diameter() < diameter_tol:
             converged = True
             break
 
-        centroid = np.mean(simplex[:-1], axis=0)
+        # Left fold from the first vertex, then one division: np.mean(axis=0).
+        total = list(simplex[0])
+        for v in simplex[1:-1]:
+            total = [t + a for t, a in zip(total, v)]
+        centroid = [t / dim for t in total]
         worst = simplex[-1]
-        reflected = clip(centroid + 1.0 * (centroid - worst))
+        reflected = clip(c + 1.0 * (c - w) for c, w in zip(centroid, worst))
         f_reflected = evaluate(reflected)
 
         if f_reflected > values[0]:
-            expanded = clip(centroid + 2.0 * (reflected - centroid))
+            expanded = toward(centroid, 2.0, reflected)
             f_expanded = evaluate(expanded)
             if f_expanded > f_reflected:
                 simplex[-1], values[-1] = expanded, f_expanded
@@ -134,11 +155,11 @@ def nelder_mead(
             continue
 
         if f_reflected > values[-1]:  # outside contraction
-            contracted = clip(centroid + 0.5 * (reflected - centroid))
+            contracted = toward(centroid, 0.5, reflected)
             f_contracted = evaluate(contracted)
             accept = f_contracted >= f_reflected
         else:  # inside contraction
-            contracted = clip(centroid + 0.5 * (worst - centroid))
+            contracted = toward(centroid, 0.5, worst)
             f_contracted = evaluate(contracted)
             accept = f_contracted > values[-1]
         if accept:
@@ -146,12 +167,11 @@ def nelder_mead(
             continue
 
         best = simplex[0]
-        simplex = [best] + [clip(best + 0.5 * (v - best)) for v in simplex[1:]]
+        simplex = [best] + [toward(best, 0.5, v) for v in simplex[1:]]
         values = [values[0]] + [evaluate(v) for v in simplex[1:]]
 
-    order = np.argsort(values)[::-1]
-    best_idx = int(order[0])
-    return NMResult(simplex[best_idx].copy(), values[best_idx], converged, nfev)
+    best_idx = int(np.argsort(values)[::-1][0])
+    return NMResult(np.array(simplex[best_idx]), values[best_idx], converged, nfev)
 
 
 @dataclass(frozen=True)
@@ -256,7 +276,8 @@ def optimize_profit(
     upper = np.array([log_c1[1], bounds.f_d[1], bounds.s[1]])
 
     def objective(z: np.ndarray) -> float:
-        c1, f_d, s = bounds.clip(math.exp(z[0]), z[1], z[2])
+        log_c1, f_d, s = z.tolist()
+        c1, f_d, s = bounds.clip(math.exp(log_c1), f_d, s)
         return profit(params, c1, f_d, s)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
@@ -294,9 +315,9 @@ def grid_oracle(params: EconParams, bounds: Bounds = DEFAULT_BOUNDS, resolution:
     the nonlinear optimizer on coarse instances."""
     if resolution < 2:
         raise ValueError("grid resolution must be >= 2 per axis")
-    c1s = np.geomspace(bounds.c1[0], bounds.c1[1], resolution)
-    f_ds = np.linspace(bounds.f_d[0], bounds.f_d[1], resolution)
-    ss = np.linspace(bounds.s[0], bounds.s[1], resolution)
+    c1s = np.geomspace(bounds.c1[0], bounds.c1[1], resolution).tolist()
+    f_ds = np.linspace(bounds.f_d[0], bounds.f_d[1], resolution).tolist()
+    ss = np.linspace(bounds.s[0], bounds.s[1], resolution).tolist()
 
     best = -math.inf
     best_point = (c1s[0], f_ds[0], ss[0])
@@ -306,7 +327,7 @@ def grid_oracle(params: EconParams, bounds: Bounds = DEFAULT_BOUNDS, resolution:
                 value = profit(params, c1, f_d, s)
                 if value > best:  # lexicographic iteration order breaks exact ties
                     best = value
-                    best_point = (float(c1), float(f_d), float(s))
+                    best_point = (c1, f_d, s)
     return _finalize(params, bounds, best_point, resolution**3, True)
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from vanetmarket import (
@@ -17,10 +19,11 @@ from vanetmarket import (
     profit,
     profit_terms,
     total_loss,
+    total_loss_raw,
     validate_params,
     vehicle_utility,
 )
-from vanetmarket.econ import erf_approx, normal_cdf
+from vanetmarket.econ import PARTICIPATION_MODELS, SERVER_COST_MODELS, erf_approx, normal_cdf
 
 T1 = (3.57e-6, 7.31, 15.12)
 
@@ -228,6 +231,35 @@ class TestProfit:
             profit(self.params, 1e-6, 0.0, 1.0)
         with pytest.raises(ValueError):
             profit(self.params, 1e-6, 1.0, 0.9)
+
+
+MARKETS = st.builds(
+    EconParams,
+    c2=st.floats(0.0, 1e-4),
+    c3=st.floats(0.0, 1e-2),
+    V=st.floats(1.0, 5000.0),
+    sigma=st.floats(0.05, 3.0),
+    participation_model=st.sampled_from(PARTICIPATION_MODELS),
+    server_cost_model=st.sampled_from(SERVER_COST_MODELS),
+)
+PAYMENTS = st.one_of(st.just(0.0), st.floats(-10.0, -2.0).map(lambda e: 10.0**e))
+
+
+class TestProfitTermsProperties:
+    @pytest.mark.parametrize("clamped", [True, False], ids=["clamped-loss", "raw-loss"])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        params=MARKETS, c1=PAYMENTS, f_d=st.floats(0.1, 60.0), s=st.floats(1.0, 100.0)
+    )
+    def test_terms_are_consistent(self, clamped, params, c1, f_d, s):
+        assume((total_loss_raw(params.loss, f_d, s) <= params.loss.eps_clamp) == clamped)
+        terms = profit_terms(params, c1, f_d, s)
+        assert terms.profit == terms.utility - terms.server_cost - terms.payments
+        server = per_server_cost(params, c1, f_d, s)
+        if params.server_cost_model == "total_times_s":
+            server *= s
+        assert float(terms.server_cost).hex() == float(server).hex()
+        assert 0.0 <= expected_participants(params, c1, f_d, s) <= params.V
 
 
 class TestValidateParams:

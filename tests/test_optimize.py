@@ -1,6 +1,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
 from vanetmarket import (
@@ -13,9 +14,117 @@ from vanetmarket import (
     profit,
     sweep,
 )
-from vanetmarket.optimize import NonFiniteObjective
+from vanetmarket import optimize as optimize_module
+from vanetmarket.econ import PARTICIPATION_MODELS, SERVER_COST_MODELS
+from vanetmarket.optimize import DEFAULT_BOUNDS, NonFiniteObjective
 
 SMALL_BOUNDS = Bounds(c1=(1e-8, 1e-4), f_d=(0.1, 20.0), s=(1.0, 50.0))
+ALL_MODES = [(p, c) for p in PARTICIPATION_MODELS for c in SERVER_COST_MODELS]
+
+
+def numpy_nelder_mead(objective, x0, lower, upper, diameter_tol=1e-10, max_iter=5000):
+    """Nelder-Mead with the simplex held as float64 arrays and numpy's mean,
+    clip and max: the bitwise reference for the list-of-floats `nelder_mead`."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    dim = len(x0)
+    nfev = 0
+
+    def evaluate(x):
+        nonlocal nfev
+        nfev += 1
+        val = objective(x)
+        if not math.isfinite(val):
+            raise NonFiniteObjective(f"objective returned {val} at {x.tolist()}")
+        return val
+
+    def clip(x):
+        return np.clip(x, lower, upper)
+
+    simplex = [x0]
+    for k in range(dim):
+        step = 0.05 * (upper[k] - lower[k])
+        vertex = x0.copy()
+        vertex[k] = x0[k] + step if x0[k] + step <= upper[k] else x0[k] - step
+        simplex.append(vertex)
+    values = [evaluate(v) for v in simplex]
+
+    def rel_diameter():
+        best = simplex[int(np.argmax(values))]
+        scale = np.maximum(1.0, np.abs(best))
+        return max(float(np.max(np.abs(v - best) / scale)) for v in simplex)
+
+    converged = False
+    for _ in range(max_iter):
+        order = np.argsort(values)[::-1]
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        if rel_diameter() < diameter_tol:
+            converged = True
+            break
+
+        centroid = np.mean(simplex[:-1], axis=0)
+        worst = simplex[-1]
+        reflected = clip(centroid + 1.0 * (centroid - worst))
+        f_reflected = evaluate(reflected)
+
+        if f_reflected > values[0]:
+            expanded = clip(centroid + 2.0 * (reflected - centroid))
+            f_expanded = evaluate(expanded)
+            if f_expanded > f_reflected:
+                simplex[-1], values[-1] = expanded, f_expanded
+            else:
+                simplex[-1], values[-1] = reflected, f_reflected
+            continue
+        if f_reflected > values[-2]:
+            simplex[-1], values[-1] = reflected, f_reflected
+            continue
+
+        if f_reflected > values[-1]:
+            contracted = clip(centroid + 0.5 * (reflected - centroid))
+            f_contracted = evaluate(contracted)
+            accept = f_contracted >= f_reflected
+        else:
+            contracted = clip(centroid + 0.5 * (worst - centroid))
+            f_contracted = evaluate(contracted)
+            accept = f_contracted > values[-1]
+        if accept:
+            simplex[-1], values[-1] = contracted, f_contracted
+            continue
+
+        best = simplex[0]
+        simplex = [best] + [clip(best + 0.5 * (v - best)) for v in simplex[1:]]
+        values = [values[0]] + [evaluate(v) for v in simplex[1:]]
+
+    order = np.argsort(values)[::-1]
+    best_idx = int(order[0])
+    return optimize_module.NMResult(simplex[best_idx].copy(), values[best_idx], converged, nfev)
+
+
+def numpy_grid_oracle(params, bounds, resolution):
+    """`grid_oracle` iterating over numpy scalars: the reference for its float loop."""
+    c1s = np.geomspace(bounds.c1[0], bounds.c1[1], resolution)
+    f_ds = np.linspace(bounds.f_d[0], bounds.f_d[1], resolution)
+    ss = np.linspace(bounds.s[0], bounds.s[1], resolution)
+    best = -math.inf
+    best_point = (c1s[0], f_ds[0], ss[0])
+    for c1 in c1s:
+        for f_d in f_ds:
+            for s in ss:
+                value = profit(params, c1, f_d, s)
+                if value > best:
+                    best = value
+                    best_point = (float(c1), float(f_d), float(s))
+    return optimize_module._finalize(params, bounds, best_point, resolution**3, True)
+
+
+def assert_same_nm_result(got, want):
+    """Bitwise equality of two NMResults."""
+    assert got.x.dtype == want.x.dtype and got.x.shape == want.x.shape
+    assert got.x.tobytes() == want.x.tobytes()
+    assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
+    assert (got.converged, got.nfev) == (want.converged, want.nfev)
 
 
 def golden_section_max(f, lo, hi, tol=1e-12):
@@ -79,6 +188,57 @@ class TestNelderMead:
         result = nelder_mead(lambda x: -(x[0] ** 2), [5.0], [-1.0, ], [1.0])
         assert result.x[0] == pytest.approx(0.0, abs=1e-6)
 
+    def test_box_length_must_match_start(self):
+        with pytest.raises(ValueError, match="one length"):
+            nelder_mead(lambda x: x[0], [0.5, 0.5], [0.0], [1.0])
+
+    @pytest.mark.parametrize(
+        "objective, x0, lower, upper",
+        [
+            (lambda x: -((x[0] - 2.0) ** 2), [0.0], [-10.0], [10.0]),
+            (
+                lambda x: -((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2),
+                [-1.2, 1.0],
+                [-5.0, -5.0],
+                [5.0, 5.0],
+            ),
+            (lambda x: profit(EconParams(), x[0], 2.0, 5.0), [2e-4], [1e-7], [1e-3]),
+            (lambda x: -(x[0] ** 2), [5.0], [-1.0], [1.0]),
+            (lambda x: x[0] + x[1], [0.5, 0.5], [0.0, 0.0], [1.0, 1.0]),
+        ],
+        ids=["parabola", "rosenbrock", "payment-slice", "clipped-start", "corner"],
+    )
+    def test_bitwise_equal_to_numpy_reference(self, objective, x0, lower, upper):
+        assert_same_nm_result(
+            nelder_mead(objective, x0, lower, upper),
+            numpy_nelder_mead(objective, x0, lower, upper),
+        )
+
+    def test_bitwise_equal_to_numpy_reference_on_every_profit_start(self, monkeypatch):
+        # Records every run of the default market search, restarts included,
+        # then replays each through the reference. Several runs sit on the
+        # loss-clamp plateau, where exact profit ties make the sort order count.
+        runs = []
+
+        def recording(objective, x0, lower, upper):
+            seen = []
+
+            def tracked(z):
+                value = objective(z)
+                seen.append(value)
+                return value
+
+            result = nelder_mead(tracked, x0, lower, upper)
+            runs.append((objective, np.array(x0), lower, upper, result, seen))
+            return result
+
+        monkeypatch.setattr(optimize_module, "nelder_mead", recording)
+        optimize_profit(EconParams(), seed=0)
+        assert len(runs) == 2 * (32 + 9)
+        assert any(len(set(seen)) < len(seen) for *_, seen in runs)
+        for objective, x0, lower, upper, result, _ in runs:
+            assert_same_nm_result(result, numpy_nelder_mead(objective, x0, lower, upper))
+
 
 class TestBounds:
     def test_validation(self):
@@ -125,6 +285,15 @@ class TestOptimizeProfit:
         for value in (sol.profit_at_floor_s, sol.profit_at_ceil_s):
             assert value <= sol.profit_star + 1e-9 or math.isclose(value, sol.profit_star)
 
+    @pytest.mark.parametrize(
+        "modes", [("cdf", "per_server_as_written"), ("pdf_as_written", "total_times_s")]
+    )
+    def test_same_solution_as_numpy_reference(self, modes, monkeypatch):
+        params = self.params.with_modes(*modes)
+        got = optimize_profit(params, seed=0)
+        monkeypatch.setattr(optimize_module, "nelder_mead", numpy_nelder_mead)
+        assert got == optimize_profit(params, seed=0)
+
     def test_flat_objective_still_converges(self):
         # alpha tiny and a degenerate-width payment box: profit barely varies
         params = EconParams(utility=UtilityModel(alpha=1e-12, beta=1e-9))
@@ -155,6 +324,13 @@ class TestGridOracle:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             grid_oracle(self.params, SMALL_BOUNDS, resolution=1)
+
+    @pytest.mark.parametrize("modes", ALL_MODES)
+    def test_same_solution_as_numpy_scalar_loop(self, modes):
+        params = self.params.with_modes(*modes)
+        assert grid_oracle(params, DEFAULT_BOUNDS, 11) == numpy_grid_oracle(
+            params, DEFAULT_BOUNDS, 11
+        )
 
     def test_deterministic(self):
         a = grid_oracle(self.params, SMALL_BOUNDS, resolution=5)
