@@ -10,6 +10,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from typing import Callable
 
 import numpy as np
@@ -19,7 +20,7 @@ from . import __version__
 from .config import RunConfig, load_config
 from .econ import profit, profit_terms, validate_params
 from .fitting import FitDivergence
-from .optimize import NonFiniteObjective, grid_oracle, optimize_profit, sweep
+from .optimize import SWEEPABLE, NonFiniteObjective, grid_oracle, optimize_profit, sweep
 from .privacy import calibrate_per_server_loss
 from .smpc import (
     aggregate_secure,
@@ -83,7 +84,7 @@ def _load_trajectories(config: RunConfig) -> list[Trajectory]:
     raise ValueError("no input data: pass --traces FILE or --synthetic")
 
 
-def cmd_gen(config: RunConfig) -> dict[str, str]:
+def cmd_gen(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     trajs = generate_synthetic(
         config.synthetic_vehicles, config.synthetic_duration, config.seed, config.bbox
     )
@@ -95,7 +96,7 @@ def cmd_gen(config: RunConfig) -> dict[str, str]:
     return {"traces.csv": buf.getvalue()}
 
 
-def cmd_ingest(config: RunConfig) -> dict[str, str]:
+def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     if not config.traces:
         raise ValueError("ingest requires --traces FILE")
     trajs = _load_trajectories(config)
@@ -115,7 +116,7 @@ def cmd_ingest(config: RunConfig) -> dict[str, str]:
     }
 
 
-def cmd_calibrate_loss(config: RunConfig) -> dict[str, str]:
+def cmd_calibrate_loss(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     trajs = _load_trajectories(config)
     report = calibrate_per_server_loss(trajs, config.calibration_freqs)
     csv_buf = io.StringIO()
@@ -128,7 +129,7 @@ def cmd_calibrate_loss(config: RunConfig) -> dict[str, str]:
     }
 
 
-def cmd_calibrate_utility(config: RunConfig) -> dict[str, str]:
+def cmd_calibrate_utility(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     trajs = _load_trajectories(config)
     counts = config.surface_vehicle_counts
     if not counts:
@@ -164,7 +165,7 @@ def _decomposition_rows(config: RunConfig, points: list[tuple[float, float, floa
     return buf.getvalue()
 
 
-def cmd_optimize(config: RunConfig, certify: bool = False) -> dict[str, str]:
+def cmd_optimize(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     solution = optimize_profit(config.econ, config.bounds, config.n_starts, config.seed)
     ref_c1, ref_fd, ref_s = config.reference_point
     ref_profit = profit(config.econ, ref_c1, ref_fd, ref_s)
@@ -191,7 +192,7 @@ def cmd_optimize(config: RunConfig, certify: bool = False) -> dict[str, str]:
         "reference_comparison": comparison,
         "scale_warnings": validate_params(config.econ, solution.c1_star, solution.s_star),
     }
-    if certify:
+    if args.certify:
         oracle = grid_oracle(config.econ, config.bounds, config.grid_resolution)
         payload["grid_certificate"] = {
             "resolution": config.grid_resolution,
@@ -211,7 +212,7 @@ def cmd_optimize(config: RunConfig, certify: bool = False) -> dict[str, str]:
     }
 
 
-def cmd_sweep(config: RunConfig) -> dict[str, str]:
+def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     if not config.sweep_values:
         raise ValueError("sweep requires --values (comma-separated numbers)")
     result = sweep(
@@ -227,7 +228,7 @@ def cmd_sweep(config: RunConfig) -> dict[str, str]:
     return {"sweep.csv": csv_buf.getvalue(), "sweep.json": _json_text(result.to_json_dict())}
 
 
-def cmd_simulate(config: RunConfig) -> dict[str, str]:
+def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     trajs = _load_trajectories(config)
     seeds = [config.seed + trial for trial in range(config.sim_trials)]
     curve = empirical_privacy_curve(
@@ -273,7 +274,7 @@ def cmd_simulate(config: RunConfig) -> dict[str, str]:
     }
 
 
-def cmd_report(config: RunConfig) -> dict[str, str]:
+def cmd_report(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     manifest_path = os.path.join(config.out_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise ValueError(f"no prior run found: {manifest_path} is missing")
@@ -306,7 +307,7 @@ def cmd_report(config: RunConfig) -> dict[str, str]:
     return {"report.json": _json_text(bundle)}
 
 
-COMMANDS: dict[str, Callable[[RunConfig], dict[str, str]]] = {
+COMMANDS: dict[str, Callable[[RunConfig, argparse.Namespace], dict[str, str]]] = {
     "gen": cmd_gen,
     "ingest": cmd_ingest,
     "calibrate-loss": cmd_calibrate_loss,
@@ -318,19 +319,35 @@ COMMANDS: dict[str, Callable[[RunConfig], dict[str, str]]] = {
 }
 
 
+def float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag's dest names the RunConfig field it overrides, except --config,
+    --certify and the --mode-* flags."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its values")
     common.add_argument("--seed", type=int, help="root seed for all randomness")
-    common.add_argument("--out", help="output directory (default: out)")
+    common.add_argument("--out", dest="out_dir", help="output directory (default: out)")
     common.add_argument("--traces", help="input trace CSV (vehicle_id,timestamp,lat,lon)")
     common.add_argument(
-        "--synthetic", action="store_true", help="use the seeded synthetic fleet instead of traces"
+        "--synthetic",
+        action="store_true",
+        default=None,
+        help="use the seeded synthetic fleet instead of traces",
     )
     common.add_argument("--mode-participation", choices=sorted(PARTICIPATION_FLAG))
     common.add_argument("--mode-cost", choices=sorted(COST_FLAG))
     common.add_argument(
-        "--keep-shares", action="store_true", help="retain full share matrices in transcripts"
+        "--keep-shares",
+        action="store_true",
+        default=None,
+        help="retain full share matrices in transcripts",
     )
 
     parser = _Parser(prog="vanetmarket", description=__doc__)
@@ -338,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", parents=[common], help="write a synthetic trace CSV")
-    p.add_argument("--vehicles", type=int, help="fleet size")
-    p.add_argument("--duration", type=int, help="minutes per vehicle")
+    p.add_argument("--vehicles", dest="synthetic_vehicles", type=int, help="fleet size")
+    p.add_argument("--duration", dest="synthetic_duration", type=int, help="minutes per vehicle")
 
     sub.add_parser("ingest", parents=[common], help="parse traces and grid them")
     sub.add_parser("calibrate-loss", parents=[common], help="fit the per-server privacy decay")
@@ -355,13 +372,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-resolution", type=int, help="grid points per axis for --certify")
 
     p = sub.add_parser("sweep", parents=[common], help="re-optimize across one parameter")
-    p.add_argument("--param", choices=("c2", "c3", "beta", "V", "sigma"))
-    p.add_argument("--values", help="comma-separated parameter values")
+    p.add_argument("--param", dest="sweep_param", choices=SWEEPABLE)
+    p.add_argument(
+        "--values", dest="sweep_values", type=float_list, help="comma-separated parameter values"
+    )
     p.add_argument("--n-starts", type=int, help="multi-start count")
 
     p = sub.add_parser("simulate", parents=[common], help="run the routed collection network")
-    p.add_argument("--s-values", help="comma-separated server counts")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials per point")
+    p.add_argument(
+        "--s-values", dest="sim_s_values", type=int_list, help="comma-separated server counts"
+    )
+    p.add_argument("--trials", dest="sim_trials", type=int, help="Monte Carlo trials per point")
     p.add_argument("--n-compromised", type=int, help="servers the adversary controls")
 
     sub.add_parser("report", parents=[common], help="bundle the latest run into one JSON")
@@ -370,35 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    overrides: dict = {
-        "seed": args.seed,
-        "out_dir": args.out,
-        "traces": args.traces,
-    }
-    if args.synthetic:
-        overrides["synthetic"] = True
-    if args.keep_shares:
-        overrides["keep_shares"] = True
-    if getattr(args, "vehicles", None) is not None:
-        overrides["synthetic_vehicles"] = args.vehicles
-    if getattr(args, "duration", None) is not None:
-        overrides["synthetic_duration"] = args.duration
-    if getattr(args, "n_starts", None) is not None:
-        overrides["n_starts"] = args.n_starts
-    if getattr(args, "grid_resolution", None) is not None:
-        overrides["grid_resolution"] = args.grid_resolution
-    if getattr(args, "param", None) is not None:
-        overrides["sweep_param"] = args.param
-    if getattr(args, "values", None) is not None:
-        overrides["sweep_values"] = tuple(float(v) for v in args.values.split(","))
-    if getattr(args, "s_values", None) is not None:
-        overrides["sim_s_values"] = tuple(int(v) for v in args.s_values.split(","))
-    if getattr(args, "trials", None) is not None:
-        overrides["sim_trials"] = args.trials
-    if getattr(args, "n_compromised", None) is not None:
-        overrides["n_compromised"] = args.n_compromised
-    config = config.with_overrides(**overrides)
-
+    config = config.with_overrides(**{f.name: getattr(args, f.name, None) for f in fields(config)})
     if args.mode_participation or args.mode_cost:
         config = config.with_overrides(
             econ=config.econ.with_modes(
@@ -414,10 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)
-        if args.command == "optimize":
-            artifacts = cmd_optimize(config, certify=bool(getattr(args, "certify", False)))
-        else:
-            artifacts = COMMANDS[args.command](config)
+        artifacts = COMMANDS[args.command](config, args)
 
         os.makedirs(config.out_dir, exist_ok=True)
         for name, text in artifacts.items():

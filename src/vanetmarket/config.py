@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
-from typing import Any
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from typing import Any, get_origin, get_type_hints
 
 from .econ import EconParams
 from .optimize import Bounds
@@ -50,46 +50,11 @@ class RunConfig:
         return GridSpec(bbox=self.bbox, cell_size=self.cell_size, time_bin=self.time_bin)
 
     def to_json_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "econ":
-                out["econ"] = value.to_json_dict()
-            elif f.name == "bounds":
-                out["bounds"] = value.to_json_dict()
-            elif isinstance(value, tuple):
-                out[f.name] = list(value)
-            else:
-                out[f.name] = value
-        return out
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs: dict[str, Any] = {}
-        for key, value in data.items():
-            if key == "econ":
-                kwargs["econ"] = EconParams.from_json_dict(value)
-            elif key == "bounds":
-                kwargs["bounds"] = Bounds(
-                    c1=tuple(value["c1"]), f_d=tuple(value["f_d"]), s=tuple(value["s"])
-                )
-            elif key in (
-                "bbox",
-                "calibration_freqs",
-                "surface_vehicle_counts",
-                "surface_freqs",
-                "reference_point",
-                "sweep_values",
-                "sim_s_values",
-            ):
-                kwargs[key] = tuple(value)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
+        return _from_json(cls, data)
 
     def with_overrides(self, **kwargs: Any) -> "RunConfig":
         """New config with the given non-None fields replaced."""
@@ -99,6 +64,25 @@ class RunConfig:
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _from_json(cls: type, data: Any, prefix: str = "") -> Any:
+    """Build dataclass `cls` from its JSON form, recursing into dataclass-typed
+    fields; tuple-typed fields take `tuple(value)` and missing keys their defaults."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config {prefix.rstrip('.') or 'file'} must be a JSON object")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown config keys: {[prefix + key for key in unknown]}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for key, value in data.items():
+        if is_dataclass(hints[key]):
+            value = _from_json(hints[key], value, f"{prefix}{key}.")
+        elif get_origin(hints[key]) is tuple:
+            value = tuple(value)
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def load_config(path: str) -> RunConfig:

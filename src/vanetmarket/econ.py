@@ -52,17 +52,6 @@ def lognormal_pdf(x: float, mu: float, sigma: float) -> float:
 
 
 @dataclass(frozen=True)
-class PrivacySensitivity:
-    """An individual's multiplier on perceived privacy loss."""
-
-    e_i: float
-
-    def __post_init__(self) -> None:
-        if self.e_i < 0:
-            raise ValueError(f"privacy sensitivity must be nonnegative, got {self.e_i}")
-
-
-@dataclass(frozen=True)
 class EconParams:
     """Market parameters making profit a pure function of (c1, f_d, s).
 
@@ -102,49 +91,6 @@ class EconParams:
         if cost is not None:
             kwargs["server_cost_model"] = cost
         return replace(self, **kwargs) if kwargs else self
-
-    def to_json_dict(self) -> dict:
-        return {
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
-            "V": self.V,
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "participation_model": self.participation_model,
-            "server_cost_model": self.server_cost_model,
-            "loss": {
-                "k": self.loss.k,
-                "p": self.loss.p,
-                "q": self.loss.q,
-                "eps_clamp": self.loss.eps_clamp,
-            },
-            "utility": {
-                "alpha": self.utility.alpha,
-                "beta": self.utility.beta,
-                "a": self.utility.a,
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "EconParams":
-        loss = LossModel(**data.get("loss", {}))
-        utility = UtilityModel(**data.get("utility", {}))
-        scalar = {
-            k: v for k, v in data.items() if k not in ("loss", "utility")
-        }
-        return cls(loss=loss, utility=utility, **scalar)
-
-
-def vehicle_utility(c1: float, f_d: float, e_i: float, L: float) -> float:
-    """An individual's net utility from sharing: payment minus perceived privacy cost."""
-    if c1 < 0 or f_d < 0:
-        raise ValueError("c1 and f_d must be nonnegative")
-    if e_i < 0:
-        raise ValueError(f"privacy sensitivity must be nonnegative, got {e_i}")
-    if not (0.0 < L <= 1.0):
-        raise ValueError(f"privacy loss must lie in (0, 1], got {L}")
-    return c1 * f_d - e_i * L
 
 
 def expected_participants(params: EconParams, c1: float, f_d: float, s: float) -> float:

@@ -46,9 +46,6 @@ class Bounds:
             and self.s[0] <= s <= self.s[1]
         )
 
-    def to_json_dict(self) -> dict:
-        return {"c1": list(self.c1), "f_d": list(self.f_d), "s": list(self.s)}
-
 
 DEFAULT_BOUNDS = Bounds()
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -190,6 +190,23 @@ def fit_per_server_decay(points: Sequence[tuple[float, float]]) -> CalibrationRe
     )
 
 
+class _FullPath(NamedTuple):
+    """A vehicle's full path projected about its centroid, and its diameter."""
+
+    origin: tuple[float, float]
+    path: PlanarPath
+    diameter: float
+
+
+def _full_paths(trajs: Sequence[Trajectory]) -> list[_FullPath]:
+    fulls = []
+    for traj in trajs:
+        origin = traj.centroid()
+        path = project_planar(traj, origin=origin)
+        fulls.append(_FullPath(origin, path, path.diameter()))
+    return fulls
+
+
 def mean_similarity_by_frequency(
     trajs: Iterable[Trajectory], freqs: Sequence[float]
 ) -> list[tuple[float, float]]:
@@ -203,13 +220,10 @@ def mean_similarity_by_frequency(
     if not freqs:
         raise ValueError("need at least one frequency")
     sims: dict[float, list[float]] = {f: [] for f in freqs}
-    for traj in trajs:
-        origin = traj.centroid()
-        full = project_planar(traj, origin=origin)
-        diam = full.diameter()
+    for traj, full in zip(trajs, _full_paths(trajs)):
         for f in freqs:
-            sub = project_planar(subsample(traj, f), origin=origin)
-            sims[f].append(path_similarity(full, sub, diam))
+            sub = project_planar(subsample(traj, f), origin=full.origin)
+            sims[f].append(path_similarity(full.path, sub, full.diameter))
     return [(f, math.fsum(sims[f]) / len(sims[f])) for f in freqs]
 
 

@@ -10,7 +10,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .privacy import path_similarity
+from .privacy import _FullPath, _full_paths, path_similarity
 from .trajectories import (
     GeoSample,
     PlanarPath,
@@ -44,7 +44,6 @@ class AdversaryModel:
     """A set of compromised servers; routing assignments are assumed known."""
 
     compromised: frozenset[int]
-    knows_routing: bool = True
 
 
 def route_samples(
@@ -157,23 +156,6 @@ def aggregate_secure(
 class VehicleReconstruction(NamedTuple):
     path: PlanarPath | None
     similarity: float
-
-
-class _FullPath(NamedTuple):
-    """A vehicle's full path projected about its centroid, and its diameter."""
-
-    origin: tuple[float, float]
-    path: PlanarPath
-    diameter: float
-
-
-def _full_paths(trajs: Sequence[Trajectory]) -> list[_FullPath]:
-    fulls = []
-    for traj in trajs:
-        origin = traj.centroid()
-        path = project_planar(traj, origin=origin)
-        fulls.append(_FullPath(origin, path, path.diameter()))
-    return fulls
 
 
 def _reconstruct(

@@ -195,13 +195,11 @@ def _parse_timestamp(raw: str) -> float:
     return dt.timestamp() / 60.0
 
 
-def parse_traces(stream: IO[bytes] | IO[str], format: str = "csv") -> list[Trajectory]:
+def parse_traces(stream: IO[bytes] | IO[str]) -> list[Trajectory]:
     """Parse a trace file into one Trajectory per vehicle, samples sorted by time.
 
     Duplicate (vehicle, timestamp) rows collapse keeping the first occurrence.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported trace format {format!r}")
     if isinstance(stream, io.BufferedIOBase) or (
         hasattr(stream, "read") and isinstance(getattr(stream, "mode", ""), str) and "b" in getattr(stream, "mode", "")
     ):

@@ -147,9 +147,6 @@ class UtilityFit:
     def valid(self) -> bool:
         return 0.0 < self.alpha <= 1.0 and self.beta > 0.0
 
-    def to_model(self, a: float = DEFAULT_GRID_SHAPE) -> UtilityModel:
-        return UtilityModel(alpha=self.alpha, beta=self.beta, a=a)
-
     def to_json_dict(self) -> dict:
         return {
             "alpha": self.alpha,

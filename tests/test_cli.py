@@ -1,10 +1,13 @@
+import argparse
+import dataclasses
 import json
 import os
 import stat
 
 import pytest
 
-from vanetmarket.cli import main
+from vanetmarket import Bounds, EconParams, LossModel, UtilityModel
+from vanetmarket.cli import build_parser, main
 from vanetmarket.config import RunConfig, load_config
 
 
@@ -288,6 +291,33 @@ class TestManifestAndConfig:
         assert run(["optimize", "--config", cfg, "--out", tmp_path / "x"]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"econ": {"bogus": 1}}, "unknown config keys: ['econ.bogus']"),
+            ({"econ": {"loss": {"kk": 1}}}, "unknown config keys: ['econ.loss.kk']"),
+            ({"bounds": {"c1": [1e-8, 1e-3], "fd": [1, 2]}}, "unknown config keys: ['bounds.fd']"),
+            ({"econ": 1}, "config econ must be a JSON object"),
+        ],
+    )
+    def test_bad_nested_config_is_a_config_error(self, tmp_path, capsys, data, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        assert run(["gen", "--config", cfg, "--out", tmp_path / "x"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_missing_nested_keys_take_their_defaults(self, tmp_path):
+        cfg = tmp_path / "partial.json"
+        cfg.write_text(json.dumps({"bounds": {"c1": [1e-8, 1e-3]}, "econ": {"loss": {"k": 11.0}}}))
+        config = load_config(str(cfg))
+        assert config.bounds == Bounds(c1=(1e-8, 1e-3))
+        assert config.econ == EconParams(loss=LossModel(k=11.0))
+        out = tmp_path / "g"
+        assert run(["gen", "--vehicles", 2, "--duration", 5, "--config", cfg, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        bounds = {"c1": [1e-8, 1e-3], "f_d": [0.1, 60.0], "s": [1.0, 100.0]}
+        assert manifest["config"]["bounds"] == bounds
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 1, "n_starts": 2}))
@@ -298,10 +328,57 @@ class TestManifestAndConfig:
         assert manifest["config"]["n_starts"] == 2
 
     def test_config_round_trip(self, tmp_path):
-        config = RunConfig(seed=4, sweep_values=(1.0, 2.0), sim_s_values=(1, 3))
+        config = RunConfig(
+            seed=4,
+            bbox=(39.8, 116.2, 40.0, 116.5),
+            calibration_freqs=(0.5, 0.25),
+            surface_vehicle_counts=(0, 5, 10),
+            surface_freqs=(1.0, 0.5),
+            reference_point=(1e-6, 2.0, 3.0),
+            sweep_values=(1.0, 2.0),
+            sim_s_values=(1, 3),
+            econ=EconParams(
+                c1=2e-6,
+                sigma=0.8,
+                participation_model="pdf_as_written",
+                server_cost_model="total_times_s",
+                loss=LossModel(k=10.0, q=8.0),
+                utility=UtilityModel(alpha=0.8, beta=0.3),
+            ),
+            bounds=Bounds(c1=(1e-8, 1e-4), f_d=(0.2, 30.0), s=(2.0, 50.0)),
+        )
+        # every tuple-typed setting takes part in the round trip
+        defaults = RunConfig()
+        for f in dataclasses.fields(RunConfig):
+            if isinstance(getattr(defaults, f.name), tuple):
+                assert getattr(config, f.name) != getattr(defaults, f.name), f.name
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config.to_json_dict()))
         assert load_config(str(path)) == config
+
+    def test_default_config_hash_is_pinned(self):
+        # manifests written by earlier versions carry this hash for the default config
+        assert RunConfig().config_hash() == (
+            "a8f1fccb5e3fe9a49b5b61db354e73e03f3f0dd7f8c65aafc17a1428585d51f3"
+        )
+
+    def test_every_flag_overrides_a_config_field(self):
+        parser = build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {
+            action.dest
+            for p in [parser, *subparsers.choices.values()]
+            for action in p._actions
+            if action.default is not argparse.SUPPRESS
+        }
+        settings = {f.name for f in dataclasses.fields(RunConfig)}
+        assert dests - settings == {
+            "config",
+            "command",
+            "certify",
+            "mode_participation",
+            "mode_cost",
+        }
 
     def test_identical_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "x"

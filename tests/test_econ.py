@@ -10,7 +10,6 @@ from scipy import stats
 from vanetmarket import (
     EconParams,
     LossModel,
-    PrivacySensitivity,
     UtilityModel,
     expected_participants,
     lognormal_cdf,
@@ -21,8 +20,8 @@ from vanetmarket import (
     total_loss,
     total_loss_raw,
     validate_params,
-    vehicle_utility,
 )
+from vanetmarket.config import RunConfig
 from vanetmarket.econ import PARTICIPATION_MODELS, SERVER_COST_MODELS, erf_approx, normal_cdf
 
 T1 = (3.57e-6, 7.31, 15.12)
@@ -69,27 +68,6 @@ class TestErfAndCdf:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             lognormal_cdf(1.0, 0.0, 0.0)
-
-
-class TestVehicleUtility:
-    def test_indifferent_individual(self):
-        assert vehicle_utility(2e-6, 5.0, 0.0, 0.5) == 2e-6 * 5.0
-
-    def test_reference_value(self):
-        assert vehicle_utility(1e-5, 10.0, 0.5, 0.2) == pytest.approx(-0.0999, rel=1e-12)
-
-    def test_participation_threshold(self):
-        c1, f_d, L = 4e-6, 3.0, 0.25
-        e_threshold = c1 * f_d / L
-        assert vehicle_utility(c1, f_d, e_threshold, L) == pytest.approx(0.0, abs=1e-18)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            vehicle_utility(1e-6, 1.0, -0.1, 0.5)
-        with pytest.raises(ValueError):
-            vehicle_utility(1e-6, 1.0, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            PrivacySensitivity(-1.0)
 
 
 class TestExpectedParticipants:
@@ -297,6 +275,7 @@ class TestEconParams:
             EconParams(server_cost_model="nope")
 
     def test_json_round_trip(self):
+        # EconParams travels as the `econ` block of the run config's JSON form
         params = EconParams(
             c1=2e-6,
             c2=3e-7,
@@ -305,8 +284,8 @@ class TestEconParams:
             loss=LossModel(k=10.0),
             utility=UtilityModel(alpha=0.8, beta=0.3),
         )
-        blob = json.dumps(params.to_json_dict())
-        restored = EconParams.from_json_dict(json.loads(blob))
+        blob = json.dumps(RunConfig(econ=params).to_json_dict())
+        restored = RunConfig.from_json_dict(json.loads(blob)).econ
         assert restored == params
 
     def test_with_modes(self):
