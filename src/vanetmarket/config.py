@@ -66,9 +66,20 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+# JSON value types accepted for scalar fields of these types.
+_SCALAR_TYPES: dict[Any, tuple[type, ...]] = {
+    float: (int, float),
+    int: (int,),
+    bool: (bool,),
+    str: (str,),
+    str | None: (str, type(None)),
+}
+
+
 def _from_json(cls: type, data: Any, prefix: str = "") -> Any:
     """Build dataclass `cls` from its JSON form, recursing into dataclass-typed
-    fields; tuple-typed fields take `tuple(value)` and missing keys their defaults."""
+    fields; tuple-typed fields take `tuple(value)` and missing keys their defaults.
+    A value of the wrong type is a ValueError naming its dotted key."""
     if not isinstance(data, dict):
         raise ValueError(f"config {prefix.rstrip('.') or 'file'} must be a JSON object")
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
@@ -77,12 +88,21 @@ def _from_json(cls: type, data: Any, prefix: str = "") -> Any:
     hints = get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
-        if is_dataclass(hints[key]):
-            value = _from_json(hints[key], value, f"{prefix}{key}.")
-        elif get_origin(hints[key]) is tuple:
+        hint = hints[key]
+        if is_dataclass(hint):
+            value = _from_json(hint, value, f"{prefix}{key}.")
+        elif get_origin(hint) is tuple:
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"config {prefix}{key} must be a JSON array, got {value!r}")
             value = tuple(value)
+        elif hint in _SCALAR_TYPES and not isinstance(value, _SCALAR_TYPES[hint]):
+            name = getattr(hint, "__name__", hint)
+            raise ValueError(f"config {prefix}{key} must be of type {name}, got {value!r}")
         kwargs[key] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:  # e.g. a tuple element of the wrong type
+        raise ValueError(f"config {prefix.rstrip('.') or 'file'}: {exc}") from exc
 
 
 def load_config(path: str) -> RunConfig:

@@ -24,11 +24,22 @@ FIELD_PRIME = 2**61 - 1  # Mersenne prime; counts stay far below it
 
 FieldElement = int  # integer in [0, FIELD_PRIME)
 
+_PRIME = np.uint64(FIELD_PRIME)
+
 
 def _check_field(x: int) -> int:
     if not (0 <= x < FIELD_PRIME):
         raise ValueError(f"field element {x} outside [0, {FIELD_PRIME})")
     return x
+
+
+def _field_sum(rows: np.ndarray) -> np.ndarray:
+    """Column sums mod FIELD_PRIME of a uint64 array of field elements, reduced
+    after every add: 8 or more unreduced elements below 2**61 overflow uint64."""
+    total = np.zeros(rows.shape[1], dtype=np.uint64)
+    for row in rows:
+        total = (total + row) % _PRIME
+    return total
 
 
 @dataclass
@@ -129,20 +140,25 @@ def aggregate_secure(
     cells = tuple(sorted(set().union(*(p.counts.keys() for p in partials))))
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
 
-    share_matrix = [[[] for _ in range(s)] for _ in range(s)]
-    for i, partial in enumerate(partials):
-        for cell in cells:
-            shares = secret_share(partial.counts.get(cell, 0), s, rng)
-            for j in range(s):
-                share_matrix[i][j].append(shares[j])
+    # Server i's shares of cell c are the s-1 heads secret_share would draw
+    # for it (one draw over all cells reads the same generator stream) and
+    # the last share x - sum(heads) mod P.
+    share_matrix = []
+    sums = np.zeros((s, len(cells)), dtype=np.uint64)
+    for partial in partials:
+        x = [partial.counts.get(cell, 0) for cell in cells]
+        if x:
+            _check_field(min(x))
+            _check_field(max(x))
+        heads = rng.integers(0, FIELD_PRIME, size=(len(cells), s - 1), dtype=np.int64)
+        shares = np.empty((s, len(cells)), dtype=np.uint64)
+        shares[:-1] = heads.T
+        shares[-1] = (np.array(x, dtype=np.uint64) + (_PRIME - _field_sum(shares[:-1]))) % _PRIME
+        sums = (sums + shares) % _PRIME
+        share_matrix.append(shares.tolist())
 
-    per_server_sums = [
-        [sum(share_matrix[i][j][c] for i in range(s)) % FIELD_PRIME for c in range(len(cells))]
-        for j in range(s)
-    ]
-    totals = [
-        sum(per_server_sums[j][c] for j in range(s)) % FIELD_PRIME for c in range(len(cells))
-    ]
+    per_server_sums = sums.tolist()
+    totals = _field_sum(sums).tolist()
     counts = {cell: t for cell, t in zip(cells, totals) if t > 0}
     dropped = sum(p.dropped_outside for p in partials)
     return AggregationTranscript(

@@ -7,6 +7,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 from typing import IO, Iterable, NamedTuple
 
 import numpy as np
@@ -333,31 +334,60 @@ def build_map(
 ) -> SpatioTemporalMap:
     """Aggregate trajectories onto the grid.
 
-    `vehicles` mode counts distinct contributing vehicles per cell; `samples`
+    `vehicles` mode counts distinct contributing vehicle ids per cell; `samples`
     counts raw samples. Samples outside the bbox are dropped and tallied.
+    Cells and time bins use the same float expressions as `GridSpec.cell_of`
+    and `GridSpec.time_index`, evaluated over arrays.
     """
     if count_mode not in ("vehicles", "samples"):
         raise ValueError(f"count_mode must be 'vehicles' or 'samples', got {count_mode!r}")
-    dropped = 0
-    if count_mode == "samples":
-        counts: dict[tuple[int, int, int], int] = {}
-        for traj in trajs:
-            for s in traj.samples:
-                cell = spec.cell_of(s.lat, s.lon)
-                if cell is None:
-                    dropped += 1
-                    continue
-                key = (cell[0], cell[1], spec.time_index(s.t))
-                counts[key] = counts.get(key, 0) + 1
-        return SpatioTemporalMap(spec, counts, dropped)
+    trajs = list(trajs)
+    lengths = [len(traj.samples) for traj in trajs]
+    n = sum(lengths)
+    txy = np.fromiter(
+        chain.from_iterable(chain.from_iterable(traj.samples for traj in trajs)),
+        dtype=np.float64,
+        count=3 * n,
+    ).reshape(n, 3)
+    t, lat, lon = txy.T
+    lat_min, lat_max, lon_min, lon_max = spec.bbox
+    inside = (lat_min <= lat) & (lat <= lat_max) & (lon_min <= lon) & (lon <= lon_max)
+    dropped = n - int(np.count_nonzero(inside))
+    if dropped == n:
+        return SpatioTemporalMap(spec, {}, dropped)
+    t, lat, lon = txy[inside].T
 
-    seen: dict[tuple[int, int, int], set[str]] = {}
-    for traj in trajs:
-        for s in traj.samples:
-            cell = spec.cell_of(s.lat, s.lon)
-            if cell is None:
-                dropped += 1
-                continue
-            key = (cell[0], cell[1], spec.time_index(s.t))
-            seen.setdefault(key, set()).add(traj.vehicle_id)
-    return SpatioTemporalMap(spec, {k: len(v) for k, v in seen.items()}, dropped)
+    m_lat, m_lon = spec._meters_per_deg
+    nx, ny = spec.n_cells
+    # Columns stay float64 until the keys become Python ints, so a time bin
+    # beyond the int64 range groups and converts exactly as `time_index` does.
+    columns = np.stack(
+        [
+            np.minimum((lon - lon_min) * m_lon // spec.cell_size, nx - 1),
+            np.minimum((lat - lat_min) * m_lat // spec.cell_size, ny - 1),
+            np.floor(t / spec.time_bin),
+        ]
+    )
+    overflow = ~np.isfinite(columns[2])
+    if overflow.any():
+        raise ValueError(
+            f"timestamp {float(t[overflow][0])!r} overflows time bin {spec.time_bin!r}"
+        )
+    ids: dict[str, int] = {}
+    codes = [ids.setdefault(traj.vehicle_id, len(ids)) for traj in trajs]
+    owner = np.repeat(codes, lengths)[inside]
+    # Sort by cell, then time bin, then owner, so each key is one run of rows.
+    order = np.lexsort((owner, columns[2], columns[1], columns[0]))
+    columns = columns[:, order]
+    new_key = np.ones(columns.shape[1], dtype=bool)
+    new_key[1:] = (columns[:, 1:] != columns[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(new_key)
+    if count_mode == "samples":
+        counts = np.diff(starts, append=columns.shape[1])
+    else:
+        owner = owner[order]
+        new_owner = new_key.copy()
+        new_owner[1:] |= owner[1:] != owner[:-1]
+        counts = np.add.reduceat(new_owner, starts, dtype=np.int64)
+    keys = zip(*(map(int, column) for column in columns[:, starts].tolist()))
+    return SpatioTemporalMap(spec, dict(zip(keys, counts.tolist())), dropped)

@@ -122,7 +122,9 @@ def build_utility_surface(
             chosen = rng.choice(len(trajs), size=count, replace=False)
             sub = [subsample(trajs[i], f) for i in sorted(chosen)]
             m = build_map(sub, spec, count_mode=count_mode)
-            utilities = [grid_utility(c, a) for c in m.counts.values()]
+            # One grid_utility per distinct count; fsum's exact sum ignores order.
+            per_count = {c: grid_utility(c, a) for c in set(m.counts.values())}
+            utilities = [per_count[c] for c in m.counts.values()]
             if average_over == "ever_occupied":
                 denom = len(ever_occupied)
             elif average_over == "occupied":

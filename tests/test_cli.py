@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import stat
@@ -306,6 +307,27 @@ class TestManifestAndConfig:
         assert run(["gen", "--config", cfg, "--out", tmp_path / "x"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"bbox": 5}, "config bbox must be a JSON array, got 5"),
+            ({"econ": {"sigma": "x"}}, "config econ.sigma must be of type float, got 'x'"),
+            ({"econ": {"loss": {"k": [1]}}}, "config econ.loss.k must be of type float, got [1]"),
+            ({"seed": "1"}, "config seed must be of type int, got '1'"),
+            ({"synthetic": "no"}, "config synthetic must be of type bool, got 'no'"),
+            ({"traces": 5}, "config traces must be of type str | None, got 5"),
+            (
+                {"bounds": {"c1": ["a", 1]}},
+                "config bounds: '<' not supported between instances of 'float' and 'str'",
+            ),
+        ],
+    )
+    def test_wrongly_typed_config_value_is_a_config_error(self, tmp_path, capsys, data, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        assert run(["gen", "--config", cfg, "--out", tmp_path / "x"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_nested_keys_take_their_defaults(self, tmp_path):
         cfg = tmp_path / "partial.json"
         cfg.write_text(json.dumps({"bounds": {"c1": [1e-8, 1e-3]}, "econ": {"loss": {"k": 11.0}}}))
@@ -397,3 +419,42 @@ class TestManifestAndConfig:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+
+
+# sha256 of the gridding and utility-surface outputs for a 40-vehicle, 30-minute
+# `gen --seed 5` fleet. Refactors of build_map, build_utility_surface and their
+# callers must keep these bytes.
+PINNED_OUTPUTS = {
+    "traces.csv": "ef1d1c1bd6620dff4db29248626ecb751559aaf78d42da9d0438aab8754b015a",
+    "vehicles/map.csv": "d8d89438e16f427ac19dbacb4c93d4e26bf53eebd207f19c6dc3657a6a284b33",
+    "vehicles/map.json": "b06efd362e55ddae013fbb1bd6337ec9b48704cc5165491596fbd020414a0687",
+    "vehicles/utility_surface.csv": (
+        "bc032112d7d8deae972cc33eb5615b9540caf7b5942f664d8164906a8e04d9d7"
+    ),
+    "samples/map.csv": "eddbdd7061a64b125a2854b58d9aec9373a58b4ca243b9ad4d09e04eaae3e036",
+    "samples/map.json": "062365f510f274ff804296d8e0dbff6385e0233af79ebc2ef4139d9dcdc07eb8",
+    "samples/utility_surface.csv": (
+        "f70238de4989e3b52715c2e3291fccdaeee9fe972fcccd8792e6ec23782554ce"
+    ),
+}
+
+
+def test_ingest_and_utility_outputs_are_pinned(tmp_path):
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    gen_argv = ["gen", "--vehicles", 40, "--duration", 30, "--seed", 5]
+    assert run([*gen_argv, "--out", tmp_path / "g"]) == 0
+    traces = tmp_path / "g" / "traces.csv"
+    got = {"traces.csv": digest(traces)}
+    for mode in ("vehicles", "samples"):
+        cfg = tmp_path / f"{mode}.json"
+        cfg.write_text(json.dumps({"count_mode": mode}))
+        ingest, surface = tmp_path / f"i-{mode}", tmp_path / f"u-{mode}"
+        assert run(["ingest", "--config", cfg, "--traces", traces, "--out", ingest]) == 0
+        utility_argv = ["calibrate-utility", "--config", cfg, "--traces", traces, "--seed", 5]
+        assert run([*utility_argv, "--out", surface]) == 0
+        got[f"{mode}/map.csv"] = digest(ingest / "map.csv")
+        got[f"{mode}/map.json"] = digest(ingest / "map.json")
+        got[f"{mode}/utility_surface.csv"] = digest(surface / "utility_surface.csv")
+    assert got == PINNED_OUTPUTS

@@ -33,6 +33,29 @@ def random_partials(rng, n_servers, n_cells=8, max_count=10**6):
     return partials
 
 
+def scalar_aggregate_secure(partials, seed=0):
+    """The per-cell secret_share loop aggregate_secure replaced: the bitwise reference."""
+    s = len(partials)
+    cells = tuple(sorted(set().union(*(p.counts.keys() for p in partials))))
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    share_matrix = [[[] for _ in range(s)] for _ in range(s)]
+    for i, partial in enumerate(partials):
+        for cell in cells:
+            shares = secret_share(partial.counts.get(cell, 0), s, rng)
+            for j in range(s):
+                share_matrix[i][j].append(shares[j])
+    per_server_sums = [
+        [sum(share_matrix[i][j][c] for i in range(s)) % FIELD_PRIME for c in range(len(cells))]
+        for j in range(s)
+    ]
+    totals = [
+        sum(per_server_sums[j][c] for j in range(s)) % FIELD_PRIME for c in range(len(cells))
+    ]
+    counts = {cell: t for cell, t in zip(cells, totals) if t > 0}
+    dropped = sum(p.dropped_outside for p in partials)
+    return cells, share_matrix, per_server_sums, counts, dropped
+
+
 def plaintext_sum(partials):
     total = {}
     for p in partials:
@@ -157,6 +180,43 @@ class TestAggregation:
             for c, cell in enumerate(transcript.cells):
                 total = sum(transcript.share_matrix[i][j][c] for j in range(s)) % FIELD_PRIME
                 assert total == partials[i].counts.get(cell, 0)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scalar_loop(self, s, seed):
+        rng = np.random.default_rng(np.random.SeedSequence([s, seed]))
+        partials = random_partials(rng, s, n_cells=40)
+        # a cell only the first server holds, and counts next to the field size
+        partials[0].counts[(99, 99, 9)] = FIELD_PRIME - 1
+        partials[-1].counts[(0, 0, 0)] = FIELD_PRIME - 2
+        for p in partials:
+            p.dropped_outside = int(rng.integers(0, 5))
+        transcript = aggregate_secure(partials, seed=seed)
+        cells, share_matrix, per_server_sums, counts, dropped = scalar_aggregate_secure(
+            partials, seed
+        )
+        assert transcript.cells == cells
+        assert transcript.share_matrix == share_matrix
+        assert transcript.per_server_sums == per_server_sums
+        assert transcript.reconstructed.counts == counts
+        assert transcript.reconstructed.dropped_outside == dropped
+        assert all(type(v) is int for row in transcript.share_matrix for vec in row for v in vec)
+        assert all(type(v) is int for vec in transcript.per_server_sums for v in vec)
+        assert all(type(v) is int for v in transcript.reconstructed.counts.values())
+
+    def test_empty_partials_match_scalar_loop(self):
+        partials = [SpatioTemporalMap(SPEC), SpatioTemporalMap(SPEC)]
+        transcript = aggregate_secure(partials, seed=4)
+        cells, share_matrix, per_server_sums, counts, _ = scalar_aggregate_secure(partials, 4)
+        assert (transcript.cells, transcript.share_matrix) == (cells, share_matrix)
+        assert transcript.per_server_sums == per_server_sums
+        assert transcript.reconstructed.counts == counts == {}
+
+    @pytest.mark.parametrize("count", [-1, FIELD_PRIME])
+    def test_count_outside_the_field_rejected(self, count):
+        a = SpatioTemporalMap(SPEC, {(0, 0, 0): 1, (1, 0, 0): count})
+        with pytest.raises(ValueError, match="outside"):
+            aggregate_secure([a, SpatioTemporalMap(SPEC, {(0, 0, 0): 2})])
 
     def test_mismatched_specs_rejected(self):
         other = GridSpec((0.0, 1.0, 0.0, 1.0))

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,26 @@ HEADER = "vehicle_id,timestamp,lat,lon\n"
 
 def make_traj(times, vid="v", lat=40.0, lon=116.3):
     return Trajectory(vid, tuple(GeoSample(float(t), lat, lon) for t in times))
+
+
+def scalar_build_map(trajs, spec, count_mode="vehicles"):
+    """The per-sample loop build_map replaced: the bitwise reference."""
+    dropped = 0
+    seen = {}
+    for traj in trajs:
+        for s in traj.samples:
+            cell = spec.cell_of(s.lat, s.lon)
+            if cell is None:
+                dropped += 1
+                continue
+            key = (cell[0], cell[1], spec.time_index(s.t))
+            if count_mode == "samples":
+                seen[key] = seen.get(key, 0) + 1
+            else:
+                seen.setdefault(key, set()).add(traj.vehicle_id)
+    if count_mode == "vehicles":
+        seen = {k: len(v) for k, v in seen.items()}
+    return seen, dropped
 
 
 def moving_traj(times, vid="v"):
@@ -329,3 +350,86 @@ class TestBuildMap:
         d = m.to_json_dict()
         assert d["counts"][0][3] == 1
         assert d["dropped_outside"] == 0
+
+
+class TestBuildMapMatchesScalarLoop:
+    spec = GridSpec((39.8, 40.0, 116.25, 116.5), cell_size=1000.0, time_bin=10.0)
+
+    def check(self, trajs, spec=None):
+        spec = spec or self.spec
+        for mode in ("vehicles", "samples"):
+            m = build_map(trajs, spec, count_mode=mode)
+            counts, dropped = scalar_build_map(trajs, spec, mode)
+            assert m.counts == counts and m.dropped_outside == dropped
+            assert all(type(v) is int for key in m.counts for v in key)
+            assert all(type(v) is int for v in m.counts.values())
+            json.dumps(m.to_json_dict())
+            json.dumps([[*k, v] for k, v in m.counts.items()])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GridSpec((39.8, 40.0, 116.25, 116.5), cell_size=1000.0, time_bin=10.0),
+            GridSpec((39.85, 39.95, 116.3, 116.45), cell_size=333.0, time_bin=7.0),
+            GridSpec((39.8, 40.0, 116.25, 116.5), cell_size=50000.0, time_bin=0.5),
+        ],
+    )
+    def test_fleet(self, fleet, spec):
+        self.check(fleet, spec)
+
+    def test_inside_and_outside_within_one_trajectory(self):
+        crossing = Trajectory(
+            "x",
+            tuple(GeoSample(float(t), 39.79 + 0.002 * t, 116.24 + 0.003 * t) for t in range(120)),
+        )
+        assert 0 < build_map([crossing], self.spec).dropped_outside < len(crossing)
+        self.check([crossing, moving_traj(range(30), vid="y")])
+
+    def test_same_vehicle_id_in_two_trajectories(self):
+        a1 = make_traj([0, 1], vid="a", lat=39.9, lon=116.3)
+        a2 = make_traj([2, 3], vid="a", lat=39.9, lon=116.3)
+        b = make_traj([4], vid="b", lat=39.9, lon=116.3)
+        assert list(build_map([a1, a2, b], self.spec).counts.values()) == [2]
+        self.check([a1, a2, b])
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_samples_on_the_upper_bbox_edges(self, axis):
+        # cells that divide the bbox exactly put its upper edge on a cell
+        # boundary, so only the clamp to nx - 1 / ny - 1 keeps it inside
+        lat_min, lat_max, lon_min, lon_max = self.spec.bbox
+        m_lat, m_lon = self.spec._meters_per_deg
+        span = (lat_max - lat_min) * m_lat if axis else (lon_max - lon_min) * m_lon
+        spec = GridSpec(self.spec.bbox, cell_size=span / 4)
+        assert spec.n_cells[axis] == 4
+        corner = make_traj([0], vid="c", lat=lat_max, lon=lon_max)
+        top = make_traj([0], vid="t", lat=lat_max, lon=116.3)
+        right = make_traj([0], vid="r", lat=39.9, lon=lon_max)
+        keys = set(build_map([corner, top, right], spec).counts)
+        assert max(k[axis] for k in keys) == 3
+        self.check([corner, top, right], spec)
+
+    def test_negative_timestamps(self):
+        a = make_traj([-25.0, -10.5, -10.0, -0.0], vid="a", lat=39.9, lon=116.3)
+        b = make_traj([-31.0, 0.0, 9.99], vid="b", lat=39.9, lon=116.3)
+        self.check([a, b])
+
+    def test_empty_and_generator_inputs(self, fleet):
+        assert build_map([], self.spec).counts == {}
+        self.check([])
+        for mode in ("vehicles", "samples"):
+            m = build_map((t for t in fleet), self.spec, count_mode=mode)
+            assert m.counts == scalar_build_map(fleet, self.spec, mode)[0]
+
+    def test_time_bins_beyond_int64(self):
+        huge = make_traj([-1e300, 0.0, 1e300], vid="h", lat=39.9, lon=116.3)
+        self.check([huge, make_traj([5.0], vid="g", lat=39.9, lon=116.3)])
+        assert max(k[2] for k in build_map([huge], self.spec).counts) == math.floor(1e299)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_time_bin_overflow_is_a_value_error(self):
+        spec = GridSpec(self.spec.bbox, time_bin=1e-10)
+        traj = make_traj([0.0, 1e300], lat=39.9, lon=116.3)
+        with pytest.raises(OverflowError):
+            scalar_build_map([traj], spec)
+        with pytest.raises(ValueError, match="1e\\+300"):
+            build_map([traj], spec)

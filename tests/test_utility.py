@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import vanetmarket.utility as utility_module
 from vanetmarket import (
     GridSpec,
     UtilityModel,
@@ -10,8 +11,10 @@ from vanetmarket import (
     build_utility_surface,
     eval_utility,
     fit_utility,
+    build_map,
     generate_synthetic,
     grid_utility,
+    subsample,
 )
 
 SPEC = GridSpec((39.8, 40.0, 116.25, 116.5), cell_size=1000.0, time_bin=10.0)
@@ -106,6 +109,25 @@ class TestUtilitySurface:
             1.0 - 1.0 / (1.0 + 100.0 * math.exp(-1.0 / math.sqrt(len(v)))) for v in cells.values()
         ) / len(cells)
         assert surface.points[0][2] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("count_mode", ["vehicles", "samples"])
+    def test_one_grid_utility_per_distinct_count(self, fleet, monkeypatch, count_mode):
+        freqs = (1.0, 0.5, 0.2)
+        expected, distinct = [], 0
+        for f in freqs:
+            m = build_map([subsample(t, f) for t in fleet], SPEC, count_mode=count_mode)
+            per_cell = math.fsum(grid_utility(c) for c in m.counts.values()) / len(m.counts)
+            expected.append((float(len(fleet)), f, per_cell))
+            distinct += len(set(m.counts.values()))
+        calls = []
+        monkeypatch.setattr(
+            utility_module, "grid_utility", lambda n, a: calls.append(n) or grid_utility(n, a)
+        )
+        surface = build_utility_surface(
+            fleet, SPEC, [len(fleet)], freqs, average_over="occupied", count_mode=count_mode
+        )
+        assert surface.points == tuple(expected)
+        assert len(calls) == distinct
 
     def test_monotone_in_fleet_size_statistically(self):
         # dense fleet so extra vehicles raise cell occupancy almost surely
