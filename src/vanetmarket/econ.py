@@ -16,29 +16,13 @@ SERVER_COST_MODELS = ("per_server_as_written", "total_times_s")
 _SQRT2 = math.sqrt(2.0)
 
 
-def erf_approx(x: float) -> float:
-    """Rational-polynomial error function, absolute error below 1.5e-7."""
-    sign = 1.0 if x >= 0 else -1.0
-    x = abs(x)
-    t = 1.0 / (1.0 + 0.3275911 * x)
-    y = 1.0 - (
-        t
-        * (0.254829592 + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))))
-    ) * math.exp(-x * x)
-    return sign * y
-
-
-def normal_cdf(z: float) -> float:
-    return 0.5 * (1.0 + erf_approx(z / _SQRT2))
-
-
 def lognormal_cdf(x: float, mu: float, sigma: float) -> float:
     """Log-normal CDF; zero for x <= 0 (no mass below zero)."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if x <= 0:
         return 0.0
-    return normal_cdf((math.log(x) - mu) / sigma)
+    return 0.5 * (1.0 + math.erf((math.log(x) - mu) / sigma / _SQRT2))
 
 
 def lognormal_pdf(x: float, mu: float, sigma: float) -> float:

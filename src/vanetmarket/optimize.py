@@ -72,6 +72,11 @@ def nelder_mead(
     the simplex's relative diameter drops below `diameter_tol` or after
     `max_iter` iterations.
 
+    Vertices are ranked by value. Exact ties, common on the loss-clamp
+    plateau, go to the higher slot index; an accepted point always takes the
+    last slot and a shrink keeps the best in the first, so new vertices rank
+    before old vertices of equal value. The final pick uses the same rule.
+
     The simplex is kept as lists of Python floats, with the same operations in
     the same order as the elementwise numpy form, so results are bitwise equal
     to it; the objective still receives each point as an ndarray.
@@ -121,9 +126,7 @@ def nelder_mead(
 
     converged = False
     for _ in range(max_iter):
-        # Exact ties are common on the loss-clamp plateau. np.argsort orders
-        # them unstably, and a stable sort would change the results.
-        order = np.argsort(values)[::-1].tolist()  # descending: best first
+        order = sorted(range(len(values)), key=lambda i: (values[i], i), reverse=True)
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
         if rel_diameter() < diameter_tol:
@@ -167,7 +170,7 @@ def nelder_mead(
         simplex = [best] + [toward(best, 0.5, v) for v in simplex[1:]]
         values = [values[0]] + [evaluate(v) for v in simplex[1:]]
 
-    best_idx = int(np.argsort(values)[::-1][0])
+    best_idx = max(range(len(values)), key=lambda i: (values[i], i))
     return NMResult(np.array(simplex[best_idx]), values[best_idx], converged, nfev)
 
 
@@ -312,7 +315,10 @@ def grid_oracle(params: EconParams, bounds: Bounds = DEFAULT_BOUNDS, resolution:
     the nonlinear optimizer on coarse instances."""
     if resolution < 2:
         raise ValueError("grid resolution must be >= 2 per axis")
-    c1s = np.geomspace(bounds.c1[0], bounds.c1[1], resolution).tolist()
+    # Log-uniform c1 through libm's exp, as the optimizer maps log c1 (numpy's
+    # SIMD power varies with the CPU), with the endpoints pinned to the bounds.
+    log_c1s = np.linspace(math.log(bounds.c1[0]), math.log(bounds.c1[1]), resolution)
+    c1s = [bounds.c1[0], *(math.exp(v) for v in log_c1s[1:-1].tolist()), bounds.c1[1]]
     f_ds = np.linspace(bounds.f_d[0], bounds.f_d[1], resolution).tolist()
     ss = np.linspace(bounds.s[0], bounds.s[1], resolution).tolist()
 

@@ -458,3 +458,34 @@ def test_ingest_and_utility_outputs_are_pinned(tmp_path):
         got[f"{mode}/map.json"] = digest(ingest / "map.json")
         got[f"{mode}/utility_surface.csv"] = digest(surface / "utility_surface.csv")
     assert got == PINNED_OUTPUTS
+
+
+# sha256 of the market outputs at the default config: `optimize --certify` in
+# both mode combinations and a three-value sigma sweep. The search runs on
+# Python floats and libm only, so these bytes move only when the search or the
+# profit model does.
+PINNED_MARKET_OUTPUTS = {
+    "cdf/solution.json": "9331249a054ba3876f9018c8ea4f91ef3411c5e6f404816c172060e8fd777a5b",
+    "cdf/profit_decomposition.csv": (
+        "0f9451ef74460d6481b2e2f57720e18733d532be627b2b8b15fe1ee889c8ca0d"
+    ),
+    "pdf/solution.json": "b1480edaea64b8829d73ff4b760b667830e0249cd2403895aeac6363d30d0956",
+    "pdf/profit_decomposition.csv": (
+        "e795231b7d839ad07980f0e272ddf4f05cc5a805ed62a4f1a93eb77db7313b51"
+    ),
+    "sweep/sweep.json": "25da7d5cd4c0a3a47b99ef654e8fbfb74259871acd00f0edbeb7af8fe76bfcf0",
+    "sweep/sweep.csv": "4629f6ddeb93397ad92f588910beed345ac68046840d112df5fc809692e0e049",
+}
+
+
+def test_optimize_and_sweep_outputs_are_pinned(tmp_path):
+    modes = ["--mode-participation", "pdf", "--mode-cost", "times-s"]
+    assert run(["optimize", "--certify", "--out", tmp_path / "cdf"]) == 0
+    assert run(["optimize", "--certify", *modes, "--out", tmp_path / "pdf"]) == 0
+    sweep_argv = ["sweep", "--param", "sigma", "--values", "0.3,0.5,0.8"]
+    assert run([*sweep_argv, "--out", tmp_path / "sweep"]) == 0
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PINNED_MARKET_OUTPUTS
+    }
+    assert got == PINNED_MARKET_OUTPUTS

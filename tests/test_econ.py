@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 from scipy import stats
 
 from vanetmarket import (
@@ -22,29 +23,20 @@ from vanetmarket import (
     validate_params,
 )
 from vanetmarket.config import RunConfig
-from vanetmarket.econ import PARTICIPATION_MODELS, SERVER_COST_MODELS, erf_approx, normal_cdf
+from vanetmarket.econ import PARTICIPATION_MODELS, SERVER_COST_MODELS
 
 T1 = (3.57e-6, 7.31, 15.12)
 
 
 class TestErfAndCdf:
-    def test_erf_max_error(self):
-        xs = np.linspace(-6, 6, 4001)
-        worst = max(abs(erf_approx(float(x)) - math.erf(float(x))) for x in xs)
-        assert worst <= 1.5e-7
-
-    def test_normal_cdf_reference(self):
-        assert normal_cdf(1.0) == pytest.approx(0.8413447460685429, abs=1.5e-7)
-        assert normal_cdf(0.0) == pytest.approx(0.5, abs=1.5e-7)
-
     def test_lognormal_median(self):
         for mu in (-1.0, 0.0, 0.7):
-            assert lognormal_cdf(math.exp(mu), mu, 0.5) == pytest.approx(0.5, abs=1.5e-7)
+            assert lognormal_cdf(math.exp(mu), mu, 0.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_lognormal_at_sigma_quantile(self):
         # x = exp(mu + sigma) is the one-sigma quantile
         assert lognormal_cdf(math.exp(0.5), 0.0, 0.5) == pytest.approx(
-            0.8413447460685429, abs=1.5e-7
+            0.8413447460685429, abs=1e-15
         )
 
     def test_nonpositive_argument_has_zero_mass(self):
@@ -201,6 +193,23 @@ class TestProfit:
         left = profit(params, 3.57e-6, f_d, s_star - eps)
         right = profit(params, 3.57e-6, f_d, s_star + eps)
         assert abs(left - right) < 1e-4
+
+    def test_interior_point_matches_mpmath(self):
+        # Unclamped loss (raw 0.131) and participation strictly inside (0, V),
+        # so the log-normal CDF is exercised. Inputs enter mpmath as their
+        # exact binary values.
+        params = self.params
+        c1, f_d, s = 4e-3, 30.0, 50.0
+        with mp.workdps(40):
+            c1_, f_d_, s_ = mpf(c1), mpf(f_d), mpf(s)
+            k, p_, q = (mpf(x) for x in (params.loss.k, params.loss.p, params.loss.q))
+            loss = 1 - mp.exp(-k * f_d_ / s_) - mp.exp(-p_ * f_d_) - mp.exp(-q / s_)
+            z = (mp.log(c1_ * f_d_ / loss) - params.mu) / params.sigma
+            v = params.V * (1 + mp.erf(z / mp.sqrt(2))) / 2
+            utility = params.utility.alpha * (1 - mp.exp(-params.utility.beta * v * f_d_))
+            expected = utility - (params.c2 * v * f_d_ / s_ + params.c3) - c1_ * v * f_d_
+            assert 0.1 < loss < 0.2 and 1000 < v < 1500
+            assert profit(params, c1, f_d, s) == pytest.approx(float(expected), rel=1e-12)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

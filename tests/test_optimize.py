@@ -57,7 +57,7 @@ def numpy_nelder_mead(objective, x0, lower, upper, diameter_tol=1e-10, max_iter=
 
     converged = False
     for _ in range(max_iter):
-        order = np.argsort(values)[::-1]
+        order = np.argsort(values, kind="stable")[::-1]
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
         if rel_diameter() < diameter_tol:
@@ -97,14 +97,16 @@ def numpy_nelder_mead(objective, x0, lower, upper, diameter_tol=1e-10, max_iter=
         simplex = [best] + [clip(best + 0.5 * (v - best)) for v in simplex[1:]]
         values = [values[0]] + [evaluate(v) for v in simplex[1:]]
 
-    order = np.argsort(values)[::-1]
+    order = np.argsort(values, kind="stable")[::-1]
     best_idx = int(order[0])
     return optimize_module.NMResult(simplex[best_idx].copy(), values[best_idx], converged, nfev)
 
 
 def numpy_grid_oracle(params, bounds, resolution):
     """`grid_oracle` iterating over numpy scalars: the reference for its float loop."""
-    c1s = np.geomspace(bounds.c1[0], bounds.c1[1], resolution)
+    log_c1s = np.linspace(math.log(bounds.c1[0]), math.log(bounds.c1[1]), resolution)
+    c1s = np.array([math.exp(v) for v in log_c1s.tolist()])
+    c1s[[0, -1]] = bounds.c1
     f_ds = np.linspace(bounds.f_d[0], bounds.f_d[1], resolution)
     ss = np.linspace(bounds.s[0], bounds.s[1], resolution)
     best = -math.inf
