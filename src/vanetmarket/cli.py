@@ -11,6 +11,8 @@ import os
 import sys
 import tempfile
 from dataclasses import fields
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -247,12 +249,10 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     spec = config.grid_spec()
     partials = []
     for inbox in inboxes:
-        per_vehicle: dict[str, list] = {}
-        for vid, sample in inbox.received:
-            per_vehicle.setdefault(vid, []).append(sample)
+        # route_samples keeps each vehicle's samples contiguous and in time order.
         mini = [
-            Trajectory(vid, tuple(sorted(samples, key=lambda g: g.t)))
-            for vid, samples in per_vehicle.items()
+            Trajectory(vid, tuple(sample for _, sample in group))
+            for vid, group in groupby(inbox.received, key=itemgetter(0))
         ]
         partials.append(build_map(mini, spec, count_mode=config.count_mode))
     transcript = aggregate_secure(partials, seed=config.seed)
@@ -280,6 +280,8 @@ def cmd_report(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
         raise ValueError(f"no prior run found: {manifest_path} is missing")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    # Decompose with the settings of the run being reported on.
+    source = RunConfig.from_json_dict(manifest["config"])
 
     bundle: dict = {"source_manifest": manifest, "artifacts": {}}
     for name in manifest.get("artifacts", []):
@@ -292,18 +294,10 @@ def cmd_report(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     if solution:
         point = (solution["c1"], solution["f_d"], solution["s"])
     else:
-        point = config.reference_point
-    terms = profit_terms(config.econ, *point)
-    bundle["profit_decomposition"] = {
-        "c1": point[0],
-        "f_d": point[1],
-        "s": point[2],
-        "utility": terms.utility,
-        "server_cost": terms.server_cost,
-        "payments": terms.payments,
-        "profit": terms.profit,
-    }
-    bundle["scale_warnings"] = validate_params(config.econ, point[0], point[2])
+        point = source.reference_point
+    terms = profit_terms(source.econ, *point)
+    bundle["profit_decomposition"] = dict(zip(("c1", "f_d", "s"), point), **terms._asdict())
+    bundle["scale_warnings"] = validate_params(source.econ, point[0], point[2])
     return {"report.json": _json_text(bundle)}
 
 

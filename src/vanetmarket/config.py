@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import Any, get_origin, get_type_hints
+from typing import Any, get_args, get_origin, get_type_hints
 
 from .econ import EconParams
 from .optimize import Bounds
@@ -76,10 +76,17 @@ _SCALAR_TYPES: dict[Any, tuple[type, ...]] = {
 }
 
 
+def _check_scalar(key: str, hint: Any, value: Any) -> None:
+    if hint in _SCALAR_TYPES and not isinstance(value, _SCALAR_TYPES[hint]):
+        name = getattr(hint, "__name__", hint)
+        raise ValueError(f"config {key} must be of type {name}, got {value!r}")
+
+
 def _from_json(cls: type, data: Any, prefix: str = "") -> Any:
     """Build dataclass `cls` from its JSON form, recursing into dataclass-typed
     fields; tuple-typed fields take `tuple(value)` and missing keys their defaults.
-    A value of the wrong type is a ValueError naming its dotted key."""
+    A value or tuple element of the wrong type, or a fixed-length tuple of the
+    wrong length, is a ValueError naming its dotted key."""
     if not isinstance(data, dict):
         raise ValueError(f"config {prefix.rstrip('.') or 'file'} must be a JSON object")
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
@@ -94,15 +101,20 @@ def _from_json(cls: type, data: Any, prefix: str = "") -> Any:
         elif get_origin(hint) is tuple:
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"config {prefix}{key} must be a JSON array, got {value!r}")
+            element_hints = get_args(hint)
+            if element_hints[1:] == (Ellipsis,):
+                element_hints = element_hints[:1] * len(value)
+            if len(value) != len(element_hints):
+                raise ValueError(
+                    f"config {prefix}{key} must have {len(element_hints)} elements, got {len(value)}"
+                )
+            for i, (element_hint, element) in enumerate(zip(element_hints, value)):
+                _check_scalar(f"{prefix}{key}[{i}]", element_hint, element)
             value = tuple(value)
-        elif hint in _SCALAR_TYPES and not isinstance(value, _SCALAR_TYPES[hint]):
-            name = getattr(hint, "__name__", hint)
-            raise ValueError(f"config {prefix}{key} must be of type {name}, got {value!r}")
+        else:
+            _check_scalar(prefix + key, hint, value)
         kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:  # e.g. a tuple element of the wrong type
-        raise ValueError(f"config {prefix.rstrip('.') or 'file'}: {exc}") from exc
+    return cls(**kwargs)
 
 
 def load_config(path: str) -> RunConfig:

@@ -4,7 +4,8 @@ multi-start, a brute-force grid certifier, and parameter sensitivity sweeps."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -51,17 +52,17 @@ DEFAULT_BOUNDS = Bounds()
 
 
 class NMResult(NamedTuple):
-    x: np.ndarray
+    x: tuple[float, ...]
     fun: float
     converged: bool
     nfev: int
 
 
 def nelder_mead(
-    objective: Callable[[np.ndarray], float],
-    x0: np.ndarray | Sequence[float],
-    lower: np.ndarray | Sequence[float],
-    upper: np.ndarray | Sequence[float],
+    objective: Callable[[tuple[float, ...]], float],
+    x0: Sequence[float],
+    lower: Sequence[float],
+    upper: Sequence[float],
     diameter_tol: float = 1e-10,
     max_iter: int = 5000,
 ) -> NMResult:
@@ -77,31 +78,31 @@ def nelder_mead(
     last slot and a shrink keeps the best in the first, so new vertices rank
     before old vertices of equal value. The final pick uses the same rule.
 
-    The simplex is kept as lists of Python floats, with the same operations in
-    the same order as the elementwise numpy form, so results are bitwise equal
-    to it; the objective still receives each point as an ndarray.
+    The inputs are converted to Python floats once. Each point is a tuple of
+    floats, computed with the same operations in the same order as the
+    elementwise numpy form, so results are bitwise equal to it.
     """
-    lower = np.asarray(lower, dtype=float).tolist()
-    upper = np.asarray(upper, dtype=float).tolist()
+    lower = [float(v) for v in lower]
+    upper = [float(v) for v in upper]
     bounds = list(zip(lower, upper))
     nfev = 0
 
-    def evaluate(x: list[float]) -> float:
+    def evaluate(x: tuple[float, ...]) -> float:
         nonlocal nfev
         nfev += 1
-        val = objective(np.array(x))
+        val = objective(x)
         if not math.isfinite(val):
             raise NonFiniteObjective(f"objective returned {val} at {x}")
         return val
 
-    def clip(x) -> list[float]:
-        return [min(max(v, lo), hi) for v, (lo, hi) in zip(x, bounds)]
+    def clip(x) -> tuple[float, ...]:
+        return tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(x, bounds))
 
-    def toward(a: list[float], coef: float, b: list[float]) -> list[float]:
+    def toward(a: tuple[float, ...], coef: float, b: tuple[float, ...]) -> tuple[float, ...]:
         """The point a + coef * (b - a), clipped into the box."""
         return clip(u + coef * (v - u) for u, v in zip(a, b))
 
-    x0 = np.asarray(x0, dtype=float).tolist()
+    x0 = [float(v) for v in x0]
     dim = len(x0)
     if not len(lower) == len(upper) == dim:
         raise ValueError(
@@ -116,7 +117,7 @@ def nelder_mead(
         step = 0.05 * (upper[k] - lower[k])
         vertex = list(x0)
         vertex[k] = x0[k] + step if x0[k] + step <= upper[k] else x0[k] - step
-        simplex.append(vertex)
+        simplex.append(tuple(vertex))
     values = [evaluate(v) for v in simplex]
 
     def rel_diameter() -> float:
@@ -171,7 +172,11 @@ def nelder_mead(
         values = [values[0]] + [evaluate(v) for v in simplex[1:]]
 
     best_idx = max(range(len(values)), key=lambda i: (values[i], i))
-    return NMResult(np.array(simplex[best_idx]), values[best_idx], converged, nfev)
+    return NMResult(simplex[best_idx], values[best_idx], converged, nfev)
+
+
+# JSON keys of the Solution fields whose JSON name differs.
+_JSON_NAMES = {"c1_star": "c1", "f_d_star": "f_d", "s_star": "s", "profit_star": "profit"}
 
 
 @dataclass(frozen=True)
@@ -191,19 +196,7 @@ class Solution:
     profit_at_ceil_s: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "c1": self.c1_star,
-            "f_d": self.f_d_star,
-            "s": self.s_star,
-            "profit": self.profit_star,
-            "participation_model": self.participation_model,
-            "server_cost_model": self.server_cost_model,
-            "n_evaluations": self.n_evaluations,
-            "converged": self.converged,
-            "stationarity_gap": self.stationarity_gap,
-            "profit_at_floor_s": self.profit_at_floor_s,
-            "profit_at_ceil_s": self.profit_at_ceil_s,
-        }
+        return {_JSON_NAMES.get(k, k): v for k, v in asdict(self).items()}
 
 
 def _stationarity_gap(
@@ -228,6 +221,7 @@ def _finalize(
     n_evaluations: int,
     converged: bool,
 ) -> Solution:
+    # A box read from JSON may hold ints, and clipping can return a bound itself.
     c1, f_d, s = (float(v) for v in bounds.clip(*point))
     value = profit(params, c1, f_d, s)
     s_lo, s_hi = bounds.clip(c1, f_d, math.floor(s))[2], bounds.clip(c1, f_d, math.ceil(s))[2]
@@ -271,26 +265,21 @@ def optimize_profit(
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
-    log_c1 = (math.log(bounds.c1[0]), math.log(bounds.c1[1]))
-    lower = np.array([log_c1[0], bounds.f_d[0], bounds.s[0]])
-    upper = np.array([log_c1[1], bounds.f_d[1], bounds.s[1]])
+    lower = (math.log(bounds.c1[0]), float(bounds.f_d[0]), float(bounds.s[0]))
+    upper = (math.log(bounds.c1[1]), float(bounds.f_d[1]), float(bounds.s[1]))
 
-    def objective(z: np.ndarray) -> float:
-        log_c1, f_d, s = z.tolist()
+    def objective(z: tuple[float, float, float]) -> float:
+        log_c1, f_d, s = z
         c1, f_d, s = bounds.clip(math.exp(log_c1), f_d, s)
         return profit(params, c1, f_d, s)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    starts = [
-        lower + u * (upper - lower)
-        for u in np.vstack(
-            [
-                _latin_hypercube(rng, n_starts, 3),
-                np.array(np.meshgrid([0.0, 1.0], [0.0, 1.0], [0.0, 1.0])).T.reshape(-1, 3),
-                [[0.5, 0.5, 0.5]],
-            ]
-        )
+    units = [
+        *_latin_hypercube(rng, n_starts, 3).tolist(),
+        *product((0.0, 1.0), repeat=3),  # the box corners
+        (0.5, 0.5, 0.5),
     ]
+    starts = [[lo + u * (hi - lo) for u, lo, hi in zip(unit, lower, upper)] for unit in units]
 
     candidates = []
     total_nfev = 0

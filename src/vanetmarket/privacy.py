@@ -4,7 +4,7 @@ per-server loss calibration, and the total privacy-loss function."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -158,12 +158,7 @@ class CalibrationReport:
         return 1.0 - math.exp(-self.fitted_k * f_d)
 
     def to_json_dict(self) -> dict:
-        return {
-            "fitted_k": self.fitted_k,
-            "residual_rms": self.residual_rms,
-            "converged": self.converged,
-            "points": [[f, sim] for f, sim in self.points],
-        }
+        return asdict(self)
 
 
 def fit_per_server_decay(points: Sequence[tuple[float, float]]) -> CalibrationReport:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,18 +50,15 @@ class ServerInbox:
     received: list[tuple[str, GeoSample]] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class AdversaryModel:
-    """A set of compromised servers; routing assignments are assumed known."""
-
-    compromised: frozenset[int]
-
-
 def route_samples(
     trajs: Sequence[Trajectory], f_d: float, s: int, seed: int
 ) -> list[ServerInbox]:
     """Subsample each trajectory at f_d and send every retained sample to an
-    independently, uniformly chosen server. Deterministic per seed."""
+    independently, uniformly chosen server. Deterministic per seed.
+
+    Each inbox receives the trajectories in input order, with each vehicle's
+    samples contiguous and in time order.
+    """
     if s < 1:
         raise ValueError(f"server count must be >= 1, got {s}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
@@ -176,19 +173,20 @@ class VehicleReconstruction(NamedTuple):
 
 def _reconstruct(
     inboxes: Sequence[ServerInbox],
-    adversary: AdversaryModel,
+    compromised: Iterable[int],
     trajs: Sequence[Trajectory],
     fulls: Sequence[_FullPath],
 ) -> dict[str, VehicleReconstruction]:
     """adversary_reconstruct against precomputed full paths (one per trajectory)."""
-    if not adversary.compromised:
+    compromised = sorted(set(compromised))
+    if not compromised:
         raise ValueError("no adversary: the compromised server set is empty")
-    for sid in adversary.compromised:
+    for sid in compromised:
         if not (0 <= sid < len(inboxes)):
             raise ValueError(f"compromised server {sid} does not exist")
 
     captured: dict[str, list[GeoSample]] = {}
-    for sid in sorted(adversary.compromised):
+    for sid in compromised:
         for vid, sample in inboxes[sid].received:
             captured.setdefault(vid, []).append(sample)
 
@@ -212,16 +210,18 @@ def _reconstruct(
 
 def adversary_reconstruct(
     inboxes: Sequence[ServerInbox],
-    adversary: AdversaryModel,
+    compromised: Iterable[int],
     trajs: Sequence[Trajectory],
 ) -> dict[str, VehicleReconstruction]:
-    """Reconstruct each vehicle's path from the compromised servers' samples.
+    """Reconstruct each vehicle's path from the samples that reached the
+    compromised servers (any collection of server ids); routing assignments are
+    assumed known.
 
     Pools captured samples per vehicle, orders them by time, and scores the
     resulting polyline against the vehicle's full path. Vehicles with fewer
     than 2 captured samples score 0.
     """
-    return _reconstruct(inboxes, adversary, trajs, _full_paths(trajs))
+    return _reconstruct(inboxes, compromised, trajs, _full_paths(trajs))
 
 
 class CurvePoint(NamedTuple):
@@ -252,11 +252,10 @@ def empirical_privacy_curve(
                 raise ValueError(
                     f"n_compromised={n_compromised} invalid for s={s} servers"
                 )
-            adversary = AdversaryModel(frozenset(range(n_compromised)))
             sims: list[float] = []
             for seed in seeds:
                 inboxes = route_samples(trajs, f_d, s, seed)
-                recon = _reconstruct(inboxes, adversary, trajs, fulls)
+                recon = _reconstruct(inboxes, range(n_compromised), trajs, fulls)
                 sims.extend(r.similarity for r in recon.values())
             points.append(CurvePoint(float(f_d), int(s), math.fsum(sims) / len(sims)))
     return points

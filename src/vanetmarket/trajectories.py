@@ -200,12 +200,21 @@ def parse_traces(stream: IO[bytes] | IO[str]) -> list[Trajectory]:
     """Parse a trace file into one Trajectory per vehicle, samples sorted by time.
 
     Duplicate (vehicle, timestamp) rows collapse keeping the first occurrence.
+    A binary stream is read as UTF-8 and left open.
     """
     if isinstance(stream, io.BufferedIOBase) or (
         hasattr(stream, "read") and isinstance(getattr(stream, "mode", ""), str) and "b" in getattr(stream, "mode", "")
     ):
-        stream = io.TextIOWrapper(stream, encoding="utf-8")  # type: ignore[arg-type]
-    reader = csv.reader(stream)  # type: ignore[arg-type]
+        text = io.TextIOWrapper(stream, encoding="utf-8")  # type: ignore[arg-type]
+        try:
+            return _parse_rows(text)
+        finally:
+            text.detach()  # closing the wrapper would close the caller's stream
+    return _parse_rows(stream)  # type: ignore[arg-type]
+
+
+def _parse_rows(stream: IO[str]) -> list[Trajectory]:
+    reader = csv.reader(stream)
     header = next(reader, None)
     if header is None:
         raise TraceParseError("no trajectories: input is empty")

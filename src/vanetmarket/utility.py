@@ -4,7 +4,7 @@ surface over (vehicle count, sampling frequency), and its closed-form fit."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -150,13 +150,7 @@ class UtilityFit:
         return 0.0 < self.alpha <= 1.0 and self.beta > 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "residual_rms": self.residual_rms,
-            "converged": self.converged,
-            "valid": self.valid,
-        }
+        return {**asdict(self), "valid": self.valid}
 
 
 def fit_utility(surface: UtilitySurface) -> UtilityFit:

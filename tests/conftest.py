@@ -1,6 +1,15 @@
 import pytest
+from mpmath import mp
 
 from vanetmarket import generate_synthetic
+
+
+@pytest.fixture(autouse=True)
+def _restore_mpmath_precision():
+    """Keep a test's change of the global mpmath precision from reaching later tests."""
+    dps = mp.dps
+    yield
+    mp.dps = dps
 
 
 @pytest.fixture(scope="session")

@@ -244,6 +244,16 @@ class TestReportCommand:
         )
         assert isinstance(report["scale_warnings"], list)
 
+    def test_decomposes_with_the_settings_of_the_reported_run(self, tmp_path):
+        out = tmp_path / "r"
+        modes = ["--mode-participation", "pdf", "--mode-cost", "times-s"]
+        assert run(["optimize", *modes, "--out", out]) == 0
+        solution = json.loads((out / "solution.json").read_text())
+        assert run(["report", "--out", out]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["profit_decomposition"]["profit"] == solution["solution"]["profit"]
+        assert report["scale_warnings"] == solution["scale_warnings"]
+
     def test_report_without_run_fails(self, tmp_path, capsys):
         assert run(["report", "--out", tmp_path / "empty"]) == 1
         assert "no prior run" in capsys.readouterr().err
@@ -316,10 +326,23 @@ class TestManifestAndConfig:
             ({"seed": "1"}, "config seed must be of type int, got '1'"),
             ({"synthetic": "no"}, "config synthetic must be of type bool, got 'no'"),
             ({"traces": 5}, "config traces must be of type str | None, got 5"),
+            ({"bounds": {"c1": ["a", 1]}}, "config bounds.c1[0] must be of type float, got 'a'"),
+            ({"sim_s_values": ["a", "b"]}, "config sim_s_values[0] must be of type int, got 'a'"),
             (
-                {"bounds": {"c1": ["a", 1]}},
-                "config bounds: '<' not supported between instances of 'float' and 'str'",
+                {"calibration_freqs": ["x", 0.5]},
+                "config calibration_freqs[0] must be of type float, got 'x'",
             ),
+            ({"bbox": ["a", "b", "c", "d"]}, "config bbox[0] must be of type float, got 'a'"),
+            (
+                {"surface_vehicle_counts": [1.5, 2]},
+                "config surface_vehicle_counts[0] must be of type int, got 1.5",
+            ),
+            ({"bbox": [39.8, 40.0, 116.25]}, "config bbox must have 4 elements, got 3"),
+            (
+                {"reference_point": [1e-6, 7.0, 15.0, 1.0]},
+                "config reference_point must have 3 elements, got 4",
+            ),
+            ({"bounds": {"s": [1.0]}}, "config bounds.s must have 2 elements, got 1"),
         ],
     )
     def test_wrongly_typed_config_value_is_a_config_error(self, tmp_path, capsys, data, message):

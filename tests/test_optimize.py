@@ -123,8 +123,9 @@ def numpy_grid_oracle(params, bounds, resolution):
 
 def assert_same_nm_result(got, want):
     """Bitwise equality of two NMResults."""
-    assert got.x.dtype == want.x.dtype and got.x.shape == want.x.shape
-    assert got.x.tobytes() == want.x.tobytes()
+    got_x = np.array(got.x)
+    assert got_x.dtype == want.x.dtype and got_x.shape == want.x.shape
+    assert got_x.tobytes() == want.x.tobytes()
     assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
     assert (got.converged, got.nfev) == (want.converged, want.nfev)
 
@@ -189,6 +190,17 @@ class TestNelderMead:
     def test_start_outside_box_is_clipped(self):
         result = nelder_mead(lambda x: -(x[0] ** 2), [5.0], [-1.0, ], [1.0])
         assert result.x[0] == pytest.approx(0.0, abs=1e-6)
+
+    def test_points_are_tuples_of_floats(self):
+        seen = []
+
+        def objective(x):
+            seen.append(x)
+            return -((x[0] - 0.25) ** 2) - x[1] ** 2
+
+        result = nelder_mead(objective, np.array([1, 0.5]), [0, -1], (1, np.float64(1.0)))
+        for x in [*seen, result.x]:
+            assert type(x) is tuple and [type(v) for v in x] == [float, float]
 
     def test_box_length_must_match_start(self):
         with pytest.raises(ValueError, match="one length"):

@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from vanetmarket import (
-    AdversaryModel,
     FIELD_PRIME,
     GridSpec,
     SpatioTemporalMap,
@@ -78,6 +77,15 @@ class TestRouting:
             (t.vehicle_id, s) for t in small_fleet for s in subsample(t, 0.25).samples
         ]
         assert sorted(routed) == sorted(expected)
+
+    @pytest.mark.parametrize("f_d, s", [(1.0, 16), (0.5, 8), (0.2, 4)])
+    def test_inbox_keeps_input_order_and_time_order(self, fleet, f_d, s):
+        # Each inbox is a subsequence of the fleet's subsampled samples in input
+        # order, so each vehicle's samples are contiguous and in time order.
+        in_order = [(t.vehicle_id, g) for t in fleet for g in subsample(t, f_d).samples]
+        for inbox in route_samples(fleet, f_d, s, seed=0):
+            received = set(inbox.received)
+            assert inbox.received == [pair for pair in in_order if pair in received]
 
     def test_deterministic_per_seed(self, small_fleet):
         a = route_samples(small_fleet, 0.5, 3, seed=9)
@@ -241,14 +249,14 @@ class TestAdversary:
     def test_full_compromise_native_rate_reconstructs_exactly(self, small_fleet):
         s = 4
         inboxes = route_samples(small_fleet, 1.0, s, seed=0)
-        adversary = AdversaryModel(frozenset(range(s)))
+        adversary = frozenset(range(s))
         results = adversary_reconstruct(inboxes, adversary, small_fleet)
         assert all(r.similarity == 1.0 for r in results.values())
 
     def test_few_samples_score_zero(self, small_fleet):
         # tiny capture probability: route to many servers, compromise one
         inboxes = route_samples(small_fleet, 0.05, 40, seed=2)
-        adversary = AdversaryModel(frozenset({0}))
+        adversary = frozenset({0})
         results = adversary_reconstruct(inboxes, adversary, small_fleet)
         for traj in small_fleet:
             captured = [1 for vid, _ in inboxes[0].received if vid == traj.vehicle_id]
@@ -258,19 +266,19 @@ class TestAdversary:
     def test_empty_compromised_set_rejected(self, small_fleet):
         inboxes = route_samples(small_fleet, 0.5, 2, seed=0)
         with pytest.raises(ValueError, match="no adversary"):
-            adversary_reconstruct(inboxes, AdversaryModel(frozenset()), small_fleet)
+            adversary_reconstruct(inboxes, frozenset(), small_fleet)
 
     def test_unknown_server_rejected(self, small_fleet):
         inboxes = route_samples(small_fleet, 0.5, 2, seed=0)
         with pytest.raises(ValueError):
-            adversary_reconstruct(inboxes, AdversaryModel(frozenset({5})), small_fleet)
+            adversary_reconstruct(inboxes, frozenset({5}), small_fleet)
 
     def test_similarity_non_decreasing_in_compromised_count(self, fleet):
         s = 6
         inboxes = route_samples(fleet, 0.5, s, seed=4)
         means = []
         for k in range(1, s + 1):
-            adversary = AdversaryModel(frozenset(range(k)))
+            adversary = frozenset(range(k))
             results = adversary_reconstruct(inboxes, adversary, fleet)
             means.append(np.mean([r.similarity for r in results.values()]))
         # pooling strictly more servers can only add samples per vehicle
@@ -301,7 +309,7 @@ class TestEmpiricalCurve:
                 sims = []
                 for seed in seeds:
                     inboxes = route_samples(fleet, f_d, s, seed)
-                    recon = adversary_reconstruct(inboxes, AdversaryModel(frozenset({0})), fleet)
+                    recon = adversary_reconstruct(inboxes, frozenset({0}), fleet)
                     sims.extend(r.similarity for r in recon.values())
                 expected.append((f_d, s, math.fsum(sims) / len(sims)))
         curve = empirical_privacy_curve(fleet, f_d_values, s_values, seeds=seeds)

@@ -1,6 +1,8 @@
+import gc
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +100,24 @@ class TestParseTraces:
         data = (HEADER + "a,0,40.0,116.3\na,1,40.1,116.3\n").encode()
         trajs = parse_traces(io.BytesIO(data))
         assert len(trajs[0]) == 2
+
+    @pytest.mark.parametrize("body", ["a,0,40.0,116.3\n", "a,0,40.0\n"], ids=["valid", "malformed"])
+    @pytest.mark.parametrize(
+        "opener",
+        [lambda p: io.BytesIO(p.read_bytes()), lambda p: open(p, "rb")],
+        ids=["bytes", "file"],
+    )
+    def test_binary_stream_is_left_open(self, tmp_path, body, opener):
+        path = tmp_path / "traces.csv"
+        path.write_bytes((HEADER + body).encode())
+        with opener(path) as stream, warnings.catch_warnings():
+            warnings.simplefilter("error")  # a text wrapper collected unclosed warns
+            try:
+                parse_traces(stream)
+            except TraceParseError:
+                pass
+            gc.collect()
+            assert not stream.closed
 
     def test_multiple_vehicles(self):
         rows = HEADER + "a,0,40,116.3\nb,0,40,116.3\na,1,40,116.3\nb,1,40,116.3\n"
