@@ -16,7 +16,6 @@ from operator import itemgetter
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import RunConfig, load_config
@@ -280,6 +279,10 @@ def cmd_report(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
         raise ValueError(f"no prior run found: {manifest_path} is missing")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if manifest["command"] == "report":
+        # An earlier report replaced the source run's manifest; its bundle kept it.
+        with open(os.path.join(config.out_dir, "report.json"), "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)["source_manifest"]
     # Decompose with the settings of the run being reported on.
     source = RunConfig.from_json_dict(manifest["config"])
 
@@ -415,7 +418,6 @@ def main(argv: list[str] | None = None) -> int:
                 "vanetmarket": __version__,
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
             },
             "artifacts": sorted(artifacts),
         }

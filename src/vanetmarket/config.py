@@ -66,7 +66,8 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-# JSON value types accepted for scalar fields of these types.
+# JSON value types accepted for scalar fields of these types, matched exactly:
+# JSON true/false load as bool, which isinstance would also accept as an int.
 _SCALAR_TYPES: dict[Any, tuple[type, ...]] = {
     float: (int, float),
     int: (int,),
@@ -77,7 +78,7 @@ _SCALAR_TYPES: dict[Any, tuple[type, ...]] = {
 
 
 def _check_scalar(key: str, hint: Any, value: Any) -> None:
-    if hint in _SCALAR_TYPES and not isinstance(value, _SCALAR_TYPES[hint]):
+    if hint in _SCALAR_TYPES and type(value) not in _SCALAR_TYPES[hint]:
         name = getattr(hint, "__name__", hint)
         raise ValueError(f"config {key} must be of type {name}, got {value!r}")
 

@@ -254,6 +254,19 @@ class TestReportCommand:
         assert report["profit_decomposition"]["profit"] == solution["solution"]["profit"]
         assert report["scale_warnings"] == solution["scale_warnings"]
 
+    def test_repeated_report_reports_on_the_same_run(self, tmp_path):
+        out = tmp_path / "r"
+        modes = ["--mode-participation", "pdf", "--mode-cost", "times-s"]
+        assert run(["optimize", *modes, "--n-starts", 4, "--out", out]) == 0
+        solution = json.loads((out / "solution.json").read_text())
+        assert run(["report", "--out", out]) == 0
+        first = (out / "report.json").read_bytes()
+        assert run(["report", "--out", out]) == 0
+        assert (out / "report.json").read_bytes() == first
+        report = json.loads(first)
+        assert report["source_manifest"]["command"] == "optimize"
+        assert report["profit_decomposition"]["profit"] == solution["solution"]["profit"]
+
     def test_report_without_run_fails(self, tmp_path, capsys):
         assert run(["report", "--out", tmp_path / "empty"]) == 1
         assert "no prior run" in capsys.readouterr().err
@@ -343,6 +356,12 @@ class TestManifestAndConfig:
                 "config reference_point must have 3 elements, got 4",
             ),
             ({"bounds": {"s": [1.0]}}, "config bounds.s must have 2 elements, got 1"),
+            ({"seed": True}, "config seed must be of type int, got True"),
+            ({"econ": {"sigma": True}}, "config econ.sigma must be of type float, got True"),
+            (
+                {"bbox": [True, 40.0, 116.25, 116.5]},
+                "config bbox[0] must be of type float, got True",
+            ),
         ],
     )
     def test_wrongly_typed_config_value_is_a_config_error(self, tmp_path, capsys, data, message):
