@@ -8,12 +8,13 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .privacy import LossModel, total_loss
-from .utility import UtilityModel, eval_utility
+from .utility import UtilityModel
 
 PARTICIPATION_MODELS = ("cdf", "pdf_as_written")
 SERVER_COST_MODELS = ("per_server_as_written", "total_times_s")
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def lognormal_cdf(x: float, mu: float, sigma: float) -> float:
@@ -32,7 +33,7 @@ def lognormal_pdf(x: float, mu: float, sigma: float) -> float:
     if x <= 0:
         return 0.0
     z = (math.log(x) - mu) / sigma
-    return math.exp(-0.5 * z * z) / (x * sigma * math.sqrt(2.0 * math.pi))
+    return math.exp(-0.5 * z * z) / (x * sigma * _SQRT_2PI)
 
 
 @dataclass(frozen=True)
@@ -108,22 +109,54 @@ class ProfitBreakdown(NamedTuple):
     profit: float
 
 
+def _profit_parts(
+    params: EconParams, c1: float, f_d: float, s: float
+) -> tuple[float, float, float, float]:
+    """(utility, server cost, payments, profit) in one straight line.
+
+    This is `total_loss`, `expected_participants`, `eval_utility` and the
+    cost terms inlined: the same float operations in the same order and the
+    same ValueErrors in the same order (c1, then f_d, then s), so every term
+    is bitwise equal to the helper chain's.
+    """
+    if c1 < 0:
+        raise ValueError(f"c1 must be nonnegative, got {c1}")
+    if f_d <= 0:
+        raise ValueError(f"f_d must be positive, got {f_d}")
+    if s < 1:
+        raise ValueError(f"server count must be >= 1, got {s}")
+    loss = params.loss
+    raw = 1.0 - math.exp(-loss.k * f_d / s) - math.exp(-loss.p * f_d) - math.exp(-loss.q / s)
+    ratio = c1 * f_d / min(1.0, max(loss.eps_clamp, raw))
+    if ratio <= 0:
+        share = 0.0
+    elif params.participation_model == "cdf":
+        share = 0.5 * (1.0 + math.erf((math.log(ratio) - params.mu) / params.sigma / _SQRT2))
+    else:
+        sigma = params.sigma
+        z = (math.log(ratio) - params.mu) / sigma
+        share = math.exp(-0.5 * z * z) / (ratio * sigma * _SQRT_2PI)
+    V = params.V
+    v = min(max(V * share, 0.0), V)
+    utility_model = params.utility
+    utility = utility_model.alpha * (1.0 - math.exp(-utility_model.beta * v * f_d))
+    server = params.c2 * v * f_d / s + params.c3
+    if params.server_cost_model == "total_times_s":
+        server *= s
+    payments = c1 * v * f_d
+    return utility, server, payments, utility - server - payments
+
+
 def profit_terms(params: EconParams, c1: float, f_d: float, s: float) -> ProfitBreakdown:
     """Consumer profit decomposed into utility, server cost, and vehicle payments.
 
     The decomposition is exact: profit = utility - server_cost - payments.
     """
-    v = expected_participants(params, c1, f_d, s)
-    utility = eval_utility(params.utility, v, f_d)
-    server = params.c2 * v * f_d / s + params.c3  # per_server_cost, from this v
-    if params.server_cost_model == "total_times_s":
-        server *= s
-    payments = c1 * v * f_d
-    return ProfitBreakdown(utility, server, payments, utility - server - payments)
+    return ProfitBreakdown(*_profit_parts(params, c1, f_d, s))
 
 
 def profit(params: EconParams, c1: float, f_d: float, s: float) -> float:
-    return profit_terms(params, c1, f_d, s).profit
+    return _profit_parts(params, c1, f_d, s)[3]
 
 
 def validate_params(params: EconParams, c1: float, s: float) -> list[str]:

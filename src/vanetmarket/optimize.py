@@ -30,8 +30,12 @@ class Bounds:
     def __post_init__(self) -> None:
         for name in ("c1", "f_d", "s"):
             lo, hi = getattr(self, name)
-            if not (0.0 < lo < hi):
-                raise ValueError(f"bounds for {name} must satisfy 0 < lo < hi, got ({lo}, {hi})")
+            if name == "s":  # a server count; profit rejects fewer than one
+                ok, rule = 1 <= lo < hi, "1 <= lo < hi"
+            else:
+                ok, rule = 0 < lo < hi, "0 < lo < hi"
+            if not ok:
+                raise ValueError(f"bounds for {name} must satisfy {rule}, got ({lo}, {hi})")
 
     def clip(self, c1: float, f_d: float, s: float) -> tuple[float, float, float]:
         return (
@@ -78,13 +82,21 @@ def nelder_mead(
     last slot and a shrink keeps the best in the first, so new vertices rank
     before old vertices of equal value. The final pick uses the same rule.
 
-    The inputs are converted to Python floats once. Each point is a tuple of
+    A box with a lower bound above its upper bound is a ValueError. The
+    inputs are converted to Python floats once. Each point is a tuple of
     floats, computed with the same operations in the same order as the
     elementwise numpy form, so results are bitwise equal to it.
     """
-    lower = [float(v) for v in lower]
-    upper = [float(v) for v in upper]
-    bounds = list(zip(lower, upper))
+    box = [(float(lo), float(hi)) for lo, hi in zip(lower, upper)]
+    x0 = [float(v) for v in x0]
+    dim = len(x0)
+    if not len(lower) == len(upper) == dim:
+        raise ValueError(
+            f"x0, lower and upper must have one length, got {dim}, {len(lower)}, {len(upper)}"
+        )
+    for lo, hi in box:
+        if lo > hi:
+            raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
     nfev = 0
 
     def evaluate(x: tuple[float, ...]) -> float:
@@ -95,42 +107,45 @@ def nelder_mead(
             raise NonFiniteObjective(f"objective returned {val} at {x}")
         return val
 
-    def clip(x) -> tuple[float, ...]:
-        return tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(x, bounds))
+    def clip(x: list[float]) -> tuple[float, ...]:
+        # min(max(v, lo), hi) as two comparisons; equal to it when lo <= hi.
+        return tuple([lo if v < lo else hi if v > hi else v for v, (lo, hi) in zip(x, box)])
 
-    def toward(a: tuple[float, ...], coef: float, b: tuple[float, ...]) -> tuple[float, ...]:
+    def toward(a: Sequence[float], coef: float, b: Sequence[float]) -> tuple[float, ...]:
         """The point a + coef * (b - a), clipped into the box."""
-        return clip(u + coef * (v - u) for u, v in zip(a, b))
+        return clip([u + coef * (v - u) for u, v in zip(a, b)])
 
-    x0 = [float(v) for v in x0]
-    dim = len(x0)
-    if not len(lower) == len(upper) == dim:
-        raise ValueError(
-            f"x0, lower and upper must have one length, got {dim}, {len(lower)}, {len(upper)}"
-        )
     x0 = clip(x0)
 
     # Initial simplex: perturb each coordinate by 5% of its box range,
     # stepping inward when the positive step would leave the box.
     simplex = [x0]
-    for k in range(dim):
-        step = 0.05 * (upper[k] - lower[k])
+    for k, (lo, hi) in enumerate(box):
+        step = 0.05 * (hi - lo)
         vertex = list(x0)
-        vertex[k] = x0[k] + step if x0[k] + step <= upper[k] else x0[k] - step
+        vertex[k] = x0[k] + step if x0[k] + step <= hi else x0[k] - step
         simplex.append(tuple(vertex))
     values = [evaluate(v) for v in simplex]
+    slots = range(dim + 1)
 
-    def rel_diameter() -> float:
+    def spread_below_tol() -> bool:
+        """Whether every vertex is within diameter_tol of the best, relative
+        to max(1, |best|) per coordinate; stops at the first one that is not."""
         best = simplex[0]  # the simplex is sorted best first
-        scale = [max(1.0, abs(b)) for b in best]
-        return max(abs(a - b) / c for v in simplex for a, b, c in zip(v, best, scale))
+        for v in simplex[1:]:
+            for a, b in zip(v, best):
+                scale = abs(b)
+                if not abs(a - b) / (scale if scale > 1.0 else 1.0) < diameter_tol:
+                    return False
+        return True
 
     converged = False
     for _ in range(max_iter):
-        order = sorted(range(len(values)), key=lambda i: (values[i], i), reverse=True)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        if rel_diameter() < diameter_tol:
+        # Descending by (value, slot); slots are unique, so points are never compared.
+        ranked = sorted(zip(values, slots, simplex), reverse=True)
+        values = [r[0] for r in ranked]
+        simplex = [r[2] for r in ranked]
+        if spread_below_tol():
             converged = True
             break
 
@@ -140,7 +155,7 @@ def nelder_mead(
             total = [t + a for t, a in zip(total, v)]
         centroid = [t / dim for t in total]
         worst = simplex[-1]
-        reflected = clip(c + 1.0 * (c - w) for c, w in zip(centroid, worst))
+        reflected = clip([c + 1.0 * (c - w) for c, w in zip(centroid, worst)])
         f_reflected = evaluate(reflected)
 
         if f_reflected > values[0]:
@@ -171,7 +186,7 @@ def nelder_mead(
         simplex = [best] + [toward(best, 0.5, v) for v in simplex[1:]]
         values = [values[0]] + [evaluate(v) for v in simplex[1:]]
 
-    best_idx = max(range(len(values)), key=lambda i: (values[i], i))
+    best_idx = max(slots, key=lambda i: (values[i], i))
     return NMResult(simplex[best_idx], values[best_idx], converged, nfev)
 
 
@@ -268,9 +283,17 @@ def optimize_profit(
     lower = (math.log(bounds.c1[0]), float(bounds.f_d[0]), float(bounds.s[0]))
     upper = (math.log(bounds.c1[1]), float(bounds.f_d[1]), float(bounds.s[1]))
 
+    c1_lo, c1_hi = float(bounds.c1[0]), float(bounds.c1[1])
+    f_d_lo, s_lo = lower[1:]
+    f_d_hi, s_hi = upper[1:]
+
     def objective(z: tuple[float, float, float]) -> float:
+        # Bounds.clip as comparisons on floats (the box has lo < hi).
         log_c1, f_d, s = z
-        c1, f_d, s = bounds.clip(math.exp(log_c1), f_d, s)
+        c1 = math.exp(log_c1)
+        c1 = c1_lo if c1 < c1_lo else c1_hi if c1 > c1_hi else c1
+        f_d = f_d_lo if f_d < f_d_lo else f_d_hi if f_d > f_d_hi else f_d
+        s = s_lo if s < s_lo else s_hi if s > s_hi else s
         return profit(params, c1, f_d, s)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed]))

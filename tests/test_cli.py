@@ -322,6 +322,7 @@ class TestManifestAndConfig:
             ({"econ": {"loss": {"kk": 1}}}, "unknown config keys: ['econ.loss.kk']"),
             ({"bounds": {"c1": [1e-8, 1e-3], "fd": [1, 2]}}, "unknown config keys: ['bounds.fd']"),
             ({"econ": 1}, "config econ must be a JSON object"),
+            ({"bounds": {"s": [0.5, 10.0]}}, "bounds for s must satisfy 1 <= lo < hi, got (0.5, 10.0)"),
         ],
     )
     def test_bad_nested_config_is_a_config_error(self, tmp_path, capsys, data, message):

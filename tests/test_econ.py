@@ -12,6 +12,7 @@ from vanetmarket import (
     EconParams,
     LossModel,
     UtilityModel,
+    eval_utility,
     expected_participants,
     lognormal_cdf,
     lognormal_pdf,
@@ -247,6 +248,81 @@ class TestProfitTermsProperties:
             server *= s
         assert float(terms.server_cost).hex() == float(server).hex()
         assert 0.0 <= expected_participants(params, c1, f_d, s) <= params.V
+
+
+def helper_chain_terms(params, c1, f_d, s):
+    """profit_terms composed from the public helpers: the bitwise reference for
+    its straight-line evaluation."""
+    v = expected_participants(params, c1, f_d, s)
+    utility = eval_utility(params.utility, v, f_d)
+    server = per_server_cost(params, c1, f_d, s)
+    if params.server_cost_model == "total_times_s":
+        server *= s
+    payments = c1 * v * f_d
+    return v, (utility, server, payments, utility - server - payments)
+
+
+@st.composite
+def markets_near_threshold(draw, participation, cost):
+    """(params, c1, f_d, s) with mu drawn within a few sigma of log(c1*f_d/loss).
+
+    With the default mu the pdf participation underflows to 0 almost
+    everywhere; centring mu on the threshold ratio reaches 0 < v < V in both
+    participation modes, and the loss coefficients reach both sides of the clamp.
+    """
+    loss = LossModel(
+        k=draw(st.floats(1.0, 20.0)), p=draw(st.floats(0.01, 1.0)), q=draw(st.floats(1.0, 20.0))
+    )
+    c1 = 10.0 ** draw(st.floats(-8.0, -1.0)) if draw(st.integers(0, 9)) else 0.0
+    f_d = draw(st.floats(0.1, 60.0))
+    s = draw(st.floats(1.0, 100.0))
+    sigma = draw(st.floats(0.05, 3.0))
+    ratio = c1 * f_d / total_loss(loss, f_d, s)
+    mu = (math.log(ratio) if ratio > 0 else 0.0) + sigma * draw(st.floats(-6.0, 6.0))
+    params = EconParams(
+        c2=draw(st.floats(0.0, 1e-4)),
+        c3=draw(st.floats(0.0, 1e-2)),
+        V=draw(st.floats(1.0, 5000.0)),
+        mu=mu,
+        sigma=sigma,
+        participation_model=participation,
+        server_cost_model=cost,
+        loss=loss,
+    )
+    return params, c1, f_d, s
+
+
+class TestStraightLineProfit:
+    @pytest.mark.parametrize("participation", PARTICIPATION_MODELS)
+    @pytest.mark.parametrize("cost", SERVER_COST_MODELS)
+    def test_bitwise_equal_to_helper_chain(self, participation, cost):
+        interior = []
+
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        @given(market=markets_near_threshold(participation, cost))
+        def check(market):
+            params, c1, f_d, s = market
+            v, want = helper_chain_terms(params, c1, f_d, s)
+            got = profit_terms(params, c1, f_d, s)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+            assert profit(params, c1, f_d, s).hex() == want[3].hex()
+            interior.append(0.0 < v < params.V)
+
+        check()
+        # Enough draws land where the participation formula itself decides v.
+        assert sum(interior) >= len(interior) // 2
+
+    @pytest.mark.parametrize(
+        "c1, f_d, s",
+        [(-1e-6, 0.0, 0.5), (-1e-6, 1.0, 0.5), (1e-6, -1.0, 0.5), (1e-6, 0.0, 1.0), (1e-6, 1.0, 0.5)],
+    )
+    def test_raises_what_the_helper_chain_raises(self, c1, f_d, s):
+        with pytest.raises(ValueError) as chain:
+            helper_chain_terms(EconParams(), c1, f_d, s)
+        for evaluate in (profit, profit_terms):
+            with pytest.raises(ValueError) as fused:
+                evaluate(EconParams(), c1, f_d, s)
+            assert str(fused.value) == str(chain.value)
 
 
 class TestValidateParams:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanetmarket import (
     Bounds,
@@ -130,6 +132,57 @@ def assert_same_nm_result(got, want):
     assert (got.converged, got.nfev) == (want.converged, want.nfev)
 
 
+@st.composite
+def plateau_problems(draw):
+    """A quantised bowl in 1-3 dimensions, its box and a start (maybe outside the box).
+
+    Rounding the objective down to a multiple of `quantum` makes wide plateaus,
+    so vertices tie exactly and contractions fail into shrink steps.
+    """
+    dim = draw(st.integers(1, 3))
+    # `+ 0.0` turns -0.0 into 0.0. On a point equal to a bound, min/max keep the
+    # point and np.clip the bound, which differ only in the sign of a zero.
+    lower = [draw(st.floats(-5.0, 0.0)) + 0.0 for _ in range(dim)]
+    upper = [lo + draw(st.floats(0.5, 5.0)) for lo in lower]
+    centre = [draw(st.floats(lo - 0.5, hi + 0.5)) for lo, hi in zip(lower, upper)]
+    weights = [draw(st.floats(0.1, 10.0)) for _ in range(dim)]
+    x0 = [draw(st.floats(lo - 1.0, hi + 1.0)) + 0.0 for lo, hi in zip(lower, upper)]
+    quantum = draw(st.sampled_from([1e-3, 0.05, 0.5, 4.0]))
+
+    def objective(x):
+        bowl = 0.0
+        for v, c, w in zip(x, centre, weights):
+            bowl += w * (float(v) - c) ** 2
+        return -quantum * math.floor(bowl / quantum)
+
+    return objective, x0, lower, upper
+
+
+class TestNelderMeadTies:
+    def test_bitwise_equal_to_numpy_reference_on_plateaus(self):
+        tied = []
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(problem=plateau_problems(), max_iter=st.sampled_from([40, 400]))
+        def check(problem, max_iter):
+            objective, x0, lower, upper = problem
+            seen = []
+
+            def tracked(x):
+                value = objective(x)
+                seen.append(value)
+                return value
+
+            got = nelder_mead(tracked, x0, lower, upper, max_iter=max_iter)
+            assert_same_nm_result(
+                got, numpy_nelder_mead(objective, x0, lower, upper, max_iter=max_iter)
+            )
+            tied.append(len(set(seen)) < len(seen))
+
+        check()
+        assert sum(tied) >= len(tied) // 2
+
+
 def golden_section_max(f, lo, hi, tol=1e-12):
     phi = (math.sqrt(5) - 1) / 2
     a, b = lo, hi
@@ -228,30 +281,45 @@ class TestNelderMead:
             numpy_nelder_mead(objective, x0, lower, upper),
         )
 
+    def test_inverted_box_is_rejected(self):
+        with pytest.raises(ValueError, match="exceeds upper bound"):
+            nelder_mead(lambda x: x[0], [0.5], [1.0], [0.0])
+
     def test_bitwise_equal_to_numpy_reference_on_every_profit_start(self, monkeypatch):
-        # Records every run of the default market search, restarts included,
-        # then replays each through the reference. Several runs sit on the
-        # loss-clamp plateau, where exact profit ties make the sort order count.
-        runs = []
+        # Several runs sit on the loss-clamp plateau, where exact profit ties
+        # make the sort order count.
+        replay_every_profit_start(EconParams(), monkeypatch)
 
-        def recording(objective, x0, lower, upper):
-            seen = []
+    def test_bitwise_equal_to_numpy_reference_on_every_pdf_profit_start(self, monkeypatch):
+        # The pdf participation underflows to zero on much of the box: another plateau.
+        replay_every_profit_start(
+            EconParams().with_modes("pdf_as_written", "total_times_s"), monkeypatch
+        )
 
-            def tracked(z):
-                value = objective(z)
-                seen.append(value)
-                return value
 
-            result = nelder_mead(tracked, x0, lower, upper)
-            runs.append((objective, np.array(x0), lower, upper, result, seen))
-            return result
+def replay_every_profit_start(params, monkeypatch):
+    """Record every run of the market search, restarts included, then replay
+    each through the reference; some runs must see exact profit ties."""
+    runs = []
 
-        monkeypatch.setattr(optimize_module, "nelder_mead", recording)
-        optimize_profit(EconParams(), seed=0)
-        assert len(runs) == 2 * (32 + 9)
-        assert any(len(set(seen)) < len(seen) for *_, seen in runs)
-        for objective, x0, lower, upper, result, _ in runs:
-            assert_same_nm_result(result, numpy_nelder_mead(objective, x0, lower, upper))
+    def recording(objective, x0, lower, upper):
+        seen = []
+
+        def tracked(z):
+            value = objective(z)
+            seen.append(value)
+            return value
+
+        result = nelder_mead(tracked, x0, lower, upper)
+        runs.append((objective, np.array(x0), lower, upper, result, seen))
+        return result
+
+    monkeypatch.setattr(optimize_module, "nelder_mead", recording)
+    optimize_profit(params, seed=0)
+    assert len(runs) == 2 * (32 + 9)
+    assert any(len(set(seen)) < len(seen) for *_, seen in runs)
+    for objective, x0, lower, upper, result, _ in runs:
+        assert_same_nm_result(result, numpy_nelder_mead(objective, x0, lower, upper))
 
 
 class TestBounds:
@@ -262,6 +330,9 @@ class TestBounds:
             Bounds(f_d=(2.0, 1.0))
         with pytest.raises(ValueError):
             Bounds(s=(-1.0, 5.0))
+        with pytest.raises(ValueError, match=r"s must satisfy 1 <= lo < hi, got \(0.5, 10.0\)"):
+            Bounds(s=(0.5, 10.0))  # fewer than one server
+        assert Bounds(s=(1, 10)).s == (1, 10)
 
     def test_clip_and_contains(self):
         b = Bounds()
