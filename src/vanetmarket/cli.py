@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -71,7 +72,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _load_trajectories(config: RunConfig) -> list[Trajectory]:
@@ -317,7 +318,10 @@ COMMANDS: dict[str, Callable[[RunConfig, argparse.Namespace], dict[str, str]]] =
 
 
 def float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+    values = tuple(float(v) for v in text.split(","))
+    if not all(map(math.isfinite, values)):  # float() reads "nan" and "inf"
+        raise ValueError(text)
+    return values
 
 
 def int_list(text: str) -> tuple[int, ...]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Any, get_args, get_origin, get_type_hints
 
@@ -81,13 +82,16 @@ def _check_scalar(key: str, hint: Any, value: Any) -> None:
     if hint in _SCALAR_TYPES and type(value) not in _SCALAR_TYPES[hint]:
         name = getattr(hint, "__name__", hint)
         raise ValueError(f"config {key} must be of type {name}, got {value!r}")
+    # json.load reads NaN, Infinity, -Infinity and overflowing literals like 1e999.
+    if type(value) is float and not math.isfinite(value):
+        raise ValueError(f"config {key} must be a finite number, got {value!r}")
 
 
 def _from_json(cls: type, data: Any, prefix: str = "") -> Any:
     """Build dataclass `cls` from its JSON form, recursing into dataclass-typed
     fields; tuple-typed fields take `tuple(value)` and missing keys their defaults.
     A value or tuple element of the wrong type, or a fixed-length tuple of the
-    wrong length, is a ValueError naming its dotted key."""
+    wrong length, or a non-finite number, is a ValueError naming its dotted key."""
     if not isinstance(data, dict):
         raise ValueError(f"config {prefix.rstrip('.') or 'file'} must be a JSON object")
     unknown = sorted(set(data) - {f.name for f in fields(cls)})

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .privacy import LossModel, total_loss
+from .privacy import LossModel
 from .utility import UtilityModel
 
 PARTICIPATION_MODELS = ("cdf", "pdf_as_written")
@@ -15,25 +15,6 @@ SERVER_COST_MODELS = ("per_server_as_written", "total_times_s")
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def lognormal_cdf(x: float, mu: float, sigma: float) -> float:
-    """Log-normal CDF; zero for x <= 0 (no mass below zero)."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if x <= 0:
-        return 0.0
-    return 0.5 * (1.0 + math.erf((math.log(x) - mu) / sigma / _SQRT2))
-
-
-def lognormal_pdf(x: float, mu: float, sigma: float) -> float:
-    """Log-normal density; zero for x <= 0."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if x <= 0:
-        return 0.0
-    z = (math.log(x) - mu) / sigma
-    return math.exp(-0.5 * z * z) / (x * sigma * _SQRT_2PI)
 
 
 @dataclass(frozen=True)
@@ -58,11 +39,14 @@ class EconParams:
     utility: UtilityModel = UtilityModel()
 
     def __post_init__(self) -> None:
-        if self.c1 < 0 or self.c2 < 0 or self.c3 < 0:
+        # Written as `not x >= bound` so that NaN fails too.
+        if not (self.c1 >= 0 and self.c2 >= 0 and self.c3 >= 0):
             raise ValueError("costs c1, c2, c3 must be nonnegative")
-        if self.V < 1:
+        if not self.V >= 1:
             raise ValueError(f"V must be >= 1, got {self.V}")
-        if self.sigma <= 0:
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.participation_model not in PARTICIPATION_MODELS:
             raise ValueError(f"participation_model must be one of {PARTICIPATION_MODELS}")
@@ -78,30 +62,6 @@ class EconParams:
         return replace(self, **kwargs) if kwargs else self
 
 
-def expected_participants(params: EconParams, c1: float, f_d: float, s: float) -> float:
-    """Expected number of vehicles whose sensitivity clears the sharing threshold.
-
-    The threshold ratio is r = c1*f_d / L(f_d, s); participation is V times
-    the log-normal CDF at r (default) or V times the density at r in
-    `pdf_as_written` mode. Clipped into [0, V].
-    """
-    if c1 < 0:
-        raise ValueError(f"c1 must be nonnegative, got {c1}")
-    loss = total_loss(params.loss, f_d, s)
-    ratio = c1 * f_d / loss
-    if params.participation_model == "cdf":
-        v = params.V * lognormal_cdf(ratio, params.mu, params.sigma)
-    else:
-        v = params.V * lognormal_pdf(ratio, params.mu, params.sigma)
-    return min(max(v, 0.0), params.V)
-
-
-def per_server_cost(params: EconParams, c1: float, f_d: float, s: float) -> float:
-    """Cost borne by one server: computation on its share of traffic plus upkeep."""
-    v = expected_participants(params, c1, f_d, s)
-    return params.c2 * v * f_d / s + params.c3
-
-
 class ProfitBreakdown(NamedTuple):
     utility: float
     server_cost: float
@@ -114,16 +74,16 @@ def _profit_parts(
 ) -> tuple[float, float, float, float]:
     """(utility, server cost, payments, profit) in one straight line.
 
-    This is `total_loss`, `expected_participants`, `eval_utility` and the
-    cost terms inlined: the same float operations in the same order and the
-    same ValueErrors in the same order (c1, then f_d, then s), so every term
-    is bitwise equal to the helper chain's.
+    Every term is bitwise equal to composing the scalar helper chain of
+    `tests/reference_impls.py` (clamped loss, log-normal participation,
+    utility, per-server cost). The checks run c1, then f_d, then s, written
+    as `not x >= bound` so that NaN fails them.
     """
-    if c1 < 0:
+    if not c1 >= 0:
         raise ValueError(f"c1 must be nonnegative, got {c1}")
-    if f_d <= 0:
+    if not f_d > 0:
         raise ValueError(f"f_d must be positive, got {f_d}")
-    if s < 1:
+    if not s >= 1:
         raise ValueError(f"server count must be >= 1, got {s}")
     loss = params.loss
     raw = 1.0 - math.exp(-loss.k * f_d / s) - math.exp(-loss.p * f_d) - math.exp(-loss.q / s)

@@ -85,7 +85,11 @@ def nelder_mead(
     A box with a lower bound above its upper bound is a ValueError. The
     inputs are converted to Python floats once. Each point is a tuple of
     floats, computed with the same operations in the same order as the
-    elementwise numpy form, so results are bitwise equal to it.
+    elementwise numpy form, so results are bitwise equal to it, with one
+    exception: a coordinate equal to a bound of the other zero sign (0.0
+    against a bound of -0.0, or the reverse). Clipping here keeps the point,
+    as min(max(v, lo), hi) does, where `np.clip` returns the bound, so the
+    two forms can differ in the sign of that zero.
     """
     box = [(float(lo), float(hi)) for lo, hi in zip(lower, upper)]
     x0 = [float(v) for v in x0]

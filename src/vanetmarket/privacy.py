@@ -111,7 +111,7 @@ class LossModel:
     eps_clamp: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.k <= 0 or self.p <= 0 or self.q <= 0:
+        if not (self.k > 0 and self.p > 0 and self.q > 0):  # NaN fails too
             raise ValueError("loss coefficients k, p, q must be positive")
         if not (0.0 < self.eps_clamp < 1.0):
             raise ValueError("eps_clamp must lie in (0, 1)")
@@ -119,9 +119,9 @@ class LossModel:
 
 def total_loss_raw(model: LossModel, f_d: float, s: float) -> float:
     """Unclamped privacy loss 1 - exp(-k*f_d/s) - exp(-p*f_d) - exp(-q/s)."""
-    if f_d <= 0:
+    if not f_d > 0:
         raise ValueError(f"f_d must be positive, got {f_d}")
-    if s < 1:
+    if not s >= 1:
         raise ValueError(f"server count must be >= 1, got {s}")
     return (
         1.0
@@ -129,11 +129,6 @@ def total_loss_raw(model: LossModel, f_d: float, s: float) -> float:
         - math.exp(-model.p * f_d)
         - math.exp(-model.q / s)
     )
-
-
-def total_loss(model: LossModel, f_d: float, s: float) -> float:
-    """Privacy loss clamped into [eps_clamp, 1]."""
-    return min(1.0, max(model.eps_clamp, total_loss_raw(model, f_d, s)))
 
 
 @dataclass(frozen=True)

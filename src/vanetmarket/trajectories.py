@@ -57,17 +57,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    def native_rate(self) -> float:
-        """Samples per minute, estimated from the median inter-sample gap."""
-        if len(self.samples) < 2:
-            raise ValueError("native rate undefined for a single-sample trajectory")
-        gaps = np.diff(self.times)
-        return 1.0 / float(np.median(gaps))
-
     def centroid(self) -> tuple[float, float]:
         lat = math.fsum(s.lat for s in self.samples) / len(self.samples)
         lon = math.fsum(s.lon for s in self.samples) / len(self.samples)
@@ -115,9 +104,9 @@ class GridSpec:
         lat_min, lat_max, lon_min, lon_max = self.bbox
         if not (lat_min < lat_max and lon_min < lon_max):
             raise ValueError(f"degenerate bbox {self.bbox}")
-        if self.cell_size <= 0:
+        if not self.cell_size > 0:  # NaN fails too
             raise ValueError("cell_size must be positive")
-        if self.time_bin <= 0:
+        if not self.time_bin > 0:
             raise ValueError("time_bin must be positive")
 
     @property
@@ -136,20 +125,6 @@ class GridSpec:
         ny = max(1, math.ceil((lat_max - lat_min) * m_lat / self.cell_size))
         return nx, ny
 
-    def cell_of(self, lat: float, lon: float) -> tuple[int, int] | None:
-        """Cell indices for a location, or None when it falls outside the bbox."""
-        lat_min, lat_max, lon_min, lon_max = self.bbox
-        if not (lat_min <= lat <= lat_max and lon_min <= lon <= lon_max):
-            return None
-        m_lat, m_lon = self._meters_per_deg
-        nx, ny = self.n_cells
-        cx = min(int((lon - lon_min) * m_lon // self.cell_size), nx - 1)
-        cy = min(int((lat - lat_min) * m_lat // self.cell_size), ny - 1)
-        return cx, cy
-
-    def time_index(self, t: float) -> int:
-        return int(math.floor(t / self.time_bin))
-
 
 @dataclass
 class SpatioTemporalMap:
@@ -158,9 +133,6 @@ class SpatioTemporalMap:
     spec: GridSpec
     counts: dict[tuple[int, int, int], int] = field(default_factory=dict)
     dropped_outside: int = 0
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
     def occupied_cells(self) -> set[tuple[int, int, int]]:
         return set(self.counts)
@@ -344,9 +316,12 @@ def build_map(
     """Aggregate trajectories onto the grid.
 
     `vehicles` mode counts distinct contributing vehicle ids per cell; `samples`
-    counts raw samples. Samples outside the bbox are dropped and tallied.
-    Cells and time bins use the same float expressions as `GridSpec.cell_of`
-    and `GridSpec.time_index`, evaluated over arrays.
+    counts raw samples. Samples outside the bbox (bounds inclusive) are
+    dropped and tallied. A sample's key is (cell_x, cell_y, time_idx) with
+    cell_x = min((lon - lon_min) * m_lon // cell_size, nx - 1), likewise
+    cell_y from lat, and time_idx = floor(t / time_bin), evaluated over
+    arrays; `scalar_build_map` in `tests/reference_impls.py` is the
+    per-sample reference it matches.
     """
     if count_mode not in ("vehicles", "samples"):
         raise ValueError(f"count_mode must be 'vehicles' or 'samples', got {count_mode!r}")
@@ -369,7 +344,8 @@ def build_map(
     m_lat, m_lon = spec._meters_per_deg
     nx, ny = spec.n_cells
     # Columns stay float64 until the keys become Python ints, so a time bin
-    # beyond the int64 range groups and converts exactly as `time_index` does.
+    # beyond the int64 range groups and converts exactly as
+    # int(math.floor(t / time_bin)) does.
     columns = np.stack(
         [
             np.minimum((lon - lon_min) * m_lon // spec.cell_size, nx - 1),

@@ -26,9 +26,9 @@ class UtilityModel:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.beta <= 0:
+        if not self.beta > 0:  # NaN fails too
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.a <= 0:
+        if not self.a > 0:
             raise ValueError(f"a must be positive, got {self.a}")
 
 

@@ -1,0 +1,132 @@
+"""Scalar reference implementations that the package's fused or array code is
+checked against, bitwise where the tests say so.
+
+The package computes profit in one straight line (`econ._profit_parts`) and
+grids samples over arrays (`trajectories.build_map`). The helper chains they
+replaced live here, as tests use them, and nowhere in `src/`.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from vanetmarket import eval_utility, total_loss_raw
+
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def lognormal_cdf(x: float, mu: float, sigma: float) -> float:
+    """Log-normal CDF; zero for x <= 0 (no mass below zero)."""
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if x <= 0:
+        return 0.0
+    return 0.5 * (1.0 + math.erf((math.log(x) - mu) / sigma / _SQRT2))
+
+
+def lognormal_pdf(x: float, mu: float, sigma: float) -> float:
+    """Log-normal density; zero for x <= 0."""
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if x <= 0:
+        return 0.0
+    z = (math.log(x) - mu) / sigma
+    return math.exp(-0.5 * z * z) / (x * sigma * _SQRT_2PI)
+
+
+def total_loss(model, f_d: float, s: float) -> float:
+    """Privacy loss clamped into [eps_clamp, 1]."""
+    return min(1.0, max(model.eps_clamp, total_loss_raw(model, f_d, s)))
+
+
+def expected_participants(params, c1: float, f_d: float, s: float) -> float:
+    """Expected number of vehicles whose sensitivity clears the sharing threshold.
+
+    The threshold ratio is r = c1*f_d / L(f_d, s); participation is V times
+    the log-normal CDF at r (default) or V times the density at r in
+    `pdf_as_written` mode. Clipped into [0, V].
+    """
+    if c1 < 0:
+        raise ValueError(f"c1 must be nonnegative, got {c1}")
+    loss = total_loss(params.loss, f_d, s)
+    ratio = c1 * f_d / loss
+    if params.participation_model == "cdf":
+        v = params.V * lognormal_cdf(ratio, params.mu, params.sigma)
+    else:
+        v = params.V * lognormal_pdf(ratio, params.mu, params.sigma)
+    return min(max(v, 0.0), params.V)
+
+
+def per_server_cost(params, c1: float, f_d: float, s: float) -> float:
+    """Cost borne by one server: computation on its share of traffic plus upkeep."""
+    v = expected_participants(params, c1, f_d, s)
+    return params.c2 * v * f_d / s + params.c3
+
+
+def helper_chain_terms(params, c1, f_d, s):
+    """`profit_terms` composed from the helpers above: (v, (utility, server
+    cost, payments, profit)), the bitwise reference for its straight line."""
+    v = expected_participants(params, c1, f_d, s)
+    utility = eval_utility(params.utility, v, f_d)
+    server = per_server_cost(params, c1, f_d, s)
+    if params.server_cost_model == "total_times_s":
+        server *= s
+    payments = c1 * v * f_d
+    return v, (utility, server, payments, utility - server - payments)
+
+
+def trajectory_times(traj) -> np.ndarray:
+    return np.array([s.t for s in traj.samples])
+
+
+def native_rate(traj) -> float:
+    """Samples per minute, estimated from the median inter-sample gap."""
+    if len(traj.samples) < 2:
+        raise ValueError("native rate undefined for a single-sample trajectory")
+    gaps = np.diff(trajectory_times(traj))
+    return 1.0 / float(np.median(gaps))
+
+
+def cell_of(spec, lat: float, lon: float) -> tuple[int, int] | None:
+    """Cell indices for a location, or None when it falls outside the bbox."""
+    lat_min, lat_max, lon_min, lon_max = spec.bbox
+    if not (lat_min <= lat <= lat_max and lon_min <= lon <= lon_max):
+        return None
+    m_lat, m_lon = spec._meters_per_deg
+    nx, ny = spec.n_cells
+    cx = min(int((lon - lon_min) * m_lon // spec.cell_size), nx - 1)
+    cy = min(int((lat - lat_min) * m_lat // spec.cell_size), ny - 1)
+    return cx, cy
+
+
+def time_index(spec, t: float) -> int:
+    return int(math.floor(t / spec.time_bin))
+
+
+def map_total(stmap) -> int:
+    """Sum of a SpatioTemporalMap's cell counts."""
+    return sum(stmap.counts.values())
+
+
+def scalar_build_map(trajs, spec, count_mode="vehicles"):
+    """The per-sample loop `build_map` replaced: ({key: count}, dropped), the
+    bitwise reference for its array form."""
+    dropped = 0
+    seen = {}
+    for traj in trajs:
+        for s in traj.samples:
+            cell = cell_of(spec, s.lat, s.lon)
+            if cell is None:
+                dropped += 1
+                continue
+            key = (cell[0], cell[1], time_index(spec, s.t))
+            if count_mode == "samples":
+                seen[key] = seen.get(key, 0) + 1
+            else:
+                seen.setdefault(key, set()).add(traj.vehicle_id)
+    if count_mode == "vehicles":
+        seen = {k: len(v) for k, v in seen.items()}
+    return seen, dropped

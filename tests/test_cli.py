@@ -8,7 +8,7 @@ import stat
 import pytest
 
 from vanetmarket import Bounds, EconParams, LossModel, UtilityModel
-from vanetmarket.cli import build_parser, main
+from vanetmarket.cli import _json_text, build_parser, main
 from vanetmarket.config import RunConfig, load_config
 
 
@@ -170,6 +170,14 @@ class TestSweepCommand:
     def test_missing_values_is_config_error(self, tmp_path, capsys):
         assert run(["sweep", "--param", "c2", "--out", tmp_path / "s"]) == 1
         assert "--values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", ["0.5,inf", "nan", "1,-Infinity"])
+    def test_non_finite_values_are_a_usage_error(self, tmp_path, capsys, values):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--param", "sigma", "--values", values, "--out", tmp_path / "s"])
+        assert exc.value.code == 1
+        assert f"argument --values: invalid float_list value: '{values}'" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 class TestSimulateCommand:
@@ -370,6 +378,34 @@ class TestManifestAndConfig:
         cfg.write_text(json.dumps(data))
         assert run(["gen", "--config", cfg, "--out", tmp_path / "x"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                '{"reference_point": [NaN, 7.31, 15.12]}',
+                "config reference_point[0] must be a finite number, got nan",
+            ),
+            ('{"econ": {"sigma": Infinity}}', "config econ.sigma must be a finite number, got inf"),
+            (
+                '{"bounds": {"c1": [1e-9, -Infinity]}}',
+                "config bounds.c1[1] must be a finite number, got -inf",
+            ),
+            ('{"cell_size": 1e999}', "config cell_size must be a finite number, got inf"),
+        ],
+        ids=["nan", "infinity", "minus-infinity", "overflow"],
+    )
+    def test_non_finite_config_number_is_a_config_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        out = tmp_path / "x"
+        assert run(["optimize", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_artifacts_refuse_non_finite_numbers(self):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _json_text({"profit": float("nan")})
 
     def test_missing_nested_keys_take_their_defaults(self, tmp_path):
         cfg = tmp_path / "partial.json"

@@ -8,18 +8,20 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 from scipy import stats
 
+from reference_impls import (
+    expected_participants,
+    helper_chain_terms,
+    lognormal_cdf,
+    lognormal_pdf,
+    per_server_cost,
+    total_loss,
+)
 from vanetmarket import (
     EconParams,
     LossModel,
     UtilityModel,
-    eval_utility,
-    expected_participants,
-    lognormal_cdf,
-    lognormal_pdf,
-    per_server_cost,
     profit,
     profit_terms,
-    total_loss,
     total_loss_raw,
     validate_params,
 )
@@ -183,8 +185,6 @@ class TestProfit:
         lo, hi = 1.0, 100.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            from vanetmarket import total_loss_raw
-
             if total_loss_raw(params.loss, f_d, mid) > params.loss.eps_clamp:
                 lo = mid
             else:
@@ -220,6 +220,20 @@ class TestProfit:
         with pytest.raises(ValueError):
             profit(self.params, 1e-6, 1.0, 0.9)
 
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            ((math.nan, 7.31, 15.12), "c1 must be nonnegative, got nan"),
+            ((3.57e-6, math.nan, 15.12), "f_d must be positive, got nan"),
+            ((3.57e-6, 7.31, math.nan), "server count must be >= 1, got nan"),
+        ],
+        ids=["c1", "f_d", "s"],
+    )
+    def test_nan_input_raises(self, point, message):
+        for evaluate in (profit, profit_terms):
+            with pytest.raises(ValueError, match=message):
+                evaluate(self.params, *point)
+
 
 MARKETS = st.builds(
     EconParams,
@@ -248,18 +262,6 @@ class TestProfitTermsProperties:
             server *= s
         assert float(terms.server_cost).hex() == float(server).hex()
         assert 0.0 <= expected_participants(params, c1, f_d, s) <= params.V
-
-
-def helper_chain_terms(params, c1, f_d, s):
-    """profit_terms composed from the public helpers: the bitwise reference for
-    its straight-line evaluation."""
-    v = expected_participants(params, c1, f_d, s)
-    utility = eval_utility(params.utility, v, f_d)
-    server = per_server_cost(params, c1, f_d, s)
-    if params.server_cost_model == "total_times_s":
-        server *= s
-    payments = c1 * v * f_d
-    return v, (utility, server, payments, utility - server - payments)
 
 
 @st.composite
@@ -358,6 +360,11 @@ class TestEconParams:
             EconParams(participation_model="nope")
         with pytest.raises(ValueError):
             EconParams(server_cost_model="nope")
+
+    @pytest.mark.parametrize("field", ["c1", "c2", "c3", "V", "mu", "sigma"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError, match="nan|nonnegative"):
+            EconParams(**{field: math.nan})
 
     def test_json_round_trip(self):
         # EconParams travels as the `econ` block of the run config's JSON form

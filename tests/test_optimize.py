@@ -281,6 +281,21 @@ class TestNelderMead:
             numpy_nelder_mead(objective, x0, lower, upper),
         )
 
+    def test_signed_zero_bound_keeps_the_point(self):
+        # The documented exception to bitwise equality with the numpy form: on
+        # a coordinate equal to a bound of the other zero sign, min/max keep
+        # the point (0.0) where np.clip keeps the bound (-0.0).
+        def objective(x):
+            return -(x[0] ** 2 + x[1] ** 2)
+
+        box = ([0.0, 1.0], [0.0, -0.0], [1.0, 1.0])
+        got = nelder_mead(objective, *box)
+        want = numpy_nelder_mead(objective, *box)
+        assert [math.copysign(1.0, v) for v in got.x] == [1.0, 1.0]
+        assert got.x == (0.0, 0.0)
+        assert [math.copysign(1.0, v) for v in want.x] == [1.0, -1.0]
+        assert (got.fun, got.converged, got.nfev) == (want.fun, want.converged, want.nfev)
+
     def test_inverted_box_is_rejected(self):
         with pytest.raises(ValueError, match="exceeds upper bound"):
             nelder_mead(lambda x: x[0], [0.5], [1.0], [0.0])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reference_impls import total_loss
 from vanetmarket import (
     CalibrationReport,
     DEFAULT_CALIBRATION_FREQS,
@@ -15,7 +16,6 @@ from vanetmarket import (
     path_similarity,
     project_planar,
     subsample,
-    total_loss,
     total_loss_raw,
 )
 from vanetmarket.privacy import _ROW_BLOCK
@@ -265,10 +265,14 @@ class TestLossModel:
 
     def test_preconditions(self):
         model = LossModel()
+        for f_d, s in [(0.0, 1.0), (1.0, 0.5), (math.nan, 1.0), (1.0, math.nan)]:
+            with pytest.raises(ValueError):
+                total_loss_raw(model, f_d, s)
+
+    @pytest.mark.parametrize("field", ["k", "p", "q", "eps_clamp"])
+    def test_nan_rejected(self, field):
         with pytest.raises(ValueError):
-            total_loss(model, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            total_loss(model, 1.0, 0.5)
+            LossModel(**{field: math.nan})
 
 
 class TestPerServerFit:

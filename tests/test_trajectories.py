@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from reference_impls import cell_of, map_total, native_rate, scalar_build_map
 from vanetmarket import (
     GeoSample,
     GridSpec,
@@ -24,26 +25,6 @@ HEADER = "vehicle_id,timestamp,lat,lon\n"
 
 def make_traj(times, vid="v", lat=40.0, lon=116.3):
     return Trajectory(vid, tuple(GeoSample(float(t), lat, lon) for t in times))
-
-
-def scalar_build_map(trajs, spec, count_mode="vehicles"):
-    """The per-sample loop build_map replaced: the bitwise reference."""
-    dropped = 0
-    seen = {}
-    for traj in trajs:
-        for s in traj.samples:
-            cell = spec.cell_of(s.lat, s.lon)
-            if cell is None:
-                dropped += 1
-                continue
-            key = (cell[0], cell[1], spec.time_index(s.t))
-            if count_mode == "samples":
-                seen[key] = seen.get(key, 0) + 1
-            else:
-                seen.setdefault(key, set()).add(traj.vehicle_id)
-    if count_mode == "vehicles":
-        seen = {k: len(v) for k, v in seen.items()}
-    return seen, dropped
 
 
 def moving_traj(times, vid="v"):
@@ -139,8 +120,8 @@ class TestTrajectoryInvariants:
             Trajectory("v", (GeoSample(0.0, 95.0, 0.0),))
 
     def test_native_rate(self):
-        assert make_traj(range(10)).native_rate() == pytest.approx(1.0)
-        assert make_traj([0, 2, 4, 6]).native_rate() == pytest.approx(0.5)
+        assert native_rate(make_traj(range(10))) == pytest.approx(1.0)
+        assert native_rate(make_traj([0, 2, 4, 6])) == pytest.approx(0.5)
 
 
 class TestGenerateSynthetic:
@@ -213,7 +194,7 @@ class TestSubsample:
 
     def test_non_unit_gap_native_rate(self):
         traj = moving_traj([0, 2, 4, 6, 8])
-        assert subsample(traj, traj.native_rate()).samples == traj.samples
+        assert subsample(traj, native_rate(traj)).samples == traj.samples
 
     def test_thirds_hit_every_third_sample(self):
         traj = moving_traj(range(10))
@@ -280,16 +261,22 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec((39.0, 40.0, 116.0, 117.0), time_bin=-1)
 
+    @pytest.mark.parametrize("field", ["cell_size", "time_bin"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError, match="positive"):
+            GridSpec((39.0, 40.0, 116.0, 117.0), **{field: math.nan})
+
     def test_cell_of_outside_is_none(self):
         spec = GridSpec((39.8, 40.0, 116.25, 116.5))
-        assert spec.cell_of(41.0, 116.3) is None
-        assert spec.cell_of(39.9, 116.3) is not None
+        assert cell_of(spec, 41.0, 116.3) is None
+        assert cell_of(spec, 39.9, 116.3) is not None
 
     def test_edge_samples_land_in_last_cell(self):
         spec = GridSpec((39.8, 40.0, 116.25, 116.5), cell_size=1000.0)
         nx, ny = spec.n_cells
-        cx, cy = spec.cell_of(40.0, 116.5)
-        assert (cx, cy) == (nx - 1, ny - 1)
+        assert cell_of(spec, 40.0, 116.5) == (nx - 1, ny - 1)
+        m = build_map([make_traj([0], lat=40.0, lon=116.5)], spec)
+        assert m.counts == {(nx - 1, ny - 1, 0): 1}
 
 
 class TestBuildMap:
@@ -310,25 +297,11 @@ class TestBuildMap:
         traj = make_traj([0, 1, 2, 3, 4], lat=39.9, lon=116.3)
         m = build_map([traj], self.spec)
         assert list(m.counts.values()) == [1]
-        # brute-force oracle: per-cell set of contributing vehicles
-        oracle = {}
-        for s in traj.samples:
-            cell = self.spec.cell_of(s.lat, s.lon)
-            key = (cell[0], cell[1], self.spec.time_index(s.t))
-            oracle.setdefault(key, set()).add(traj.vehicle_id)
-        assert m.counts == {k: len(v) for k, v in oracle.items()}
+        assert m.counts == scalar_build_map([traj], self.spec)[0]
 
     def test_brute_force_oracle_on_fleet(self, fleet):
         m = build_map(fleet, self.spec)
-        oracle = {}
-        for traj in fleet:
-            for s in traj.samples:
-                cell = self.spec.cell_of(s.lat, s.lon)
-                if cell is None:
-                    continue
-                key = (cell[0], cell[1], self.spec.time_index(s.t))
-                oracle.setdefault(key, set()).add(traj.vehicle_id)
-        assert m.counts == {k: len(v) for k, v in oracle.items()}
+        assert m.counts == scalar_build_map(fleet, self.spec)[0]
 
     def test_samples_mode(self):
         traj = make_traj([0, 1, 2, 3, 4], lat=39.9, lon=116.3)
@@ -340,11 +313,11 @@ class TestBuildMap:
         outside = make_traj([0], vid="b", lat=50.0, lon=116.3)
         m = build_map([inside, outside], self.spec)
         assert m.dropped_outside == 1
-        assert m.total() == 1
+        assert map_total(m) == 1
 
     def test_total_bounded_by_samples_and_fleet(self, fleet):
         m = build_map(fleet, self.spec)
-        assert m.total() <= sum(len(t) for t in fleet)
+        assert map_total(m) <= sum(len(t) for t in fleet)
         assert all(c <= len(fleet) for c in m.counts.values())
 
     def test_total_bounded_by_vehicles_times_bins_at_bin_rate(self, fleet):
@@ -353,7 +326,7 @@ class TestBuildMap:
         slow = [Trajectory(t.vehicle_id, t.samples[5::10]) for t in fleet]
         m = build_map(slow, self.spec)
         bins = {k[2] for k in m.counts}
-        assert m.total() <= len(fleet) * max(1, len(bins))
+        assert map_total(m) <= len(fleet) * max(1, len(bins))
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):

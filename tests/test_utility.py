@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reference_impls import scalar_build_map
 import vanetmarket.utility as utility_module
 from vanetmarket import (
     GridSpec,
@@ -78,6 +79,11 @@ class TestEvalUtility:
         with pytest.raises(ValueError):
             UtilityModel(beta=0.0)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "a"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError, match="nan"):
+            UtilityModel(**{field: math.nan})
+
 
 class TestUtilitySurface:
     def test_zero_vehicle_rows_are_zero(self, fleet):
@@ -95,19 +101,12 @@ class TestUtilitySurface:
     def test_full_fleet_native_rate_matches_brute_force(self, fleet):
         n = len(fleet)
         surface = build_utility_surface(fleet, SPEC, [n], [1.0], seed=0)
-        # independent reimplementation: grid every sample, set of vehicles per
-        # cell, mean utility over occupied cells
-        cells = {}
-        for traj in fleet:
-            for s in traj.samples:
-                cell = SPEC.cell_of(s.lat, s.lon)
-                if cell is None:
-                    continue
-                key = (cell[0], cell[1], int(math.floor(s.t / SPEC.time_bin)))
-                cells.setdefault(key, set()).add(traj.vehicle_id)
+        # independent reimplementation: grid every sample with the per-sample
+        # reference, vehicles per cell, mean utility over occupied cells
+        counts, _ = scalar_build_map(fleet, SPEC)
         expected = math.fsum(
-            1.0 - 1.0 / (1.0 + 100.0 * math.exp(-1.0 / math.sqrt(len(v)))) for v in cells.values()
-        ) / len(cells)
+            1.0 - 1.0 / (1.0 + 100.0 * math.exp(-1.0 / math.sqrt(n))) for n in counts.values()
+        ) / len(counts)
         assert surface.points[0][2] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("count_mode", ["vehicles", "samples"])
