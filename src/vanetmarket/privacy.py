@@ -193,8 +193,30 @@ def _full_paths(trajs: Sequence[Trajectory]) -> list[_FullPath]:
     for traj in trajs:
         origin = traj.centroid()
         path = project_planar(traj, origin=origin)
-        fulls.append(_FullPath(origin, path, path.diameter()))
+        diameter = path.diameter()
+        if diameter <= 0.0:
+            raise ValueError(
+                f"vehicle {traj.vehicle_id!r} never moves: its full path has zero "
+                "diameter, so similarity is undefined"
+            )
+        fulls.append(_FullPath(origin, path, diameter))
     return fulls
+
+
+class VehicleReconstruction(NamedTuple):
+    path: PlanarPath | None
+    similarity: float
+
+
+def _score_capture(full: _FullPath, captured: Trajectory | None) -> VehicleReconstruction:
+    """The path an adversary rebuilds from a vehicle's captured samples (None
+    for no samples), projected about the full path's centroid, and its
+    similarity to the full path. Fewer than 2 captured samples score 0."""
+    if captured is None:
+        return VehicleReconstruction(None, 0.0)
+    path = project_planar(captured, origin=full.origin)
+    score = path_similarity(full.path, path, full.diameter) if len(path) >= 2 else 0.0
+    return VehicleReconstruction(path, score)
 
 
 def mean_similarity_by_frequency(
@@ -212,8 +234,7 @@ def mean_similarity_by_frequency(
     sims: dict[float, list[float]] = {f: [] for f in freqs}
     for traj, full in zip(trajs, _full_paths(trajs)):
         for f in freqs:
-            sub = project_planar(subsample(traj, f), origin=full.origin)
-            sims[f].append(path_similarity(full.path, sub, full.diameter))
+            sims[f].append(_score_capture(full, subsample(traj, f)).similarity)
     return [(f, math.fsum(sims[f]) / len(sims[f])) for f in freqs]
 
 

@@ -6,19 +6,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .privacy import _FullPath, _full_paths, path_similarity
-from .trajectories import (
-    GeoSample,
-    PlanarPath,
-    SpatioTemporalMap,
-    Trajectory,
-    project_planar,
-    subsample,
-)
+from .privacy import VehicleReconstruction, _full_paths, _score_capture
+from .trajectories import GeoSample, SpatioTemporalMap, Trajectory, subsample
 
 FIELD_PRIME = 2**61 - 1  # Mersenne prime; counts stay far below it
 
@@ -50,6 +44,13 @@ class ServerInbox:
     received: list[tuple[str, GeoSample]] = field(default_factory=list)
 
 
+def _draw_servers(kept: Sequence[Trajectory], s: int, seed: int) -> list[np.ndarray]:
+    """The server each kept sample goes to: one uniform draw over s servers per
+    vehicle, in input order, from the seed's generator."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    return [rng.integers(0, s, size=len(sub)) for sub in kept]
+
+
 def route_samples(
     trajs: Sequence[Trajectory], f_d: float, s: int, seed: int
 ) -> list[ServerInbox]:
@@ -61,13 +62,11 @@ def route_samples(
     """
     if s < 1:
         raise ValueError(f"server count must be >= 1, got {s}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    kept = [subsample(traj, f_d) for traj in trajs]
     inboxes = [ServerInbox(i) for i in range(s)]
-    for traj in trajs:
-        kept = subsample(traj, f_d)
-        picks = rng.integers(0, s, size=len(kept))
-        for sample, pick in zip(kept.samples, picks):
-            inboxes[int(pick)].received.append((traj.vehicle_id, sample))
+    for sub, picks in zip(kept, _draw_servers(kept, s, seed)):
+        for sample, pick in zip(sub.samples, picks.tolist()):
+            inboxes[pick].received.append((sub.vehicle_id, sample))
     return inboxes
 
 
@@ -166,48 +165,6 @@ def aggregate_secure(
     )
 
 
-class VehicleReconstruction(NamedTuple):
-    path: PlanarPath | None
-    similarity: float
-
-
-def _reconstruct(
-    inboxes: Sequence[ServerInbox],
-    compromised: Iterable[int],
-    trajs: Sequence[Trajectory],
-    fulls: Sequence[_FullPath],
-) -> dict[str, VehicleReconstruction]:
-    """adversary_reconstruct against precomputed full paths (one per trajectory)."""
-    compromised = sorted(set(compromised))
-    if not compromised:
-        raise ValueError("no adversary: the compromised server set is empty")
-    for sid in compromised:
-        if not (0 <= sid < len(inboxes)):
-            raise ValueError(f"compromised server {sid} does not exist")
-
-    captured: dict[str, list[GeoSample]] = {}
-    for sid in compromised:
-        for vid, sample in inboxes[sid].received:
-            captured.setdefault(vid, []).append(sample)
-
-    results: dict[str, VehicleReconstruction] = {}
-    for traj, full in zip(trajs, fulls):
-        samples = sorted(captured.get(traj.vehicle_id, []), key=lambda g: g.t)
-        if not samples:
-            results[traj.vehicle_id] = VehicleReconstruction(None, 0.0)
-            continue
-        reconstructed = project_planar(
-            Trajectory(traj.vehicle_id, tuple(samples)), origin=full.origin
-        )
-        score = (
-            path_similarity(full.path, reconstructed, full.diameter)
-            if len(samples) >= 2
-            else 0.0
-        )
-        results[traj.vehicle_id] = VehicleReconstruction(reconstructed, score)
-    return results
-
-
 def adversary_reconstruct(
     inboxes: Sequence[ServerInbox],
     compromised: Iterable[int],
@@ -217,11 +174,35 @@ def adversary_reconstruct(
     compromised servers (any collection of server ids); routing assignments are
     assumed known.
 
-    Pools captured samples per vehicle, orders them by time, and scores the
+    Pools captured samples per vehicle id, orders them by time, and scores the
     resulting polyline against the vehicle's full path. Vehicles with fewer
-    than 2 captured samples score 0.
+    than 2 captured samples score 0. Vehicle ids must be unique.
     """
-    return _reconstruct(inboxes, compromised, trajs, _full_paths(trajs))
+    compromised = sorted(set(compromised))
+    if not compromised:
+        raise ValueError("no adversary: the compromised server set is empty")
+    for sid in compromised:
+        if not (0 <= sid < len(inboxes)):
+            raise ValueError(f"compromised server {sid} does not exist")
+    seen: set[str] = set()
+    for traj in trajs:
+        if traj.vehicle_id in seen:
+            raise ValueError(
+                f"duplicate vehicle id {traj.vehicle_id!r}: inboxes cannot tell its vehicles apart"
+            )
+        seen.add(traj.vehicle_id)
+
+    captured: dict[str, list[GeoSample]] = {}
+    for sid in compromised:
+        for vid, sample in inboxes[sid].received:
+            captured.setdefault(vid, []).append(sample)
+
+    results: dict[str, VehicleReconstruction] = {}
+    for traj, full in zip(trajs, _full_paths(trajs)):
+        samples = sorted(captured.get(traj.vehicle_id, []), key=lambda g: g.t)
+        pooled = Trajectory(traj.vehicle_id, tuple(samples)) if samples else None
+        results[traj.vehicle_id] = _score_capture(full, pooled)
+    return results
 
 
 class CurvePoint(NamedTuple):
@@ -238,25 +219,29 @@ def empirical_privacy_curve(
     seeds: Sequence[int] = (0,),
 ) -> list[CurvePoint]:
     """Monte Carlo mean adversary similarity per (f_d, s) with the first
-    `n_compromised` servers compromised."""
+    `n_compromised` servers compromised, routing with `route_samples`' draw.
+    Each trajectory is scored on its own."""
+    if not trajs:
+        raise ValueError("need at least one trajectory")
     if not f_d_values or not s_values:
         raise ValueError("f_d_values and s_values must be nonempty")
     if not seeds:
         raise ValueError("need at least one seed")
+    for s in s_values:
+        if n_compromised < 1 or n_compromised > s:
+            raise ValueError(f"n_compromised={n_compromised} invalid for s={s} servers")
     # Each vehicle's full path and diameter are the same for every (f_d, s, seed).
     fulls = _full_paths(trajs)
     points = []
     for f_d in f_d_values:
+        kept = [subsample(traj, f_d) for traj in trajs]
         for s in s_values:
-            if n_compromised < 1 or n_compromised > s:
-                raise ValueError(
-                    f"n_compromised={n_compromised} invalid for s={s} servers"
-                )
             sims: list[float] = []
             for seed in seeds:
-                inboxes = route_samples(trajs, f_d, s, seed)
-                recon = _reconstruct(inboxes, range(n_compromised), trajs, fulls)
-                sims.extend(r.similarity for r in recon.values())
+                for sub, full, servers in zip(kept, fulls, _draw_servers(kept, s, seed)):
+                    samples = tuple(compress(sub.samples, (servers < n_compromised).tolist()))
+                    captured = Trajectory(sub.vehicle_id, samples) if samples else None
+                    sims.append(_score_capture(full, captured).similarity)
             points.append(CurvePoint(float(f_d), int(s), math.fsum(sims) / len(sims)))
     return points
 

@@ -237,6 +237,19 @@ class TestSimulateCommand:
         assert transcript["share_matrix"] is not None
 
 
+@pytest.mark.parametrize("command", ["calibrate-loss", "simulate"])
+def test_parked_vehicle_is_named_and_nothing_written(tmp_path, capsys, command):
+    traces = tmp_path / "traces.csv"
+    rows = ["vehicle_id,timestamp,lat,lon"]
+    rows += [f"mover,{t},{39.9 + 0.001 * t},116.4" for t in range(12)]
+    rows += [f"parked-7,{t},39.95,116.3" for t in range(12)]
+    traces.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert run([command, "--traces", traces, "--out", out]) == 1
+    assert "'parked-7' never moves" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestReportCommand:
     def test_bundles_previous_run(self, tmp_path):
         out = tmp_path / "r"
@@ -568,3 +581,31 @@ def test_optimize_and_sweep_outputs_are_pinned(tmp_path):
         for name in PINNED_MARKET_OUTPUTS
     }
     assert got == PINNED_MARKET_OUTPUTS
+
+
+# sha256 of the `simulate` outputs for a 12-vehicle, 40-minute synthetic fleet
+# at seed 5 over two trials: one server compromised of s in {1, 2, 4}, and two
+# of s in {2, 4}. The second run routes and aggregates as the first does, so
+# only its curve is pinned.
+PINNED_SIMULATE_OUTPUTS = {
+    "one/privacy_curve.csv": "25f7c94bec97a1e1fd83201a2dcbfb50784fabf5c236bd8fada58913864bed05",
+    "one/transcript.json": "f27792243b7fe30a7d2d9e4c618910315e39f8b7ac58cc5c63090e8fc1b1eca8",
+    "one/simulation_summary.json": (
+        "9a0d97900e01666219d737cbde8a32108527251c8458fb955f5eaf6d89798708"
+    ),
+    "two/privacy_curve.csv": "9437d39351ff4af11883fa273097875bf6ba44379aa0ac11e3272495b51697b6",
+}
+
+
+def test_simulate_outputs_are_pinned(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synthetic_vehicles": 12, "synthetic_duration": 40}))
+    argv = ["simulate", "--config", cfg, "--synthetic", "--seed", 5, "--trials", 2]
+    assert run([*argv, "--s-values", "1,2,4", "--out", tmp_path / "one"]) == 0
+    two = ["--s-values", "2,4", "--n-compromised", 2, "--out", tmp_path / "two"]
+    assert run([*argv, *two]) == 0
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PINNED_SIMULATE_OUTPUTS
+    }
+    assert got == PINNED_SIMULATE_OUTPUTS

@@ -8,7 +8,9 @@ from vanetmarket import (
     CalibrationReport,
     DEFAULT_CALIBRATION_FREQS,
     LossModel,
+    GeoSample,
     PlanarPath,
+    Trajectory,
     calibrate_per_server_loss,
     discrete_frechet,
     fit_per_server_decay,
@@ -18,6 +20,7 @@ from vanetmarket import (
     subsample,
     total_loss_raw,
 )
+from vanetmarket import privacy
 from vanetmarket.privacy import _ROW_BLOCK
 
 
@@ -328,3 +331,14 @@ class TestCalibration:
             calibrate_per_server_loss([], (0.5, 0.2))
         with pytest.raises(ValueError):
             mean_similarity_by_frequency(fleet, [])
+
+    def test_parked_vehicle_named_before_any_frechet_work(self, small_fleet, monkeypatch):
+        samples = tuple(GeoSample(float(t), 39.9, 116.4) for t in range(10, 20))
+        parked = Trajectory("parked-7", samples)
+
+        def no_frechet(p, q):
+            raise AssertionError("Fréchet work started before the fleet was checked")
+
+        monkeypatch.setattr(privacy, "discrete_frechet", no_frechet)
+        with pytest.raises(ValueError, match="'parked-7' never moves"):
+            mean_similarity_by_frequency([*small_fleet, parked], (0.5, 0.2))

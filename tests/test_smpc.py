@@ -8,6 +8,7 @@ from vanetmarket import (
     FIELD_PRIME,
     GridSpec,
     SpatioTemporalMap,
+    Trajectory,
     adversary_reconstruct,
     aggregate_secure,
     empirical_privacy_curve,
@@ -17,8 +18,16 @@ from vanetmarket import (
     secret_share,
     subsample,
 )
+from vanetmarket import smpc
 
 SPEC = GridSpec((39.8, 40.0, 116.25, 116.5))
+
+
+def duplicated_fleet(shift=0.5):
+    """Five trajectories, two under id v0000: the second is v0001's path, `shift` minutes later."""
+    trajs = generate_synthetic(4, 30, seed=1)
+    twin = tuple(g._replace(t=g.t + shift) for g in trajs[1].samples)
+    return [*trajs, Trajectory("v0000", twin)]
 
 
 def random_partials(rng, n_servers, n_cells=8, max_count=10**6):
@@ -273,6 +282,15 @@ class TestAdversary:
         with pytest.raises(ValueError):
             adversary_reconstruct(inboxes, frozenset({5}), small_fleet)
 
+    @pytest.mark.parametrize("shift", [0.5, 0.0])
+    def test_duplicate_vehicle_id_rejected(self, shift):
+        # Inboxes carry only the id, so two vehicles under one id would be
+        # pooled into one reconstruction.
+        trajs = duplicated_fleet(shift)
+        inboxes = route_samples(trajs, 0.5, 2, seed=0)
+        with pytest.raises(ValueError, match="duplicate vehicle id 'v0000'"):
+            adversary_reconstruct(inboxes, frozenset({0}), trajs)
+
     def test_similarity_non_decreasing_in_compromised_count(self, fleet):
         s = 6
         inboxes = route_samples(fleet, 0.5, s, seed=4)
@@ -288,9 +306,12 @@ class TestAdversary:
 class TestEmpiricalCurve:
     def test_single_server_matches_calibration_exactly(self, fleet):
         freqs = (0.5, 0.25, 0.125)
-        curve = empirical_privacy_curve(fleet, freqs, [1], n_compromised=1, seeds=[0])
-        calibration = mean_similarity_by_frequency(fleet, freqs)
-        assert [(pt.f_d, pt.mean_similarity) for pt in curve] == calibration
+        # The duplicated fleet checks that the curve scores each trajectory
+        # on its own, not per vehicle id.
+        for trajs in (fleet, duplicated_fleet()):
+            curve = empirical_privacy_curve(trajs, freqs, [1], n_compromised=1, seeds=[0])
+            calibration = mean_similarity_by_frequency(trajs, freqs)
+            assert [(pt.f_d, pt.mean_similarity) for pt in curve] == calibration
 
     def test_native_rate_single_server_is_one(self, small_fleet):
         curve = empirical_privacy_curve(small_fleet, [1.0], [1], seeds=[3])
@@ -302,18 +323,42 @@ class TestEmpiricalCurve:
         assert all(a >= b - 5e-3 for a, b in zip(sims, sims[1:]))
 
     def test_matches_per_call_reconstruction_exactly(self, fleet):
-        f_d_values, s_values, seeds = (0.5, 0.2), [1, 2, 4], [0, 1]
-        expected = []
-        for f_d in f_d_values:
-            for s in s_values:
-                sims = []
-                for seed in seeds:
-                    inboxes = route_samples(fleet, f_d, s, seed)
-                    recon = adversary_reconstruct(inboxes, frozenset({0}), fleet)
-                    sims.extend(r.similarity for r in recon.values())
-                expected.append((f_d, s, math.fsum(sims) / len(sims)))
-        curve = empirical_privacy_curve(fleet, f_d_values, s_values, seeds=seeds)
-        assert [tuple(pt) for pt in curve] == expected
+        # The adversary holds servers 0 .. n_compromised - 1.
+        f_d_values, seeds = (0.5, 0.2), [0, 1]
+        for n_compromised, s_values in ((1, [1, 2, 4]), (2, [2, 4])):
+            expected = []
+            for f_d in f_d_values:
+                for s in s_values:
+                    sims = []
+                    for seed in seeds:
+                        inboxes = route_samples(fleet, f_d, s, seed)
+                        recon = adversary_reconstruct(inboxes, range(n_compromised), fleet)
+                        sims.extend(r.similarity for r in recon.values())
+                    expected.append((f_d, s, math.fsum(sims) / len(sims)))
+            curve = empirical_privacy_curve(
+                fleet, f_d_values, s_values, n_compromised=n_compromised, seeds=seeds
+            )
+            assert [tuple(pt) for pt in curve] == expected
+
+    def test_subsamples_each_vehicle_once_per_frequency(self, small_fleet, monkeypatch):
+        calls = []
+
+        def counting(traj, f_d):
+            calls.append((traj.vehicle_id, f_d))
+            return subsample(traj, f_d)
+
+        monkeypatch.setattr(smpc, "subsample", counting)
+        f_d_values = (0.5, 0.25, 0.2)
+        empirical_privacy_curve(small_fleet, f_d_values, [1, 2, 4], n_compromised=1, seeds=[0, 1])
+        assert sorted(calls) == sorted((t.vehicle_id, f) for t in small_fleet for f in f_d_values)
+
+    def test_server_counts_checked_before_any_work(self, small_fleet, monkeypatch):
+        def no_subsample(traj, f_d):
+            raise AssertionError("subsampling started before the server counts were checked")
+
+        monkeypatch.setattr(smpc, "subsample", no_subsample)
+        with pytest.raises(ValueError, match="n_compromised=2 invalid for s=1"):
+            empirical_privacy_curve(small_fleet, [0.5], [4, 1], n_compromised=2)
 
     def test_validation(self, small_fleet):
         with pytest.raises(ValueError):
@@ -322,3 +367,5 @@ class TestEmpiricalCurve:
             empirical_privacy_curve(small_fleet, [0.5], [1], n_compromised=2)
         with pytest.raises(ValueError):
             empirical_privacy_curve(small_fleet, [0.5], [1], seeds=[])
+        with pytest.raises(ValueError, match="need at least one trajectory"):
+            empirical_privacy_curve([], [0.5], [1], seeds=[0])
