@@ -168,6 +168,9 @@ def _decomposition_rows(config: RunConfig, points: list[tuple[float, float, floa
 
 
 def cmd_optimize(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
+    # Checked here as well as in grid_oracle, so a bad value fails before the search.
+    if args.certify and config.grid_resolution < 2:
+        raise ValueError(f"grid_resolution must be >= 2 per axis, got {config.grid_resolution}")
     solution = optimize_profit(config.econ, config.bounds, config.n_starts, config.seed)
     ref_c1, ref_fd, ref_s = config.reference_point
     ref_profit = profit(config.econ, ref_c1, ref_fd, ref_s)

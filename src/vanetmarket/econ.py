@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .privacy import LossModel
 from .utility import UtilityModel
@@ -69,6 +71,17 @@ class ProfitBreakdown(NamedTuple):
     profit: float
 
 
+def _check_point(c1: float, f_d: float, s: float) -> None:
+    """Profit's domain checks: c1, then f_d, then s, written as
+    `not x >= bound` so that NaN fails them."""
+    if not c1 >= 0:
+        raise ValueError(f"c1 must be nonnegative, got {c1}")
+    if not f_d > 0:
+        raise ValueError(f"f_d must be positive, got {f_d}")
+    if not s >= 1:
+        raise ValueError(f"server count must be >= 1, got {s}")
+
+
 def _profit_parts(
     params: EconParams, c1: float, f_d: float, s: float
 ) -> tuple[float, float, float, float]:
@@ -76,15 +89,9 @@ def _profit_parts(
 
     Every term is bitwise equal to composing the scalar helper chain of
     `tests/reference_impls.py` (clamped loss, log-normal participation,
-    utility, per-server cost). The checks run c1, then f_d, then s, written
-    as `not x >= bound` so that NaN fails them.
+    utility, per-server cost). `profit_slabs` is the same formula over arrays.
     """
-    if not c1 >= 0:
-        raise ValueError(f"c1 must be nonnegative, got {c1}")
-    if not f_d > 0:
-        raise ValueError(f"f_d must be positive, got {f_d}")
-    if not s >= 1:
-        raise ValueError(f"server count must be >= 1, got {s}")
+    _check_point(c1, f_d, s)
     loss = params.loss
     raw = 1.0 - math.exp(-loss.k * f_d / s) - math.exp(-loss.p * f_d) - math.exp(-loss.q / s)
     ratio = c1 * f_d / min(1.0, max(loss.eps_clamp, raw))
@@ -105,6 +112,76 @@ def _profit_parts(
         server *= s
     payments = c1 * v * f_d
     return utility, server, payments, utility - server - payments
+
+
+def _libm(f, a: np.ndarray) -> np.ndarray:
+    """f applied to every element of a through Python's math module (libm)."""
+    return np.fromiter(map(f, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
+
+
+def profit_slabs(
+    params: EconParams, c1s: Sequence[float], f_ds: Sequence[float], ss: Sequence[float]
+) -> Iterator[np.ndarray]:
+    """Profit on the lattice c1s x f_ds x ss, one (len(f_ds), len(ss)) slab per c1.
+
+    Cell [j, k] of slab i is bitwise `profit(params, c1s[i], f_ds[j], ss[k])`.
+    numpy does only what IEEE 754 rounds exactly (+, -, *, /, comparisons and
+    selections), in `_profit_parts`' operand order; every exp, log and erf goes
+    through libm, because numpy's own differ from it and vary with the CPU.
+    The clamped loss is computed once on the (f_d, s) plane, so memory is a
+    few planes whatever len(c1s) is. Raises what the scalar loop over the
+    lattice would raise first.
+    """
+    # The loop's first failing cell: (c1s[0], f_ds[0], ss[0]), then a bad s in
+    # the first row, then a bad f_d, then a bad c1.
+    for c1, f_d, s in (
+        *((c1s[0], f_ds[0], s) for s in ss),
+        *((c1s[0], f_d, ss[0]) for f_d in f_ds),
+        *((c1, f_ds[0], ss[0]) for c1 in c1s),
+    ):
+        _check_point(c1, f_d, s)
+    F = np.array(f_ds, dtype=np.float64)[:, None]
+    S = np.array(ss, dtype=np.float64)[None, :]
+    loss, utility_model, V = params.loss, params.utility, params.V
+    cdf = params.participation_model == "cdf"
+    times_s = params.server_cost_model == "total_times_s"
+    # Python floats overflow to inf and give nan silently; so does this.
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = (
+            1.0
+            - _libm(math.exp, -loss.k * F / S)
+            - _libm(math.exp, -loss.p * F)
+            - _libm(math.exp, -loss.q / S)
+        )
+        # min(1.0, max(eps, raw)) as Python's min and max pick.
+        clamped = np.where(raw > loss.eps_clamp, raw, loss.eps_clamp)
+        clamped = np.where(clamped < 1.0, clamped, 1.0)
+    for c1 in map(float, c1s):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = c1 * F / clamped
+            live = ~(ratio <= 0)  # share stays 0 on the rest, which never reach log
+            r = ratio[live]
+            if cdf:
+                t = (_libm(math.log, r) - params.mu) / params.sigma / _SQRT2
+                part = 0.5 * (1.0 + _libm(math.erf, t))
+            else:
+                z = (_libm(math.log, r) - params.mu) / params.sigma
+                denominator = r * params.sigma * _SQRT_2PI
+                if not denominator.all():
+                    raise ZeroDivisionError("float division by zero")
+                part = _libm(math.exp, -0.5 * z * z) / denominator
+            share = np.zeros(ratio.shape)
+            share[live] = part
+            v = V * share
+            v = np.where(0.0 > v, 0.0, v)  # min(max(v, 0.0), V)
+            v = np.where(V < v, V, v)
+            utility = utility_model.alpha * (1.0 - _libm(math.exp, -utility_model.beta * v * F))
+            server = params.c2 * v * F / S + params.c3
+            if times_s:
+                server = server * S
+            payments = c1 * v * F
+            slab = utility - server - payments
+        yield slab
 
 
 def profit_terms(params: EconParams, c1: float, f_d: float, s: float) -> ProfitBreakdown:

@@ -10,7 +10,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .econ import EconParams, profit
+from .econ import EconParams, profit, profit_slabs
 
 SWEEPABLE = ("c2", "c3", "beta", "V", "sigma")
 
@@ -328,7 +328,11 @@ def optimize_profit(
 
 def grid_oracle(params: EconParams, bounds: Bounds = DEFAULT_BOUNDS, resolution: int = 41) -> Solution:
     """Exhaustive profit evaluation on a (log c1) x f_d x s lattice; the argmax certifies
-    the nonlinear optimizer on coarse instances."""
+    the nonlinear optimizer on coarse instances.
+
+    Every cell is bitwise `profit` at the lattice point (`econ.profit_slabs`).
+    The first maximum wins, as in a lexicographic loop with a strict `>`.
+    """
     if resolution < 2:
         raise ValueError("grid resolution must be >= 2 per axis")
     # Log-uniform c1 through libm's exp, as the optimizer maps log c1 (numpy's
@@ -340,13 +344,12 @@ def grid_oracle(params: EconParams, bounds: Bounds = DEFAULT_BOUNDS, resolution:
 
     best = -math.inf
     best_point = (c1s[0], f_ds[0], ss[0])
-    for c1 in c1s:
-        for f_d in f_ds:
-            for s in ss:
-                value = profit(params, c1, f_d, s)
-                if value > best:  # lexicographic iteration order breaks exact ties
-                    best = value
-                    best_point = (c1, f_d, s)
+    for c1, slab in zip(c1s, profit_slabs(params, c1s, f_ds, ss)):
+        k = int(slab.argmax())  # the slab's first maximum
+        value = float(slab.flat[k])
+        if value > best:  # an earlier slab keeps an exact tie
+            best = value
+            best_point = (c1, f_ds[k // resolution], ss[k % resolution])
     return _finalize(params, bounds, best_point, resolution**3, True)
 
 

@@ -10,7 +10,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .fitting import fit_least_squares
-from .trajectories import PlanarPath, Trajectory, project_planar, subsample
+from .trajectories import PlanarPath, Trajectory, _planar_points, project_planar, subsample
 
 # Sub-sampling ladder used for the per-server loss measurement: one sample
 # every 2, 3, ..., 10 minutes.
@@ -73,8 +73,8 @@ def discrete_frechet(p: PlanarPath | np.ndarray, q: PlanarPath | np.ndarray) -> 
     Dynamic program over all monotone couplings of the two vertex sequences
     (Eiter & Mannila); O(|p|·|q|) time.
     """
-    pa = p.points if isinstance(p, PlanarPath) else PlanarPath(p).points
-    qa = q.points if isinstance(q, PlanarPath) else PlanarPath(q).points
+    pa = p.points if isinstance(p, PlanarPath) else _planar_points(p)
+    qa = q.points if isinstance(q, PlanarPath) else _planar_points(q)
     return float(_dfd_kernel(pa, qa))
 
 

@@ -63,6 +63,17 @@ class Trajectory:
         return lat, lon
 
 
+def _planar_points(points) -> np.ndarray:
+    """points as a float64 (n, 2) array of finite coordinates with n >= 1: the
+    checks of a `PlanarPath`, without building one."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
+        raise ValueError(f"planar path must be an (n, 2) array with n >= 1, got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("planar path contains non-finite coordinates")
+    return pts
+
+
 @dataclass
 class PlanarPath:
     """Ordered planar polyline in meters, the metric substrate for path comparison."""
@@ -70,12 +81,7 @@ class PlanarPath:
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
-            raise ValueError(f"planar path must be an (n, 2) array with n >= 1, got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("planar path contains non-finite coordinates")
-        self.points = pts
+        self.points = _planar_points(self.points)
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -1,9 +1,10 @@
 """Scalar reference implementations that the package's fused or array code is
 checked against, bitwise where the tests say so.
 
-The package computes profit in one straight line (`econ._profit_parts`) and
-grids samples over arrays (`trajectories.build_map`). The helper chains they
-replaced live here, as tests use them, and nowhere in `src/`.
+The package computes profit in one straight line (`econ._profit_parts`),
+evaluates the certifying grid over arrays (`econ.profit_slabs`) and grids
+samples over arrays (`trajectories.build_map`). The helper chains and loops
+they replaced live here, as tests use them, and nowhere in `src/`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import math
 
 import numpy as np
 
-from vanetmarket import eval_utility, total_loss_raw
+from vanetmarket import eval_utility, profit, total_loss_raw
+from vanetmarket.optimize import _finalize
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -76,6 +78,37 @@ def helper_chain_terms(params, c1, f_d, s):
         server *= s
     payments = c1 * v * f_d
     return v, (utility, server, payments, utility - server - payments)
+
+
+def lattice_axes(bounds, resolution):
+    """`grid_oracle`'s (c1s, f_ds, ss): c1 log-uniform through libm's exp with
+    the endpoints pinned to the bounds, f_d and s uniform."""
+    log_c1s = np.linspace(math.log(bounds.c1[0]), math.log(bounds.c1[1]), resolution)
+    c1s = [bounds.c1[0], *(math.exp(v) for v in log_c1s[1:-1].tolist()), bounds.c1[1]]
+    f_ds = np.linspace(bounds.f_d[0], bounds.f_d[1], resolution).tolist()
+    ss = np.linspace(bounds.s[0], bounds.s[1], resolution).tolist()
+    return c1s, f_ds, ss
+
+
+def scalar_lattice(params, c1s, f_ds, ss):
+    """`profit` on every cell of c1s x f_ds x ss, one call each, in loop order."""
+    return np.array([[[profit(params, c1, f_d, s) for s in ss] for f_d in f_ds] for c1 in c1s])
+
+
+def scalar_grid_oracle(params, bounds, resolution=41):
+    """The lexicographic loop of one `profit` call per lattice cell that
+    `grid_oracle` replaced: the reference for its slab-wise argmax."""
+    c1s, f_ds, ss = lattice_axes(bounds, resolution)
+    best = -math.inf
+    best_point = (c1s[0], f_ds[0], ss[0])
+    for c1 in c1s:
+        for f_d in f_ds:
+            for s in ss:
+                value = profit(params, c1, f_d, s)
+                if value > best:  # lexicographic iteration order breaks exact ties
+                    best = value
+                    best_point = (c1, f_d, s)
+    return _finalize(params, bounds, best_point, resolution**3, True)
 
 
 def trajectory_times(traj) -> np.ndarray:

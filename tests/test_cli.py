@@ -250,6 +250,25 @@ def test_parked_vehicle_is_named_and_nothing_written(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_certify_grid_resolution_checked_before_the_search(tmp_path, capsys, monkeypatch, via):
+    def no_search(*args, **kwargs):
+        raise AssertionError("optimize_profit ran")
+
+    monkeypatch.setattr("vanetmarket.cli.optimize_profit", no_search)
+    out = tmp_path / "out"
+    args = ["optimize", "--certify", "--out", out]
+    if via == "flag":
+        args += ["--grid-resolution", 1]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_resolution": 1}))
+        args += ["--config", cfg]
+    assert run(args) == 1
+    assert "grid_resolution must be >= 2 per axis, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestReportCommand:
     def test_bundles_previous_run(self, tmp_path):
         out = tmp_path / "r"

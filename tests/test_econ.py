@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,22 +14,28 @@ from scipy import stats
 from reference_impls import (
     expected_participants,
     helper_chain_terms,
+    lattice_axes,
     lognormal_cdf,
     lognormal_pdf,
     per_server_cost,
+    scalar_grid_oracle,
+    scalar_lattice,
     total_loss,
 )
 from vanetmarket import (
+    DEFAULT_BOUNDS,
+    Bounds,
     EconParams,
     LossModel,
     UtilityModel,
+    grid_oracle,
     profit,
     profit_terms,
     total_loss_raw,
     validate_params,
 )
 from vanetmarket.config import RunConfig
-from vanetmarket.econ import PARTICIPATION_MODELS, SERVER_COST_MODELS
+from vanetmarket.econ import PARTICIPATION_MODELS, SERVER_COST_MODELS, profit_slabs
 
 T1 = (3.57e-6, 7.31, 15.12)
 
@@ -325,6 +334,113 @@ class TestStraightLineProfit:
             with pytest.raises(ValueError) as fused:
                 evaluate(EconParams(), c1, f_d, s)
             assert str(fused.value) == str(chain.value)
+
+
+@st.composite
+def lattices(draw):
+    """(params, bounds, resolution) for the array profit.
+
+    Some draws put `eps_clamp` on, or one ulp either side of, the raw loss of
+    a lattice cell (the clamp edge). Others pin c1's lower bound to the least
+    subnormal under an f_d box below 0.5, where c1 * f_d underflows to 0 on
+    the whole first slab (the `ratio <= 0` branch, which must never reach log).
+    """
+    loss = LossModel(
+        k=draw(st.floats(1.0, 20.0)), p=draw(st.floats(0.01, 1.0)), q=draw(st.floats(1.0, 20.0))
+    )
+    resolution = draw(st.integers(2, 6))
+    if draw(st.integers(0, 3)) == 0:
+        c1_box = (5e-324, 10.0 ** draw(st.floats(-12.0, -3.0)))
+        f_lo = draw(st.floats(0.1, 0.2))
+        f_d_box = (f_lo, f_lo + draw(st.floats(0.05, 0.25)))
+    else:
+        c1_lo = 10.0 ** draw(st.floats(-12.0, -4.0))
+        c1_box = (c1_lo, c1_lo * 10.0 ** draw(st.floats(0.5, 6.0)))
+        f_lo = draw(st.floats(0.1, 30.0))
+        f_d_box = (f_lo, f_lo + draw(st.floats(0.5, 30.0)))
+    s_lo = draw(st.floats(1.0, 50.0))
+    bounds = Bounds(c1=c1_box, f_d=f_d_box, s=(s_lo, s_lo + draw(st.floats(0.5, 50.0))))
+    c1s, f_ds, ss = lattice_axes(bounds, resolution)
+    i, j, k = (draw(st.integers(0, resolution - 1)) for _ in range(3))
+    raw = total_loss_raw(loss, f_ds[j], ss[k])
+    if 0.0 < raw < 1.0 and draw(st.booleans()):
+        edge = draw(st.sampled_from([raw, math.nextafter(raw, 0.0), math.nextafter(raw, 1.0)]))
+        loss = replace(loss, eps_clamp=edge)
+    # Centre mu on one cell's log ratio, so that 0 < v < V somewhere.
+    sigma = draw(st.floats(0.05, 3.0))
+    ratio = c1s[i] * f_ds[j] / total_loss(loss, f_ds[j], ss[k])
+    mu = (math.log(ratio) if ratio > 0 else 0.0) + sigma * draw(st.floats(-6.0, 6.0))
+    params = EconParams(
+        c2=draw(st.floats(0.0, 1e-4)),
+        c3=draw(st.floats(0.0, 1e-2)),
+        V=draw(st.floats(1.0, 5000.0)),
+        mu=mu,
+        sigma=sigma,
+        participation_model=draw(st.sampled_from(PARTICIPATION_MODELS)),
+        server_cost_model=draw(st.sampled_from(SERVER_COST_MODELS)),
+        loss=loss,
+    )
+    return params, bounds, resolution
+
+
+class TestProfitSlabs:
+    @pytest.mark.parametrize("participation", PARTICIPATION_MODELS)
+    @pytest.mark.parametrize("cost", SERVER_COST_MODELS)
+    def test_every_cell_is_profit_at_resolution_41(self, participation, cost):
+        params = EconParams().with_modes(participation, cost)
+        axes = lattice_axes(DEFAULT_BOUNDS, 41)
+        got = np.array(list(profit_slabs(params, *axes)))
+        assert got.shape == (41, 41, 41)
+        assert got.tobytes() == scalar_lattice(params, *axes).tobytes()
+
+    def test_bitwise_equal_to_profit_on_drawn_lattices(self):
+        edges, zeros = [], []
+
+        @settings(max_examples=250, deadline=None, derandomize=True)
+        @given(lattice=lattices())
+        def check(lattice):
+            params, bounds, resolution = lattice
+            axes = lattice_axes(bounds, resolution)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # whatever pytest's own filters say
+                got = np.array(list(profit_slabs(params, *axes)))
+            assert got.tobytes() == scalar_lattice(params, *axes).tobytes()
+            assert grid_oracle(params, bounds, resolution) == scalar_grid_oracle(
+                params, bounds, resolution
+            )
+            c1s, f_ds, ss = axes
+            raws = [total_loss_raw(params.loss, f_d, s) for f_d in f_ds for s in ss]
+            edges.append(params.loss.eps_clamp in raws)
+            zeros.append(c1s[0] * f_ds[0] == 0.0)
+
+        check()
+        # Both hazards are reached, not just drawn for.
+        assert sum(edges) >= 10 and sum(zeros) >= 10
+
+    @pytest.mark.parametrize(
+        "c1s, f_ds, ss",
+        [
+            ([-1e-6, 1e-6], [1.0, 2.0], [1.0, 2.0]),  # the first cell's c1
+            ([1e-6, 2e-6], [0.0, 2.0], [0.5, 2.0]),  # f_d before s at the first cell
+            ([1e-6, -1.0], [1.0, math.nan], [1.0, 0.5]),  # s in the first row first
+            ([1e-6, math.nan], [1.0, 0.0], [1.0, 2.0]),  # then f_d
+            ([1e-6, -1.0], [1.0, 2.0], [1.0, 2.0]),  # then c1
+        ],
+    )
+    def test_raises_what_the_scalar_loop_raises_first(self, c1s, f_ds, ss):
+        with pytest.raises(ValueError) as scalar:
+            scalar_lattice(EconParams(), c1s, f_ds, ss)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+            list(profit_slabs(EconParams(), c1s, f_ds, ss))
+
+    def test_pdf_zero_denominator_raises_as_profit_does(self):
+        # ratio * sigma underflows to 0: Python's float division raises.
+        params = EconParams(participation_model="pdf_as_written", sigma=1e-12)
+        axes = ([1e-6, 5e-324], [1.0], [1.0])
+        with pytest.raises(ZeroDivisionError) as scalar:
+            scalar_lattice(params, *axes)
+        with pytest.raises(ZeroDivisionError, match=re.escape(str(scalar.value))):
+            list(profit_slabs(params, *axes))
 
 
 class TestValidateParams:

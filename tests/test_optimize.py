@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from vanetmarket import (
     profit,
     sweep,
 )
+from reference_impls import lattice_axes, scalar_grid_oracle, total_loss
 from vanetmarket import optimize as optimize_module
-from vanetmarket.econ import PARTICIPATION_MODELS, SERVER_COST_MODELS
+from vanetmarket.econ import PARTICIPATION_MODELS, SERVER_COST_MODELS, profit_slabs
 from vanetmarket.optimize import DEFAULT_BOUNDS, NonFiniteObjective
 
 SMALL_BOUNDS = Bounds(c1=(1e-8, 1e-4), f_d=(0.1, 20.0), s=(1.0, 50.0))
@@ -431,6 +433,46 @@ class TestGridOracle:
         assert grid_oracle(params, DEFAULT_BOUNDS, 11) == numpy_grid_oracle(
             params, DEFAULT_BOUNDS, 11
         )
+
+    @pytest.mark.parametrize("modes", ALL_MODES)
+    def test_same_solution_as_scalar_loop_at_resolution_41(self, modes):
+        params = self.params.with_modes(*modes)
+        assert grid_oracle(params, DEFAULT_BOUNDS, 41) == scalar_grid_oracle(
+            params, DEFAULT_BOUNDS, 41
+        )
+
+    @pytest.mark.parametrize("participation", PARTICIPATION_MODELS)
+    def test_all_cells_tied_returns_the_first_lattice_point(self, participation):
+        # mu = 50 puts the threshold far above every ratio: the share is exactly
+        # 0, so every cell is -c3 and the loop never moves off its first point.
+        params = EconParams(mu=50.0, participation_model=participation)
+        c1s, f_ds, ss = lattice_axes(SMALL_BOUNDS, 11)
+        for slab in profit_slabs(params, c1s, f_ds, ss):
+            assert (slab == -params.c3).all()
+        sol = grid_oracle(params, SMALL_BOUNDS, 11)
+        assert sol == scalar_grid_oracle(params, SMALL_BOUNDS, 11)
+        assert (sol.c1_star, sol.f_d_star, sol.s_star) == (c1s[0], f_ds[0], ss[0])
+
+    def test_tie_across_two_c1_slabs_keeps_the_earlier_slab(self):
+        # A narrow (f_d, s) box and sigma = 0.01 make the share exactly 0 on
+        # the first two c1 slabs and exactly 1 above them, where c2 = 1 makes
+        # the participants' server cost dwarf their utility.
+        bounds = Bounds(c1=(1e-9, 1e-3), f_d=(1.0, 1.1), s=(1.0, 1.1))
+        base = EconParams(c2=1.0, sigma=0.01)
+        c1s, f_ds, ss = lattice_axes(bounds, 5)
+
+        def log_ratios(c1):
+            return [math.log(c1 * f_d / total_loss(base.loss, f_d, s)) for f_d in f_ds for s in ss]
+
+        params = replace(base, mu=0.5 * (max(log_ratios(c1s[1])) + min(log_ratios(c1s[2]))))
+        slabs = list(profit_slabs(params, c1s, f_ds, ss))
+        best = max(slab.max() for slab in slabs)
+        assert best == -params.c3
+        assert [bool((slab == best).all()) for slab in slabs] == [True, True, False, False, False]
+        assert not any((slab == best).any() for slab in slabs[2:])
+        sol = grid_oracle(params, bounds, 5)
+        assert sol == scalar_grid_oracle(params, bounds, 5)
+        assert (sol.c1_star, sol.f_d_star, sol.s_star) == (c1s[0], f_ds[0], ss[0])
 
     def test_deterministic(self):
         a = grid_oracle(self.params, SMALL_BOUNDS, resolution=5)

@@ -184,6 +184,32 @@ class TestDiscreteFrechet:
         with pytest.raises(ValueError):
             discrete_frechet(np.empty((0, 2)), np.array([[0.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.empty((0, 2)),
+            np.zeros(4),
+            np.zeros((3, 3)),
+            np.zeros((2, 2, 1)),
+            np.array([[0.0, 0.0], [np.nan, 1.0]]),
+            np.array([[0.0, np.inf], [1.0, 1.0]]),
+        ],
+        ids=["empty", "1-d", "three-columns", "3-d", "nan", "inf"],
+    )
+    def test_array_arguments_get_the_planar_path_checks(self, bad):
+        with pytest.raises(ValueError) as built:
+            PlanarPath(bad)
+        good = np.array([[0.0, 0.0], [1.0, 0.0]])
+        for args in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError) as direct:
+                discrete_frechet(*args)
+            assert str(direct.value) == str(built.value)
+
+    def test_array_arguments_are_read_as_planar_paths(self):
+        p = [[0, 0], [3, 4], [6, 0]]
+        q = np.array([[0, 1], [6, 1]], dtype=np.int64)
+        assert discrete_frechet(p, q) == discrete_frechet(PlanarPath(p), PlanarPath(q))
+
 
 class TestPathSimilarity:
     def test_identical_is_one(self):
