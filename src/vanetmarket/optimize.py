@@ -30,6 +30,8 @@ class Bounds:
     def __post_init__(self) -> None:
         for name in ("c1", "f_d", "s"):
             lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"bounds for {name} must be finite, got ({lo}, {hi})")
             if name == "s":  # a server count; profit rejects fewer than one
                 ok, rule = 1 <= lo < hi, "1 <= lo < hi"
             else:

@@ -67,6 +67,94 @@ def _dfd_core(p, q):
 _dfd_kernel = _dfd_core
 
 
+# Padded DP cells (pairs times the chunk's longest |p| and |q|) that one
+# `_frechet_many` chunk holds; bounds its scratch memory to about two
+# float64 arrays of this many cells, as _ROW_BLOCK bounds `_dfd_core`'s.
+_FRECHET_CELLS = 1 << 16
+
+
+def _frechet_block(
+    ps: Sequence[np.ndarray], qs: Sequence[np.ndarray], n: int, m: int
+) -> list[float]:
+    """`_dfd_core` of every pair of one chunk, none longer than n × m.
+
+    The pairs are padded with 0.0 to an (n, m, B) block of distances with the
+    batch on the last axis; padded cells never feed a pair's own cells. The
+    block gets a +inf border row and column with a -inf corner, so the DP
+    needs no edge cases, and is overwritten in place one anti-diagonal at a
+    time, each reading the two before it.
+    """
+    b = len(ps)
+    pts = np.zeros((2, n, b))
+    qts = np.zeros((2, m, b))
+    for k, (p, q) in enumerate(zip(ps, qs)):
+        pts[:, : len(p), k] = p.T
+        qts[:, : len(q), k] = q.T
+    block = np.empty((n + 1, m + 1, b))
+    dist = block[1:, 1:]
+    # sqrt(dx*dx + dy*dy) with p - q operands, as `_dfd_core` computes them.
+    np.subtract(pts[0, :, None], qts[0, None], out=dist)
+    dy = pts[1, :, None] - qts[1, None]
+    dist *= dist
+    dy *= dy
+    dist += dy
+    np.sqrt(dist, out=dist)
+    block[0] = np.inf
+    block[:, 0] = np.inf
+    block[0, 0] = -np.inf
+
+    # Cell (i, j) is row (i + 1) * w + j + 1 of `flat`; one anti-diagonal is a
+    # slice with step m, and its upper, left and diagonal neighbours are the
+    # same slice shifted back by w, 1 and w + 1 rows.
+    w = m + 1
+    flat = block.reshape(-1, b)
+    low = np.empty((min(n, m), b))
+    for diag in range(n + m - 1):
+        first = max(0, diag - m + 1)
+        last = min(diag, n - 1)
+        start = (first + 1) * w + diag - first + 1
+        stop = (last + 1) * w + diag - last + 2
+        lows = low[: last - first + 1]
+        up = flat[start - w : stop - w : m]
+        np.minimum(up, flat[start - w - 1 : stop - w - 1 : m], out=lows)
+        np.minimum(lows, flat[start - 1 : stop - 1 : m], out=lows)
+        cells = flat[start:stop:m]
+        np.maximum(cells, lows, out=cells)
+    return [block[len(p), len(q), k].item() for k, (p, q) in enumerate(zip(ps, qs))]
+
+
+def _frechet_many(ps: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> list[float]:
+    """Discrete Fréchet distance of every pair (ps[k], qs[k]) of checked
+    (n, 2) float64 arrays, each bitwise `_dfd_core(ps[k], qs[k])`.
+
+    The pairs run in chunks of similar sizes (sorted by (|p|, |q|)), each of at
+    most _FRECHET_CELLS padded cells, through `_frechet_block`. A pair over
+    that budget on its own goes through `_dfd_core`. Min and max are exact and
+    the distances are the same float64 operations, so batching changes no bit.
+    """
+    out = [0.0] * len(ps)
+    order = sorted(range(len(ps)), key=lambda k: (len(ps[k]), len(qs[k])))
+    start = 0
+    while start < len(order):
+        n, m = len(ps[order[start]]), len(qs[order[start]])
+        stop = start + 1
+        while stop < len(order):
+            grown_n = max(n, len(ps[order[stop]]))
+            grown_m = max(m, len(qs[order[stop]]))
+            if grown_n * grown_m * (stop + 1 - start) > _FRECHET_CELLS:
+                break
+            n, m, stop = grown_n, grown_m, stop + 1
+        chunk = order[start:stop]
+        if n * m > _FRECHET_CELLS:
+            dists = [_dfd_core(ps[k], qs[k]) for k in chunk]
+        else:
+            dists = _frechet_block([ps[k] for k in chunk], [qs[k] for k in chunk], n, m)
+        for k, d in zip(chunk, dists):
+            out[k] = d
+        start = stop
+    return out
+
+
 def discrete_frechet(p: PlanarPath | np.ndarray, q: PlanarPath | np.ndarray) -> float:
     """Discrete Fréchet distance between two planar polylines, in meters.
 
@@ -92,8 +180,13 @@ def path_similarity(
     diam = full.diameter() if diameter is None else diameter
     if diam <= 0.0:
         raise ValueError("full path has zero diameter; similarity undefined")
-    d = discrete_frechet(full, reconstructed)
-    return 1.0 - min(1.0, d / diam)
+    return _similarity(discrete_frechet(full, reconstructed), diam)
+
+
+def _similarity(frechet: float, diameter: float) -> float:
+    """1 - min(1, frechet / diameter): the score of a reconstruction whose
+    Fréchet distance to a full path of that diameter is `frechet`."""
+    return 1.0 - min(1.0, frechet / diameter)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .privacy import VehicleReconstruction, _full_paths, _score_capture
-from .trajectories import GeoSample, SpatioTemporalMap, Trajectory, subsample
+from .privacy import (
+    VehicleReconstruction,
+    _frechet_many,
+    _full_paths,
+    _score_capture,
+    _similarity,
+)
+from .trajectories import GeoSample, SpatioTemporalMap, Trajectory, project_planar, subsample
 
 FIELD_PRIME = 2**61 - 1  # Mersenne prime; counts stay far below it
 
@@ -220,7 +225,14 @@ def empirical_privacy_curve(
 ) -> list[CurvePoint]:
     """Monte Carlo mean adversary similarity per (f_d, s) with the first
     `n_compromised` servers compromised, routing with `route_samples`' draw.
-    Each trajectory is scored on its own."""
+    Each trajectory is scored on its own.
+
+    Per f_d, each vehicle's kept samples are projected once, about its full
+    path's origin, and a capture is the rows its compromised servers drew.
+    Captures of fewer than 2 samples score 0; all others of one f_d are scored
+    in one `_frechet_many` batch. At s = n_compromised the adversary captures
+    every kept sample whatever the seed, so that capture is scored once and
+    counted for every seed."""
     if not trajs:
         raise ValueError("need at least one trajectory")
     if not f_d_values or not s_values:
@@ -235,13 +247,29 @@ def empirical_privacy_curve(
     points = []
     for f_d in f_d_values:
         kept = [subsample(traj, f_d) for traj in trajs]
+        planar = [project_planar(sub, origin=full.origin).points for sub, full in zip(kept, fulls)]
+        # Per s, each capture as (vehicle index, captured rows).
+        rounds = []
         for s in s_values:
-            sims: list[float] = []
-            for seed in seeds:
-                for sub, full, servers in zip(kept, fulls, _draw_servers(kept, s, seed)):
-                    samples = tuple(compress(sub.samples, (servers < n_compromised).tolist()))
-                    captured = Trajectory(sub.vehicle_id, samples) if samples else None
-                    sims.append(_score_capture(full, captured).similarity)
+            if s == n_compromised:
+                rounds.append(list(enumerate(planar)))
+                continue
+            rounds.append([
+                (v, rows[servers < n_compromised])
+                for seed in seeds
+                for v, (rows, servers) in enumerate(zip(planar, _draw_servers(kept, s, seed)))
+            ])
+        scored = [(v, rows) for captures in rounds for v, rows in captures if len(rows) >= 2]
+        dists = iter(
+            _frechet_many([fulls[v].path.points for v, _ in scored], [rows for _, rows in scored])
+        )
+        for s, captures in zip(s_values, rounds):
+            sims = [
+                _similarity(next(dists), fulls[v].diameter) if len(rows) >= 2 else 0.0
+                for v, rows in captures
+            ]
+            if s == n_compromised:
+                sims *= len(seeds)
             points.append(CurvePoint(float(f_d), int(s), math.fsum(sims) / len(sims)))
     return points
 

@@ -2,19 +2,23 @@
 checked against, bitwise where the tests say so.
 
 The package computes profit in one straight line (`econ._profit_parts`),
-evaluates the certifying grid over arrays (`econ.profit_slabs`) and grids
-samples over arrays (`trajectories.build_map`). The helper chains and loops
-they replaced live here, as tests use them, and nowhere in `src/`.
+evaluates the certifying grid over arrays (`econ.profit_slabs`), grids
+samples over arrays (`trajectories.build_map`) and scores the privacy curve's
+captures in batches (`smpc.empirical_privacy_curve`). The helper chains and
+loops they replaced live here, as tests use them, and nowhere in `src/`.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 import numpy as np
 
-from vanetmarket import eval_utility, profit, total_loss_raw
+from vanetmarket import Trajectory, eval_utility, profit, subsample, total_loss_raw
 from vanetmarket.optimize import _finalize
+from vanetmarket.privacy import _full_paths, _score_capture
+from vanetmarket.smpc import _draw_servers
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -163,3 +167,21 @@ def scalar_build_map(trajs, spec, count_mode="vehicles"):
     if count_mode == "vehicles":
         seen = {k: len(v) for k, v in seen.items()}
     return seen, dropped
+
+
+def per_seed_privacy_curve(trajs, f_d_values, s_values, n_compromised=1, seeds=(0,)):
+    """`empirical_privacy_curve` one capture at a time: every (s, seed) draws
+    its servers and scores each vehicle's capture with `path_similarity`."""
+    fulls = _full_paths(trajs)
+    points = []
+    for f_d in f_d_values:
+        kept = [subsample(traj, f_d) for traj in trajs]
+        for s in s_values:
+            sims = []
+            for seed in seeds:
+                for sub, full, servers in zip(kept, fulls, _draw_servers(kept, s, seed)):
+                    samples = tuple(compress(sub.samples, (servers < n_compromised).tolist()))
+                    captured = Trajectory(sub.vehicle_id, samples) if samples else None
+                    sims.append(_score_capture(full, captured).similarity)
+            points.append((float(f_d), int(s), math.fsum(sims) / len(sims)))
+    return points

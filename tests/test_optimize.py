@@ -351,6 +351,15 @@ class TestBounds:
             Bounds(s=(0.5, 10.0))  # fewer than one server
         assert Bounds(s=(1, 10)).s == (1, 10)
 
+    @pytest.mark.parametrize("end", [0, 1], ids=["lo", "hi"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["c1", "f_d", "s"])
+    def test_non_finite_end_rejected(self, name, bad, end):
+        box = list(getattr(Bounds(), name))
+        box[end] = bad
+        with pytest.raises(ValueError, match=f"^bounds for {name} must be finite, got "):
+            Bounds(**{name: tuple(box)})
+
     def test_clip_and_contains(self):
         b = Bounds()
         assert b.clip(1e-12, 100.0, 0.5) == (1e-9, 60.0, 1.0)

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference_impls import total_loss
 from vanetmarket import (
@@ -209,6 +213,105 @@ class TestDiscreteFrechet:
         p = [[0, 0], [3, 4], [6, 0]]
         q = np.array([[0, 1], [6, 1]], dtype=np.int64)
         assert discrete_frechet(p, q) == discrete_frechet(PlanarPath(p), PlanarPath(q))
+
+
+@st.composite
+def frechet_pairs(draw):
+    """A (p, q) pair of 1–12 points each, either way round in length, with
+    coordinates on a 3 × 3 lattice (repeated points, zero distances and ties)
+    or spread over a 2 km square."""
+    if draw(st.booleans()):
+        coord = st.integers(0, 2).map(float)
+    else:
+        coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    path = st.lists(st.tuples(coord, coord), min_size=1, max_size=12)
+    return tuple(np.array(draw(path), dtype=np.float64) for _ in range(2))
+
+
+def distances_bytes(dists):
+    return np.array(dists, dtype=np.float64).tobytes()
+
+
+class TestFrechetMany:
+    """`_frechet_many` is bitwise `_dfd_core` on every pair, whatever the batch."""
+
+    def test_bitwise_equal_to_dfd_core_on_drawn_batches(self, monkeypatch):
+        blocks = []
+        block = privacy._frechet_block
+
+        def counting_block(ps, qs, n, m):
+            blocks.append(len(ps))
+            return block(ps, qs, n, m)
+
+        monkeypatch.setattr(privacy, "_frechet_block", counting_block)
+        reached = {"empty": 0, "one point": 0, "|p| < |q|": 0, "zero distance": 0,
+                   "chunk boundary": 0, "over budget alone": 0}
+
+        # Budgets small enough to cut every batch into chunks, or to leave a
+        # single pair over budget, and the module's own.
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(
+            batch=st.lists(frechet_pairs(), max_size=16),
+            budget=st.sampled_from([1, 6, 30, 150, privacy._FRECHET_CELLS]),
+        )
+        def check(batch, budget):
+            monkeypatch.setattr(privacy, "_FRECHET_CELLS", budget)
+            ps = [p for p, _ in batch]
+            qs = [q for _, q in batch]
+            blocks.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # whatever pytest's own filters say
+                got = privacy._frechet_many(ps, qs)
+            assert all(type(d) is float for d in got)
+            assert distances_bytes(got) == distances_bytes(
+                [privacy._dfd_core(p, q) for p, q in batch]
+            )
+            reached["empty"] += not batch
+            reached["one point"] += any(min(len(p), len(q)) == 1 for p, q in batch)
+            reached["|p| < |q|"] += any(len(p) < len(q) for p, q in batch)
+            reached["zero distance"] += any(
+                (p[:, None] == q[None]).all(axis=2).any() for p, q in batch
+            )
+            reached["chunk boundary"] += len(blocks) >= 2
+            reached["over budget alone"] += any(len(p) * len(q) > budget for p, q in batch)
+
+        check()
+        assert all(count >= 1 for count in reached.values()), reached
+
+    def test_fleet_pairs_in_one_batch(self, fleet):
+        ps, qs = [], []
+        for traj in fleet:
+            origin = traj.centroid()
+            full = project_planar(traj, origin=origin).points
+            for f in DEFAULT_CALIBRATION_FREQS:
+                ps.append(full)
+                qs.append(project_planar(subsample(traj, f), origin=origin).points)
+        want = [privacy._dfd_core(p, q) for p, q in zip(ps, qs)]
+        assert distances_bytes(privacy._frechet_many(ps, qs)) == distances_bytes(want)
+        assert distances_bytes(privacy._frechet_many(qs, ps)) == distances_bytes(
+            [privacy._dfd_core(q, p) for p, q in zip(ps, qs)]
+        )
+
+    def test_empty_batch(self):
+        assert privacy._frechet_many([], []) == []
+
+    @pytest.mark.parametrize("n_pairs", [8, 40])
+    def test_peak_memory_is_one_chunk(self, n_pairs):
+        # 8 pairs of 120 × 64 points fill one chunk (61,440 of 65,536 cells);
+        # 40 such pairs run as 5 chunks in the same memory.
+        assert privacy._FRECHET_CELLS == 1 << 16
+        rng = np.random.default_rng(26)
+        ps = [rng.uniform(-1e3, 1e3, size=(120, 2)) for _ in range(n_pairs)]
+        qs = [rng.uniform(-1e3, 1e3, size=(64, 2)) for _ in range(n_pairs)]
+        tracemalloc.start()
+        try:
+            privacy._frechet_many(ps, qs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The padded distance block and one temporary, 8 bytes a cell, plus
+        # numpy's ufunc buffers: 1.22 MB measured.
+        assert peak <= 3 * 8 * privacy._FRECHET_CELLS
 
 
 class TestPathSimilarity:

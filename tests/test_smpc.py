@@ -18,7 +18,8 @@ from vanetmarket import (
     secret_share,
     subsample,
 )
-from vanetmarket import smpc
+from reference_impls import per_seed_privacy_curve
+from vanetmarket import privacy, smpc, trajectories
 
 SPEC = GridSpec((39.8, 40.0, 116.25, 116.5))
 
@@ -351,6 +352,54 @@ class TestEmpiricalCurve:
         f_d_values = (0.5, 0.25, 0.2)
         empirical_privacy_curve(small_fleet, f_d_values, [1, 2, 4], n_compromised=1, seeds=[0, 1])
         assert sorted(calls) == sorted((t.vehicle_id, f) for t in small_fleet for f in f_d_values)
+
+    @pytest.mark.parametrize(
+        "n_compromised, s_values", [(1, [1, 2]), (2, [2])], ids=["one-compromised", "two-compromised"]
+    )
+    def test_equals_per_seed_scoring_exactly(self, fleet, n_compromised, s_values):
+        # At s = n_compromised the capture is scored once and counted per seed.
+        f_d_values, seeds = (0.5, 0.2), [0, 1, 2]
+        curve = empirical_privacy_curve(
+            fleet, f_d_values, s_values, n_compromised=n_compromised, seeds=seeds
+        )
+        expected = per_seed_privacy_curve(fleet, f_d_values, s_values, n_compromised, seeds)
+        assert [tuple(pt) for pt in curve] == expected
+
+    def test_projects_each_vehicle_once_per_frequency(self, small_fleet, monkeypatch):
+        calls = []
+
+        def counting(traj, origin=None):
+            calls.append((traj.vehicle_id, len(traj)))
+            return trajectories.project_planar(traj, origin=origin)
+
+        monkeypatch.setattr(smpc, "project_planar", counting)
+        monkeypatch.setattr(privacy, "project_planar", counting)
+        f_d_values = (0.5, 0.25, 0.2)
+        empirical_privacy_curve(small_fleet, f_d_values, [1, 2, 4], n_compromised=1, seeds=[0, 1])
+        # The full paths, then each vehicle's kept samples once per f_d.
+        expected = [(t.vehicle_id, len(t)) for t in small_fleet]
+        expected += [(t.vehicle_id, len(subsample(t, f))) for f in f_d_values for t in small_fleet]
+        assert calls == expected
+
+    def test_captures_of_one_sample_start_no_frechet_work(self, small_fleet, monkeypatch):
+        batches = []
+
+        def recording(ps, qs):
+            batches.append([len(q) for q in qs])
+            return privacy._frechet_many(ps, qs)
+
+        monkeypatch.setattr(smpc, "_frechet_many", recording)
+        f_d, s_values, seeds = 0.1, [4, 8], [0, 1, 2]
+        empirical_privacy_curve(small_fleet, [f_d], s_values, n_compromised=1, seeds=seeds)
+        kept = [subsample(t, f_d) for t in small_fleet]
+        captured = [
+            int((servers < 1).sum())
+            for s in s_values
+            for seed in seeds
+            for servers in smpc._draw_servers(kept, s, seed)
+        ]
+        assert 1 in captured  # the case is reached, not just allowed for
+        assert batches == [[n for n in captured if n >= 2]]
 
     def test_server_counts_checked_before_any_work(self, small_fleet, monkeypatch):
         def no_subsample(traj, f_d):
