@@ -73,18 +73,16 @@ _dfd_kernel = _dfd_core
 _FRECHET_CELLS = 1 << 16
 
 
-def _frechet_block(
-    ps: Sequence[np.ndarray], qs: Sequence[np.ndarray], n: int, m: int
-) -> list[float]:
-    """`_dfd_core` of every pair of one chunk, none longer than n × m.
+def _frechet_block(ps: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> list[float]:
+    """`_dfd_core` of every pair of one chunk.
 
-    The pairs are padded with 0.0 to an (n, m, B) block of distances with the
-    batch on the last axis; padded cells never feed a pair's own cells. The
-    block gets a +inf border row and column with a -inf corner, so the DP
-    needs no edge cases, and is overwritten in place one anti-diagonal at a
-    time, each reading the two before it.
+    The pairs are padded with 0.0 to an (n, m, B) block of distances, n and m
+    the longest |p| and |q|, with the batch on the last axis; padded cells
+    never feed a pair's own cells. The block gets a +inf border row and column
+    with a -inf corner, so the DP needs no edge cases, and is overwritten in
+    place one anti-diagonal at a time, each reading the two before it.
     """
-    b = len(ps)
+    b, n, m = len(ps), max(map(len, ps)), max(map(len, qs))
     pts = np.zeros((2, n, b))
     qts = np.zeros((2, m, b))
     for k, (p, q) in enumerate(zip(ps, qs)):
@@ -115,8 +113,8 @@ def _frechet_block(
         start = (first + 1) * w + diag - first + 1
         stop = (last + 1) * w + diag - last + 2
         lows = low[: last - first + 1]
-        up = flat[start - w : stop - w : m]
-        np.minimum(up, flat[start - w - 1 : stop - w - 1 : m], out=lows)
+        diagonal = flat[start - w - 1 : stop - w - 1 : m]
+        np.minimum(flat[start - w : stop - w : m], diagonal, out=lows)
         np.minimum(lows, flat[start - 1 : stop - 1 : m], out=lows)
         cells = flat[start:stop:m]
         np.maximum(cells, lows, out=cells)
@@ -148,7 +146,7 @@ def _frechet_many(ps: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> list[fl
         if n * m > _FRECHET_CELLS:
             dists = [_dfd_core(ps[k], qs[k]) for k in chunk]
         else:
-            dists = _frechet_block([ps[k] for k in chunk], [qs[k] for k in chunk], n, m)
+            dists = _frechet_block([ps[k] for k in chunk], [qs[k] for k in chunk])
         for k, d in zip(chunk, dists):
             out[k] = d
         start = stop

@@ -239,9 +239,9 @@ class TestFrechetMany:
         blocks = []
         block = privacy._frechet_block
 
-        def counting_block(ps, qs, n, m):
+        def counting_block(ps, qs):
             blocks.append(len(ps))
-            return block(ps, qs, n, m)
+            return block(ps, qs)
 
         monkeypatch.setattr(privacy, "_frechet_block", counting_block)
         reached = {"empty": 0, "one point": 0, "|p| < |q|": 0, "zero distance": 0,
