@@ -102,7 +102,12 @@ def _profit_parts(
     else:
         sigma = params.sigma
         z = (math.log(ratio) - params.mu) / sigma
-        share = math.exp(-0.5 * z * z) / (ratio * sigma * _SQRT_2PI)
+        try:
+            share = math.exp(-0.5 * z * z) / (ratio * sigma * _SQRT_2PI)
+        except ZeroDivisionError:
+            raise ZeroDivisionError(
+                f"pdf participation: ratio * sigma underflows to 0 at (c1, f_d, s) = {(c1, f_d, s)}"
+            ) from None
     V = params.V
     v = min(max(V * share, 0.0), V)
     utility_model = params.utility
@@ -167,8 +172,9 @@ def profit_slabs(
             else:
                 z = (_libm(math.log, r) - params.mu) / params.sigma
                 denominator = r * params.sigma * _SQRT_2PI
-                if not denominator.all():
-                    raise ZeroDivisionError("float division by zero")
+                if not denominator.all():  # raise as the scalar loop does at its first zero
+                    j, k = np.argwhere(live)[np.argmin(denominator)]
+                    _profit_parts(params, c1, f_ds[j], ss[k])
                 part = _libm(math.exp, -0.5 * z * z) / denominator
             share = np.zeros(ratio.shape)
             share[live] = part

@@ -21,21 +21,18 @@ from .trajectories import GeoSample, SpatioTemporalMap, Trajectory, project_plan
 
 FIELD_PRIME = 2**61 - 1  # Mersenne prime; counts stay far below it
 
-FieldElement = int  # integer in [0, FIELD_PRIME)
-
 _PRIME = np.uint64(FIELD_PRIME)
 
 
-def _check_field(x: int) -> int:
+def _check_field(x: int) -> None:
     if not (0 <= x < FIELD_PRIME):
         raise ValueError(f"field element {x} outside [0, {FIELD_PRIME})")
-    return x
 
 
 def _field_sum(rows: np.ndarray) -> np.ndarray:
-    """Column sums mod FIELD_PRIME of a uint64 array of field elements, reduced
+    """Sum along the first axis mod FIELD_PRIME of uint64 field elements, reduced
     after every add: 8 or more unreduced elements below 2**61 overflow uint64."""
-    total = np.zeros(rows.shape[1], dtype=np.uint64)
+    total = np.zeros(rows.shape[1:], dtype=np.uint64)
     for row in rows:
         total = (total + row) % _PRIME
     return total
@@ -75,9 +72,7 @@ def route_samples(
     return inboxes
 
 
-def secret_share(
-    x: FieldElement, n: int, seed: int | np.random.Generator = 0
-) -> list[FieldElement]:
+def secret_share(x: int, n: int, seed: int | np.random.Generator = 0) -> list[int]:
     """Split x into n additive shares summing to x mod FIELD_PRIME.
 
     The first n-1 shares are uniform field elements, so any strict subset of
@@ -100,24 +95,23 @@ def secret_share(
 class AggregationTranscript:
     """Everything the servers exchanged while aggregating, plus the reconstruction.
 
-    share_matrix[i][j] is the vector of shares server i sent to server j,
-    one entry per cell in `cells`.
+    share_matrix[i, j] is the uint64 vector of shares server i sent to server j,
+    one entry per cell in `cells`; per_server_sums[j] is what server j summed.
     """
 
     cells: tuple[tuple[int, int, int], ...]
-    share_matrix: list[list[list[FieldElement]]]
-    per_server_sums: list[list[FieldElement]]
+    share_matrix: np.ndarray
+    per_server_sums: np.ndarray
     reconstructed: SpatioTemporalMap
 
     def to_json_dict(self, keep_shares: bool = False, share_limit: int = 10000) -> dict:
-        n_shares = len(self.share_matrix) ** 2 * len(self.cells)
-        elide = not keep_shares and n_shares > share_limit
+        elide = not keep_shares and self.share_matrix.size > share_limit
         return {
             "n_servers": len(self.share_matrix),
             "cells": [list(c) for c in self.cells],
-            "share_matrix": None if elide else self.share_matrix,
+            "share_matrix": None if elide else self.share_matrix.tolist(),
             "shares_elided": elide,
-            "per_server_sums": self.per_server_sums,
+            "per_server_sums": self.per_server_sums.tolist(),
             "reconstructed": self.reconstructed.to_json_dict(),
         }
 
@@ -144,22 +138,18 @@ def aggregate_secure(
     # Server i's shares of cell c are the s-1 heads secret_share would draw
     # for it (one draw over all cells reads the same generator stream) and
     # the last share x - sum(heads) mod P.
-    share_matrix = []
-    sums = np.zeros((s, len(cells)), dtype=np.uint64)
-    for partial in partials:
+    share_matrix = np.empty((s, s, len(cells)), dtype=np.uint64)
+    for shares, partial in zip(share_matrix, partials):
         x = [partial.counts.get(cell, 0) for cell in cells]
         if x:
             _check_field(min(x))
             _check_field(max(x))
         heads = rng.integers(0, FIELD_PRIME, size=(len(cells), s - 1), dtype=np.int64)
-        shares = np.empty((s, len(cells)), dtype=np.uint64)
         shares[:-1] = heads.T
         shares[-1] = (np.array(x, dtype=np.uint64) + (_PRIME - _field_sum(shares[:-1]))) % _PRIME
-        sums = (sums + shares) % _PRIME
-        share_matrix.append(shares.tolist())
 
-    per_server_sums = sums.tolist()
-    totals = _field_sum(sums).tolist()
+    per_server_sums = _field_sum(share_matrix)
+    totals = _field_sum(per_server_sums).tolist()
     counts = {cell: t for cell, t in zip(cells, totals) if t > 0}
     dropped = sum(p.dropped_outside for p in partials)
     return AggregationTranscript(

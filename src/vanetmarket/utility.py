@@ -110,6 +110,7 @@ def build_utility_surface(
         n_time = (max(t_bins) - min(t_bins) + 1) if t_bins else 1
         denom_all = nx * ny * n_time
 
+    kept: dict[tuple[int, float], Trajectory] = {}  # (i, f) -> subsample, made on first use
     points = []
     point_idx = 0
     for count in vehicle_counts:
@@ -119,9 +120,11 @@ def build_utility_surface(
             if count == 0:
                 points.append((float(count), float(f), 0.0))
                 continue
-            chosen = rng.choice(len(trajs), size=count, replace=False)
-            sub = [subsample(trajs[i], f) for i in sorted(chosen)]
-            m = build_map(sub, spec, count_mode=count_mode)
+            chosen = sorted(rng.choice(len(trajs), size=count, replace=False))
+            for i in chosen:
+                if (i, f) not in kept:
+                    kept[i, f] = subsample(trajs[i], f)
+            m = build_map([kept[i, f] for i in chosen], spec, count_mode=count_mode)
             # One grid_utility per distinct count; fsum's exact sum ignores order.
             per_count = {c: grid_utility(c, a) for c in set(m.counts.values())}
             utilities = [per_count[c] for c in m.counts.values()]

@@ -143,6 +143,18 @@ class TestOptimizeCommand:
         assert payload["solution"]["participation_model"] == "pdf_as_written"
         assert payload["solution"]["server_cost_model"] == "total_times_s"
 
+    def test_pdf_zero_denominator_names_the_point(self, tmp_path, capsys):
+        # ratio * sigma underflows to 0 at c1's lower bound.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"econ": {"sigma": 1e-12}, "bounds": {"c1": [5e-324, 1e-3]}}))
+        out = tmp_path / "oz"
+        args = ["optimize", "--config", cfg, "--mode-participation", "pdf", "--out", out]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert "numeric failure: pdf participation: ratio * sigma underflows to 0" in err
+        assert "at (c1, f_d, s) = (5e-324, " in err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_row_per_value(self, tmp_path):

@@ -442,6 +442,16 @@ class TestProfitSlabs:
         with pytest.raises(ZeroDivisionError, match=re.escape(str(scalar.value))):
             list(profit_slabs(params, *axes))
 
+    def test_pdf_zero_denominator_names_the_first_cell_in_loop_order(self):
+        # Zero denominators at (1.0, 1.0) and later at (10.0, 5.0) and (10.0, 1.0).
+        params = EconParams(participation_model="pdf_as_written", sigma=1e-12)
+        axes = ([1e-320], [1.0, 10.0], [100.0, 5.0, 1.0])
+        message = re.escape("at (c1, f_d, s) = (1e-320, 1.0, 1.0)")
+        with pytest.raises(ZeroDivisionError, match=message):
+            scalar_lattice(params, *axes)
+        with pytest.raises(ZeroDivisionError, match=message):
+            list(profit_slabs(params, *axes))
+
 
 class TestValidateParams:
     def test_paper_scale_choices_pass(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,21 +215,41 @@ class TestAggregation:
             partials, seed
         )
         assert transcript.cells == cells
-        assert transcript.share_matrix == share_matrix
-        assert transcript.per_server_sums == per_server_sums
+        assert transcript.share_matrix.dtype == np.uint64
+        assert transcript.share_matrix.shape == (s, s, len(cells))
+        assert transcript.share_matrix.tolist() == share_matrix
+        assert transcript.per_server_sums.tolist() == per_server_sums
         assert transcript.reconstructed.counts == counts
         assert transcript.reconstructed.dropped_outside == dropped
-        assert all(type(v) is int for row in transcript.share_matrix for vec in row for v in vec)
-        assert all(type(v) is int for vec in transcript.per_server_sums for v in vec)
+        written = transcript.to_json_dict(keep_shares=True)
+        assert all(type(v) is int for row in written["share_matrix"] for vec in row for v in vec)
+        assert all(type(v) is int for vec in written["per_server_sums"] for v in vec)
         assert all(type(v) is int for v in transcript.reconstructed.counts.values())
 
     def test_empty_partials_match_scalar_loop(self):
         partials = [SpatioTemporalMap(SPEC), SpatioTemporalMap(SPEC)]
         transcript = aggregate_secure(partials, seed=4)
         cells, share_matrix, per_server_sums, counts, _ = scalar_aggregate_secure(partials, 4)
-        assert (transcript.cells, transcript.share_matrix) == (cells, share_matrix)
-        assert transcript.per_server_sums == per_server_sums
+        assert transcript.cells == cells
+        assert transcript.share_matrix.dtype == np.uint64
+        assert transcript.share_matrix.shape == (2, 2, 0)
+        assert transcript.share_matrix.tolist() == share_matrix
+        assert transcript.per_server_sums.tolist() == per_server_sums
         assert transcript.reconstructed.counts == counts == {}
+
+    def test_retains_the_share_tensor_only(self):
+        # 16 servers over about 2,000 cells: a list copy of the shares as
+        # Python ints would retain about 5x the tensor's bytes.
+        partials = random_partials(np.random.default_rng(15), 16, n_cells=500)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            transcript = aggregate_secure(partials, seed=5)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(transcript.cells) > 1500
+        assert retained <= 2 * transcript.share_matrix.nbytes
 
     @pytest.mark.parametrize("count", [-1, FIELD_PRIME])
     def test_count_outside_the_field_rejected(self, count):

@@ -128,6 +128,23 @@ class TestUtilitySurface:
         assert surface.points == tuple(expected)
         assert len(calls) == distinct
 
+    def test_subsamples_each_vehicle_once_per_frequency(self, fleet, monkeypatch):
+        calls = []
+
+        def counting(traj, f_d):
+            calls.append((traj.vehicle_id, f_d))
+            return subsample(traj, f_d)
+
+        monkeypatch.setattr(utility_module, "subsample", counting)
+        n, freqs = len(fleet), (1.0, 0.5, 0.25)
+        # The counts calibrate-utility derives from the fleet size.
+        build_utility_surface(fleet, SPEC, [0, n // 4, n // 2, (3 * n) // 4, n], freqs, seed=3)
+        assert sorted(calls) == sorted((t.vehicle_id, f) for t in fleet for f in freqs)
+        # A small sub-fleet subsamples only the vehicles it draws.
+        calls.clear()
+        build_utility_surface(fleet, SPEC, [3, 3], freqs, seed=3)
+        assert len(calls) == len(set(calls)) <= 2 * 3 * len(freqs)
+
     def test_monotone_in_fleet_size_statistically(self):
         # dense fleet so extra vehicles raise cell occupancy almost surely
         trajs = generate_synthetic(60, 30, seed=17, bbox=(39.90, 39.94, 116.30, 116.35))
