@@ -290,16 +290,14 @@ def optimize_profit(
     upper = (math.log(bounds.c1[1]), float(bounds.f_d[1]), float(bounds.s[1]))
 
     c1_lo, c1_hi = float(bounds.c1[0]), float(bounds.c1[1])
-    f_d_lo, s_lo = lower[1:]
-    f_d_hi, s_hi = upper[1:]
 
     def objective(z: tuple[float, float, float]) -> float:
-        # Bounds.clip as comparisons on floats (the box has lo < hi).
+        # nelder_mead passes only points in [lower, upper] (it clips every
+        # candidate and steps its first simplex inward), so f_d and s are in
+        # bounds. exp(log c1) can round outside them: clip c1 as Bounds.clip.
         log_c1, f_d, s = z
         c1 = math.exp(log_c1)
         c1 = c1_lo if c1 < c1_lo else c1_hi if c1 > c1_hi else c1
-        f_d = f_d_lo if f_d < f_d_lo else f_d_hi if f_d > f_d_hi else f_d
-        s = s_lo if s < s_lo else s_hi if s > s_hi else s
         return profit(params, c1, f_d, s)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed]))

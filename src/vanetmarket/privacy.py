@@ -10,7 +10,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .fitting import fit_least_squares
-from .trajectories import PlanarPath, Trajectory, _planar_points, project_planar, subsample
+from .trajectories import PlanarPath, Trajectory, _kept_index, _planar_points, project_planar
 
 # Sub-sampling ladder used for the per-server loss measurement: one sample
 # every 2, 3, ..., 10 minutes.
@@ -165,7 +165,7 @@ def discrete_frechet(p: PlanarPath | np.ndarray, q: PlanarPath | np.ndarray) -> 
 
 
 def path_similarity(
-    full: PlanarPath, reconstructed: PlanarPath, diameter: float | None = None
+    full: PlanarPath, reconstructed: PlanarPath | np.ndarray, diameter: float | None = None
 ) -> float:
     """Similarity in [0, 1] between a full path and a reconstruction of it.
 
@@ -294,28 +294,14 @@ def _full_paths(trajs: Sequence[Trajectory]) -> list[_FullPath]:
     return fulls
 
 
-class VehicleReconstruction(NamedTuple):
-    path: PlanarPath | None
-    similarity: float
-
-
-def _score_capture(full: _FullPath, captured: Trajectory | None) -> VehicleReconstruction:
-    """The path an adversary rebuilds from a vehicle's captured samples (None
-    for no samples), projected about the full path's centroid, and its
-    similarity to the full path. Fewer than 2 captured samples score 0."""
-    if captured is None:
-        return VehicleReconstruction(None, 0.0)
-    path = project_planar(captured, origin=full.origin)
-    score = path_similarity(full.path, path, full.diameter) if len(path) >= 2 else 0.0
-    return VehicleReconstruction(path, score)
-
-
 def mean_similarity_by_frequency(
     trajs: Iterable[Trajectory], freqs: Sequence[float]
 ) -> list[tuple[float, float]]:
     """Mean over vehicles of similarity(full path, path subsampled at f), per frequency.
 
-    Means use exact summation, so the result is independent of vehicle order.
+    A subsampled path is the rows of the full path's projection that `subsample`
+    keeps, bitwise its own projection. Means use exact summation, so the
+    result is independent of vehicle order.
     """
     trajs = list(trajs)
     if not trajs:
@@ -325,7 +311,8 @@ def mean_similarity_by_frequency(
     sims: dict[float, list[float]] = {f: [] for f in freqs}
     for traj, full in zip(trajs, _full_paths(trajs)):
         for f in freqs:
-            sims[f].append(_score_capture(full, subsample(traj, f)).similarity)
+            rows = full.path.points[_kept_index(traj, f)]
+            sims[f].append(path_similarity(full.path, rows, full.diameter))
     return [(f, math.fsum(sims[f]) / len(sims[f])) for f in freqs]
 
 

@@ -6,18 +6,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence, Sized
 
 import numpy as np
 
-from .privacy import (
-    VehicleReconstruction,
-    _frechet_many,
-    _full_paths,
-    _score_capture,
-    _similarity,
-)
-from .trajectories import GeoSample, SpatioTemporalMap, Trajectory, project_planar, subsample
+from .privacy import _frechet_many, _full_paths, _similarity, path_similarity
+from .trajectories import GeoSample, PlanarPath, SpatioTemporalMap, Trajectory, _kept_index
+from .trajectories import project_planar, subsample
 
 FIELD_PRIME = 2**61 - 1  # Mersenne prime; counts stay far below it
 
@@ -46,7 +41,7 @@ class ServerInbox:
     received: list[tuple[str, GeoSample]] = field(default_factory=list)
 
 
-def _draw_servers(kept: Sequence[Trajectory], s: int, seed: int) -> list[np.ndarray]:
+def _draw_servers(kept: Sequence[Sized], s: int, seed: int) -> list[np.ndarray]:
     """The server each kept sample goes to: one uniform draw over s servers per
     vehicle, in input order, from the seed's generator."""
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
@@ -160,6 +155,11 @@ def aggregate_secure(
     )
 
 
+class VehicleReconstruction(NamedTuple):
+    path: PlanarPath | None
+    similarity: float
+
+
 def adversary_reconstruct(
     inboxes: Sequence[ServerInbox],
     compromised: Iterable[int],
@@ -170,8 +170,9 @@ def adversary_reconstruct(
     assumed known.
 
     Pools captured samples per vehicle id, orders them by time, and scores the
-    resulting polyline against the vehicle's full path. Vehicles with fewer
-    than 2 captured samples score 0. Vehicle ids must be unique.
+    resulting polyline, projected about the full path's centroid, against the
+    full path. Vehicles with fewer than 2 captured samples score 0, and those
+    with none have no path. Vehicle ids must be unique.
     """
     compromised = sorted(set(compromised))
     if not compromised:
@@ -196,7 +197,9 @@ def adversary_reconstruct(
     for traj, full in zip(trajs, _full_paths(trajs)):
         samples = sorted(captured.get(traj.vehicle_id, []), key=lambda g: g.t)
         pooled = Trajectory(traj.vehicle_id, tuple(samples)) if samples else None
-        results[traj.vehicle_id] = _score_capture(full, pooled)
+        path = None if pooled is None else project_planar(pooled, origin=full.origin)
+        score = path_similarity(full.path, path, full.diameter) if len(samples) >= 2 else 0.0
+        results[traj.vehicle_id] = VehicleReconstruction(path, score)
     return results
 
 
@@ -217,12 +220,12 @@ def empirical_privacy_curve(
     `n_compromised` servers compromised, routing with `route_samples`' draw.
     Each trajectory is scored on its own.
 
-    Per f_d, each vehicle's kept samples are projected once, about its full
-    path's origin, and a capture is the rows its compromised servers drew.
-    Captures of fewer than 2 samples score 0; all others of one f_d are scored
-    in one `_frechet_many` batch. At s = n_compromised the adversary captures
-    every kept sample whatever the seed, so that capture is scored once and
-    counted for every seed."""
+    Per f_d, each vehicle's kept samples are the rows of its projected full
+    path that `subsample` keeps, and a capture is the rows its compromised
+    servers drew. Captures of fewer than 2 samples score 0; all others of one
+    f_d are scored in one `_frechet_many` batch. At s = n_compromised the
+    adversary captures every kept sample whatever the seed, so that capture is
+    scored once and counted for every seed."""
     if not trajs:
         raise ValueError("need at least one trajectory")
     if not f_d_values or not s_values:
@@ -236,8 +239,7 @@ def empirical_privacy_curve(
     fulls = _full_paths(trajs)
     points = []
     for f_d in f_d_values:
-        kept = [subsample(traj, f_d) for traj in trajs]
-        planar = [project_planar(sub, origin=full.origin).points for sub, full in zip(kept, fulls)]
+        planar = [full.path.points[_kept_index(traj, f_d)] for traj, full in zip(trajs, fulls)]
         # Per s, each capture as (vehicle index, captured rows).
         rounds = []
         for s in s_values:
@@ -247,7 +249,7 @@ def empirical_privacy_curve(
             rounds.append([
                 (v, rows[servers < n_compromised])
                 for seed in seeds
-                for v, (rows, servers) in enumerate(zip(planar, _draw_servers(kept, s, seed)))
+                for v, (rows, servers) in enumerate(zip(planar, _draw_servers(planar, s, seed)))
             ])
         scored = [(v, rows) for captures in rounds for v, rows in captures if len(rows) >= 2]
         dists = iter(

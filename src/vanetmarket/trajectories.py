@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain
+from operator import itemgetter
 from typing import IO, Iterable, NamedTuple
 
 import numpy as np
@@ -285,8 +286,9 @@ def generate_synthetic(
     return trajs
 
 
-def subsample(traj: Trajectory, f_d: float) -> Trajectory:
-    """Thin a trajectory to one sample per 1/f_d minutes, keeping the first and last samples."""
+def _kept_index(traj: Trajectory, f_d: float) -> list[int]:
+    """Positions of the samples `subsample(traj, f_d)` keeps: the first, each
+    one at or past the next due time t0 + n/f_d - 1e-9, and the last."""
     if f_d <= 0:
         raise ValueError(f"sampling frequency must be positive, got {f_d}")
     if len(traj) < 2:
@@ -295,14 +297,23 @@ def subsample(traj: Trajectory, f_d: float) -> Trajectory:
     t0 = traj.samples[0].t
     kept = []
     n_target = 0
-    for s in traj.samples:
-        if s.t >= t0 + n_target * period - 1e-9:
-            kept.append(s)
-            n_target = math.floor((s.t - t0) / period + 1e-9) + 1
-    last = traj.samples[-1]
-    if kept[-1].t != last.t:
+    due = t0 + n_target * period - 1e-9
+    for i, s in enumerate(traj.samples):
+        t = s.t
+        if t >= due:
+            kept.append(i)
+            n_target = math.floor((t - t0) / period + 1e-9) + 1
+            due = t0 + n_target * period - 1e-9
+    last = len(traj) - 1
+    if kept[-1] != last:
         kept.append(last)
-    return Trajectory(traj.vehicle_id, tuple(kept))
+    return kept
+
+
+def subsample(traj: Trajectory, f_d: float) -> Trajectory:
+    """Thin a trajectory to one sample per 1/f_d minutes, keeping the first and last samples."""
+    # At least two positions (the first and last), so itemgetter gives a tuple.
+    return Trajectory(traj.vehicle_id, itemgetter(*_kept_index(traj, f_d))(traj.samples))
 
 
 def project_planar(traj: Trajectory, origin: tuple[float, float] | None = None) -> PlanarPath:

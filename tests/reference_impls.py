@@ -15,9 +15,17 @@ from itertools import compress
 
 import numpy as np
 
-from vanetmarket import Trajectory, eval_utility, profit, subsample, total_loss_raw
+from vanetmarket import (
+    Trajectory,
+    eval_utility,
+    path_similarity,
+    profit,
+    project_planar,
+    subsample,
+    total_loss_raw,
+)
 from vanetmarket.optimize import _finalize
-from vanetmarket.privacy import _full_paths, _score_capture
+from vanetmarket.privacy import _full_paths
 from vanetmarket.smpc import _draw_servers
 
 _SQRT2 = math.sqrt(2.0)
@@ -127,6 +135,22 @@ def native_rate(traj) -> float:
     return 1.0 / float(np.median(gaps))
 
 
+def scalar_subsample(traj, f_d: float) -> tuple:
+    """The samples `subsample` keeps, by its greedy rule written as one loop
+    over samples that recomputes the next due time at every sample."""
+    period = 1.0 / f_d
+    t0 = traj.samples[0].t
+    kept = []
+    n_target = 0
+    for s in traj.samples:
+        if s.t >= t0 + n_target * period - 1e-9:
+            kept.append(s)
+            n_target = math.floor((s.t - t0) / period + 1e-9) + 1
+    if kept[-1] != traj.samples[-1]:
+        kept.append(traj.samples[-1])
+    return tuple(kept)
+
+
 def cell_of(spec, lat: float, lon: float) -> tuple[int, int] | None:
     """Cell indices for a location, or None when it falls outside the bbox."""
     lat_min, lat_max, lon_min, lon_max = spec.bbox
@@ -171,7 +195,9 @@ def scalar_build_map(trajs, spec, count_mode="vehicles"):
 
 def per_seed_privacy_curve(trajs, f_d_values, s_values, n_compromised=1, seeds=(0,)):
     """`empirical_privacy_curve` one capture at a time: every (s, seed) draws
-    its servers and scores each vehicle's capture with `path_similarity`."""
+    its servers, projects each vehicle's captured samples about its full
+    path's centroid, and scores them with `path_similarity`; a capture of
+    fewer than 2 samples scores 0."""
     fulls = _full_paths(trajs)
     points = []
     for f_d in f_d_values:
@@ -181,7 +207,10 @@ def per_seed_privacy_curve(trajs, f_d_values, s_values, n_compromised=1, seeds=(
             for seed in seeds:
                 for sub, full, servers in zip(kept, fulls, _draw_servers(kept, s, seed)):
                     samples = tuple(compress(sub.samples, (servers < n_compromised).tolist()))
-                    captured = Trajectory(sub.vehicle_id, samples) if samples else None
-                    sims.append(_score_capture(full, captured).similarity)
+                    if len(samples) < 2:
+                        sims.append(0.0)
+                        continue
+                    path = project_planar(Trajectory(sub.vehicle_id, samples), origin=full.origin)
+                    sims.append(path_similarity(full.path, path, full.diameter))
             points.append((float(f_d), int(s), math.fsum(sims) / len(sims)))
     return points

@@ -405,6 +405,35 @@ class TestOptimizeProfit:
         monkeypatch.setattr(optimize_module, "nelder_mead", numpy_nelder_mead)
         assert got == optimize_profit(params, seed=0)
 
+    # The best profit `optimize_profit` returns over seeds 0-3 at the default
+    # parameters and bounds, per (participation, server cost) mode.
+    BEST_KNOWN = {
+        ("cdf", "per_server_as_written"): 0.989899547366805,
+        ("cdf", "total_times_s"): 0.9898688328385546,
+        ("pdf_as_written", "per_server_as_written"): 0.989899547366805,
+        ("pdf_as_written", "total_times_s"): 0.9898688445356031,
+    }
+
+    @pytest.mark.parametrize(
+        "modes",
+        [
+            pytest.param(
+                modes,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="seed 0 stops 1.1e-7 short of seeds 1-3 (ROADMAP items 2-3)",
+                ),
+            )
+            if modes == ("cdf", "total_times_s")
+            else modes
+            for modes in ALL_MODES
+        ],
+        ids="-".join,
+    )
+    def test_seed_zero_finds_the_best_known_optimum(self, modes):
+        sol = optimize_profit(self.params.with_modes(*modes), seed=0)
+        assert sol.profit_star >= self.BEST_KNOWN[modes] - 1e-9
+
     def test_flat_objective_still_converges(self):
         # alpha tiny and a degenerate-width payment box: profit barely varies
         params = EconParams(utility=UtilityModel(alpha=1e-12, beta=1e-9))

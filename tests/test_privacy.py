@@ -461,6 +461,18 @@ class TestCalibration:
         with pytest.raises(ValueError):
             mean_similarity_by_frequency(fleet, [])
 
+    def test_projects_each_vehicle_once(self, small_fleet, monkeypatch):
+        calls = []
+
+        def counting(traj, origin=None):
+            calls.append((traj.vehicle_id, len(traj)))
+            return project_planar(traj, origin=origin)
+
+        monkeypatch.setattr(privacy, "project_planar", counting)
+        mean_similarity_by_frequency(small_fleet, (0.5, 0.25, 0.2))
+        # The full paths only: each frequency's subsampled path is rows of them.
+        assert calls == [(t.vehicle_id, len(t)) for t in small_fleet]
+
     def test_parked_vehicle_named_before_any_frechet_work(self, small_fleet, monkeypatch):
         samples = tuple(GeoSample(float(t), 39.9, 116.4) for t in range(10, 20))
         parked = Trajectory("parked-7", samples)

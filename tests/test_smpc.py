@@ -367,9 +367,13 @@ class TestEmpiricalCurve:
 
         def counting(traj, f_d):
             calls.append((traj.vehicle_id, f_d))
-            return subsample(traj, f_d)
+            return trajectories._kept_index(traj, f_d)
 
-        monkeypatch.setattr(smpc, "subsample", counting)
+        def no_subsample(traj, f_d):
+            raise AssertionError("the curve built a subsampled trajectory")
+
+        monkeypatch.setattr(smpc, "_kept_index", counting)
+        monkeypatch.setattr(smpc, "subsample", no_subsample)
         f_d_values = (0.5, 0.25, 0.2)
         empirical_privacy_curve(small_fleet, f_d_values, [1, 2, 4], n_compromised=1, seeds=[0, 1])
         assert sorted(calls) == sorted((t.vehicle_id, f) for t in small_fleet for f in f_d_values)
@@ -397,10 +401,8 @@ class TestEmpiricalCurve:
         monkeypatch.setattr(privacy, "project_planar", counting)
         f_d_values = (0.5, 0.25, 0.2)
         empirical_privacy_curve(small_fleet, f_d_values, [1, 2, 4], n_compromised=1, seeds=[0, 1])
-        # The full paths, then each vehicle's kept samples once per f_d.
-        expected = [(t.vehicle_id, len(t)) for t in small_fleet]
-        expected += [(t.vehicle_id, len(subsample(t, f))) for f in f_d_values for t in small_fleet]
-        assert calls == expected
+        # The full paths only: each f_d's kept samples are rows of them.
+        assert calls == [(t.vehicle_id, len(t)) for t in small_fleet]
 
     def test_captures_of_one_sample_start_no_frechet_work(self, small_fleet, monkeypatch):
         batches = []
@@ -426,7 +428,7 @@ class TestEmpiricalCurve:
         def no_subsample(traj, f_d):
             raise AssertionError("subsampling started before the server counts were checked")
 
-        monkeypatch.setattr(smpc, "subsample", no_subsample)
+        monkeypatch.setattr(smpc, "_kept_index", no_subsample)
         with pytest.raises(ValueError, match="n_compromised=2 invalid for s=1"):
             empirical_privacy_curve(small_fleet, [0.5], [4, 1], n_compromised=2)
 

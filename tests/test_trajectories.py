@@ -6,8 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference_impls import cell_of, map_total, native_rate, scalar_build_map
+from reference_impls import cell_of, map_total, native_rate, scalar_build_map, scalar_subsample
 from vanetmarket import (
     GeoSample,
     GridSpec,
@@ -19,6 +21,7 @@ from vanetmarket import (
     project_planar,
     subsample,
 )
+from vanetmarket.trajectories import _kept_index
 
 HEADER = "vehicle_id,timestamp,lat,lon\n"
 
@@ -153,7 +156,46 @@ class TestGenerateSynthetic:
             generate_synthetic(1, 1, seed=1)
 
 
+# The frequencies the package uses or that stress the rule (a period of 1/3
+# is inexact in binary; 7 keeps sub-minute samples), and drawn ones.
+FREQUENCIES = st.sampled_from([1.0, 0.5, 1 / 3, 0.1, 7.0]) | st.floats(0.01, 10.0)
+# Offsets from a due time t0 + n * period, across the rule's 1e-9 slack.
+DUE_OFFSETS = st.sampled_from([-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9])
+
+
+@st.composite
+def irregular_trajectories(draw, f_d):
+    """A moving trajectory with irregular times: random gaps from sub-minute to
+    several minutes, plus samples within a few 1e-9 of f_d's due times."""
+    period = 1.0 / f_d
+    t0 = draw(st.floats(-1000.0, 1000.0))
+    times = {t0}
+    t = t0
+    for gap in draw(st.lists(st.floats(0.001, 5.0), min_size=1, max_size=40)):
+        t += gap
+        times.add(t)
+    for n in draw(st.lists(st.integers(1, 30), max_size=12)):
+        times.add(t0 + n * period + draw(DUE_OFFSETS))
+    samples = [
+        GeoSample(t, 40.0 + 0.001 * i + 1e-4 * math.sin(t), 116.3 + 0.0005 * i)
+        for i, t in enumerate(sorted(times))
+    ]
+    return Trajectory("v", tuple(samples))
+
+
 class TestSubsample:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_kept_index_is_the_greedy_rule_on_irregular_times(self, data):
+        f_d = data.draw(FREQUENCIES)
+        traj = data.draw(irregular_trajectories(f_d))
+        kept = _kept_index(traj, f_d)
+        sub = subsample(traj, f_d)
+        assert sub.samples == tuple(traj.samples[i] for i in kept) == scalar_subsample(traj, f_d)
+        origin = (data.draw(st.floats(39.9, 40.1)), data.draw(st.floats(116.2, 116.4)))
+        rows = project_planar(traj, origin=origin).points[kept]
+        assert project_planar(sub, origin=origin).points.tobytes() == rows.tobytes()
+
     def test_identity_at_native_rate(self):
         traj = moving_traj(range(10))
         assert subsample(traj, 1.0).samples == traj.samples
