@@ -32,12 +32,15 @@ from .smpc import (
 )
 from .trajectories import (
     Trajectory,
+    _Fleet,
+    _map_of,
+    _read_fleet,
     build_map,
     generate_synthetic,
     parse_traces,
     subsample,
 )
-from .utility import build_utility_surface, fit_utility
+from .utility import _utility_surface, fit_utility
 
 PARTICIPATION_FLAG = {"cdf": "cdf", "pdf": "pdf_as_written"}
 COST_FLAG = {"as-written": "per_server_as_written", "times-s": "total_times_s"}
@@ -86,6 +89,14 @@ def _load_trajectories(config: RunConfig) -> list[Trajectory]:
     raise ValueError("no input data: pass --traces FILE or --synthetic")
 
 
+def _load_fleet(config: RunConfig) -> _Fleet:
+    """`_load_trajectories` as a fleet; a trace file is read into it directly."""
+    if config.traces:
+        with open(config.traces, "rb") as fh:
+            return _read_fleet(fh)
+    return _Fleet.of(_load_trajectories(config))
+
+
 def cmd_gen(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     trajs = generate_synthetic(
         config.synthetic_vehicles, config.synthetic_duration, config.seed, config.bbox
@@ -101,13 +112,13 @@ def cmd_gen(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
 def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     if not config.traces:
         raise ValueError("ingest requires --traces FILE")
-    trajs = _load_trajectories(config)
-    stmap = build_map(trajs, config.grid_spec(), count_mode=config.count_mode)
+    fleet = _load_fleet(config)
+    stmap = _map_of(fleet, config.grid_spec(), config.count_mode)
     csv_buf = io.StringIO()
     stmap.write_csv(csv_buf)
     summary = {
-        "n_vehicles": len(trajs),
-        "n_samples": sum(len(t) for t in trajs),
+        "n_vehicles": len(fleet.ids),
+        "n_samples": len(fleet.txy),
         "n_occupied_cells": len(stmap.counts),
         "dropped_outside": stmap.dropped_outside,
     }
@@ -132,13 +143,13 @@ def cmd_calibrate_loss(config: RunConfig, args: argparse.Namespace) -> dict[str,
 
 
 def cmd_calibrate_utility(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
-    trajs = _load_trajectories(config)
+    fleet = _load_fleet(config)
     counts = config.surface_vehicle_counts
     if not counts:
-        n = len(trajs)
+        n = len(fleet.ids)
         counts = tuple(sorted({0, n // 4, n // 2, (3 * n) // 4, n}))
-    surface = build_utility_surface(
-        trajs,
+    surface = _utility_surface(
+        fleet,
         config.grid_spec(),
         counts,
         config.surface_freqs,

@@ -7,7 +7,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, count, repeat
 from operator import itemgetter
 from typing import IO, Iterable, NamedTuple
 
@@ -29,6 +29,9 @@ class GeoSample(NamedTuple):
     t: float  # minutes since epoch, real-valued
     lat: float
     lon: float
+
+
+_TIME = itemgetter(0)  # a GeoSample's t
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,16 @@ class Trajectory:
                 )
             prev_t = s.t
 
+    @classmethod
+    def _trusted(cls, vehicle_id: str, samples: tuple[GeoSample, ...]) -> Trajectory:
+        """A trajectory built without `__post_init__`'s checks, for samples that
+        have passed them already: the rows of a `_Fleet`, or a subsequence of
+        a checked trajectory."""
+        traj = object.__new__(cls)
+        object.__setattr__(traj, "vehicle_id", vehicle_id)
+        object.__setattr__(traj, "samples", samples)
+        return traj
+
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -62,6 +75,51 @@ class Trajectory:
         lat = math.fsum(s.lat for s in self.samples) / len(self.samples)
         lon = math.fsum(s.lon for s in self.samples) / len(self.samples)
         return lat, lon
+
+
+class _Track(NamedTuple):
+    """One track of a `_Fleet`, as `_kept_index` reads it."""
+
+    vehicle_id: str
+    times: list[float]
+
+
+class _Fleet(NamedTuple):
+    """Trajectories as columns: track k is ids[k], with rows
+    offsets[k]:offsets[k + 1] of txy, one (t, lat, lon) row per sample in time
+    order. Read from a trace file the ids are distinct, in the order they
+    first appear; built from trajectories they are theirs, repeats included."""
+
+    ids: list[str]
+    offsets: np.ndarray
+    txy: np.ndarray
+
+    @classmethod
+    def of(cls, trajs: Iterable[Trajectory]) -> _Fleet:
+        trajs = list(trajs)
+        lengths = [len(traj.samples) for traj in trajs]
+        n = sum(lengths)
+        txy = np.fromiter(
+            chain.from_iterable(chain.from_iterable(traj.samples for traj in trajs)),
+            dtype=np.float64,
+            count=3 * n,
+        ).reshape(n, 3)
+        offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))
+        return cls([traj.vehicle_id for traj in trajs], offsets, txy)
+
+    def _spans(self) -> Iterable[tuple[str, int, int]]:
+        bounds = self.offsets.tolist()
+        return zip(self.ids, bounds, bounds[1:])
+
+    def trajectories(self) -> list[Trajectory]:
+        # One list of every value, so each sample's three floats are made together.
+        values = iter(self.txy.ravel().tolist())
+        samples = list(map(GeoSample._make, zip(values, values, values)))
+        return [Trajectory._trusted(vid, tuple(samples[a:b])) for vid, a, b in self._spans()]
+
+    def tracks(self) -> list[_Track]:
+        times = self.txy[:, 0].tolist()
+        return [_Track(vid, times[a:b]) for vid, a, b in self._spans()]
 
 
 def _planar_points(points) -> np.ndarray:
@@ -179,21 +237,97 @@ def parse_traces(stream: IO[bytes] | IO[str]) -> list[Trajectory]:
     """Parse a trace file into one Trajectory per vehicle, samples sorted by time.
 
     Duplicate (vehicle, timestamp) rows collapse keeping the first occurrence.
-    A binary stream is read as UTF-8 and left open.
+    A binary stream is read as UTF-8 and left open. The file is read into
+    columns in one pass; unusual input goes through the row loop, which
+    accepts it or raises its `TraceParseError` (see `_columns`).
+    """
+    fleet, lines = _read_columns(stream)
+    return _parse_rows(lines) if fleet is None else fleet.trajectories()
+
+
+def _read_fleet(stream: IO[bytes] | IO[str]) -> _Fleet:
+    """`parse_traces`' result as a fleet, without building its trajectories."""
+    fleet, lines = _read_columns(stream)
+    return _Fleet.of(_parse_rows(lines)) if fleet is None else fleet
+
+
+def _read_columns(stream: IO[bytes] | IO[str]) -> tuple[_Fleet | None, Iterable[str]]:
+    """Read the whole stream and take its columns in one pass.
+
+    Returns (fleet, lines): the fleet where `_columns` accepts the text, else
+    None and the lines the row loop reads, split as iterating the stream
+    splits them. For a binary stream those lines come from a UTF-8 text
+    wrapper with universal newlines, as they always did, so an undecodable
+    byte raises where the row loop reaches it; `_columns` sees the bytes
+    decoded whole, carriage returns kept, and leaves those to the row loop.
     """
     if isinstance(stream, io.BufferedIOBase) or (
         hasattr(stream, "read") and isinstance(getattr(stream, "mode", ""), str) and "b" in getattr(stream, "mode", "")
     ):
-        text = io.TextIOWrapper(stream, encoding="utf-8")  # type: ignore[arg-type]
+        data = stream.read()
         try:
-            return _parse_rows(text)
-        finally:
-            text.detach()  # closing the wrapper would close the caller's stream
-    return _parse_rows(stream)  # type: ignore[arg-type]
+            fleet = _columns(data.decode("utf-8"))
+        except UnicodeDecodeError:
+            fleet = None
+        return fleet, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") if fleet is None else ()
+    lines = list(stream)
+    text = "".join(lines)
+    # Only a stream that splits lines at each "\n" splits them as _columns does.
+    if len(lines) != text.count("\n") + (not text.endswith("\n")):
+        return None, lines
+    return _columns(text), lines
 
 
-def _parse_rows(stream: IO[str]) -> list[Trajectory]:
-    reader = csv.reader(stream)
+def _columns(text: str) -> _Fleet | None:
+    """The fleet of a trace file's text, or None where the row loop must read it.
+
+    Every numeric field goes through float(), in row order, as in the row
+    loop, so the values are its values bit for bit. Anything unusual is left
+    to the row loop, which accepts it or raises its TraceParseError: a quote,
+    a carriage return or a NUL, a line without exactly three commas (a blank
+    line included) or longer than the csv field limit, a field float()
+    rejects (an ISO-8601 timestamp), a non-finite timestamp, an out-of-range
+    latitude or longitude, an empty vehicle id, a bad header, no data rows.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    header, _, body = text.partition("\n")
+    if [h.strip() for h in header.split(",")] != TRACE_HEADER:
+        return None
+    lines = body.split("\n")
+    if not lines[-1]:
+        del lines[-1]  # the text ends with a newline
+    if set(map(str.count, lines, repeat(","))) != {3}:
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    fields = ",".join(lines).split(",")
+    vids = list(map(str.strip, fields[0::4]))
+    del fields[0::4]
+    try:
+        txy = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields)).reshape(-1, 3)
+    except ValueError:
+        return None
+    t, lat, lon = txy.T
+    valid = np.isfinite(t) & (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
+    if not valid.all() or "" in vids:
+        return None
+    # Each row's vehicle as the row number of its first appearance, so sorting
+    # by it orders vehicles as they first appear.
+    first_seen: dict[str, int] = {}
+    vehicle = np.fromiter(map(first_seen.setdefault, vids, count()), dtype=np.intp, count=len(vids))
+    order = np.lexsort((t, vehicle))  # stable: a duplicated timestamp keeps its first row
+    vehicle, t = vehicle[order], t[order]
+    new_vehicle = np.ones(len(order), dtype=bool)
+    new_vehicle[1:] = vehicle[1:] != vehicle[:-1]
+    keep = new_vehicle | np.concatenate(([True], t[1:] != t[:-1]))
+    offsets = np.append(np.flatnonzero(new_vehicle[keep]), np.count_nonzero(keep))
+    return _Fleet(list(first_seen), offsets, txy[order[keep]])
+
+
+def _parse_rows(lines: Iterable[str]) -> list[Trajectory]:
+    """The row loop: csv rows one at a time, each checked as it is read."""
+    reader = csv.reader(lines)
     header = next(reader, None)
     if header is None:
         raise TraceParseError("no trajectories: input is empty")
@@ -286,25 +420,29 @@ def generate_synthetic(
     return trajs
 
 
-def _kept_index(traj: Trajectory, f_d: float) -> list[int]:
+def _kept_index(traj: Trajectory | _Track, f_d: float) -> list[int]:
     """Positions of the samples `subsample(traj, f_d)` keeps: the first, each
-    one at or past the next due time t0 + n/f_d - 1e-9, and the last."""
-    if f_d <= 0:
+    one at or past the next due time t0 + n/f_d - 1e-9, and the last. A
+    `_Fleet` track gives its times as they are; a trajectory's are read off
+    its samples in one C-level pass."""
+    if not f_d > 0:  # NaN fails too
         raise ValueError(f"sampling frequency must be positive, got {f_d}")
-    if len(traj) < 2:
-        raise ValueError("cannot subsample a trajectory with fewer than 2 samples")
     period = 1.0 / f_d
-    t0 = traj.samples[0].t
+    if not 0.0 < period < math.inf:
+        raise ValueError(f"sampling frequency {f_d} has no finite, positive period 1/f_d")
+    times = traj.times if isinstance(traj, _Track) else list(map(_TIME, traj.samples))
+    if len(times) < 2:
+        raise ValueError("cannot subsample a trajectory with fewer than 2 samples")
+    t0 = times[0]
     kept = []
     n_target = 0
     due = t0 + n_target * period - 1e-9
-    for i, s in enumerate(traj.samples):
-        t = s.t
+    for i, t in enumerate(times):
         if t >= due:
             kept.append(i)
             n_target = math.floor((t - t0) / period + 1e-9) + 1
             due = t0 + n_target * period - 1e-9
-    last = len(traj) - 1
+    last = len(times) - 1
     if kept[-1] != last:
         kept.append(last)
     return kept
@@ -313,7 +451,7 @@ def _kept_index(traj: Trajectory, f_d: float) -> list[int]:
 def subsample(traj: Trajectory, f_d: float) -> Trajectory:
     """Thin a trajectory to one sample per 1/f_d minutes, keeping the first and last samples."""
     # At least two positions (the first and last), so itemgetter gives a tuple.
-    return Trajectory(traj.vehicle_id, itemgetter(*_kept_index(traj, f_d))(traj.samples))
+    return Trajectory._trusted(traj.vehicle_id, itemgetter(*_kept_index(traj, f_d))(traj.samples))
 
 
 def project_planar(traj: Trajectory, origin: tuple[float, float] | None = None) -> PlanarPath:
@@ -340,23 +478,43 @@ def build_map(
     arrays; `scalar_build_map` in `tests/reference_impls.py` is the
     per-sample reference it matches.
     """
+    return _map_of(_Fleet.of(trajs), spec, count_mode)
+
+
+def _check_count_mode(count_mode: str) -> None:
     if count_mode not in ("vehicles", "samples"):
         raise ValueError(f"count_mode must be 'vehicles' or 'samples', got {count_mode!r}")
-    trajs = list(trajs)
-    lengths = [len(traj.samples) for traj in trajs]
-    n = sum(lengths)
-    txy = np.fromiter(
-        chain.from_iterable(chain.from_iterable(traj.samples for traj in trajs)),
-        dtype=np.float64,
-        count=3 * n,
-    ).reshape(n, 3)
-    t, lat, lon = txy.T
+
+
+def _map_of(fleet: _Fleet, spec: GridSpec, count_mode: str) -> SpatioTemporalMap:
+    """`build_map` of a fleet's tracks."""
+    _check_count_mode(count_mode)
+    cell, keys, vehicles, dropped = _grid(fleet, spec)
+    if count_mode == "samples":
+        counts = np.bincount(cell[cell >= 0], minlength=keys.shape[1])
+    else:
+        counts = vehicles
+    pairs = zip(*(map(int, column) for column in keys.tolist()))
+    return SpatioTemporalMap(spec, dict(zip(pairs, counts.tolist())), dropped)
+
+
+def _grid(fleet: _Fleet, spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Key every row of the fleet: (cell, keys, vehicles, dropped).
+
+    keys holds the occupied (cell_x, cell_y, time_idx) keys as the columns of a
+    (3, m) float64 array, in sorted order; cell[r] is row r's column in keys,
+    or -1 for a row outside the bbox; vehicles[k] is the number of distinct
+    vehicle ids with a row in key k; dropped counts the rows outside.
+    """
+    n = len(fleet.txy)
+    t, lat, lon = fleet.txy.T
     lat_min, lat_max, lon_min, lon_max = spec.bbox
-    inside = (lat_min <= lat) & (lat <= lat_max) & (lon_min <= lon) & (lon <= lon_max)
-    dropped = n - int(np.count_nonzero(inside))
+    inside = np.flatnonzero((lat_min <= lat) & (lat <= lat_max) & (lon_min <= lon) & (lon <= lon_max))
+    dropped = n - len(inside)
+    cell = np.full(n, -1, dtype=np.intp)
     if dropped == n:
-        return SpatioTemporalMap(spec, {}, dropped)
-    t, lat, lon = txy[inside].T
+        return cell, np.empty((3, 0)), np.empty(0, dtype=np.int64), dropped
+    t, lat, lon = fleet.txy[inside].T
 
     m_lat, m_lon = spec._meters_per_deg
     nx, ny = spec.n_cells
@@ -376,20 +534,16 @@ def build_map(
             f"timestamp {float(t[overflow][0])!r} overflows time bin {spec.time_bin!r}"
         )
     ids: dict[str, int] = {}
-    codes = [ids.setdefault(traj.vehicle_id, len(ids)) for traj in trajs]
-    owner = np.repeat(codes, lengths)[inside]
+    codes = [ids.setdefault(vid, len(ids)) for vid in fleet.ids]
+    owner = np.repeat(codes, np.diff(fleet.offsets))[inside]
     # Sort by cell, then time bin, then owner, so each key is one run of rows.
     order = np.lexsort((owner, columns[2], columns[1], columns[0]))
     columns = columns[:, order]
     new_key = np.ones(columns.shape[1], dtype=bool)
     new_key[1:] = (columns[:, 1:] != columns[:, :-1]).any(axis=0)
     starts = np.flatnonzero(new_key)
-    if count_mode == "samples":
-        counts = np.diff(starts, append=columns.shape[1])
-    else:
-        owner = owner[order]
-        new_owner = new_key.copy()
-        new_owner[1:] |= owner[1:] != owner[:-1]
-        counts = np.add.reduceat(new_owner, starts, dtype=np.int64)
-    keys = zip(*(map(int, column) for column in columns[:, starts].tolist()))
-    return SpatioTemporalMap(spec, dict(zip(keys, counts.tolist())), dropped)
+    owner = owner[order]
+    new_owner = new_key.copy()
+    new_owner[1:] |= owner[1:] != owner[:-1]
+    cell[inside[order]] = np.cumsum(new_key) - 1
+    return cell, columns[:, starts], np.add.reduceat(new_owner, starts, dtype=np.int64), dropped

@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Collection, Sequence
 
 import numpy as np
 
 from .fitting import fit_least_squares
-from .trajectories import GridSpec, Trajectory, build_map, subsample
+from .trajectories import GridSpec, Trajectory, _check_count_mode, _Fleet, _grid, _kept_index
 
 DEFAULT_GRID_SHAPE = 100.0  # per-grid saturation parameter
 
@@ -91,26 +93,58 @@ def build_utility_surface(
     fleet (default), only currently occupied cells, or every cell the grid
     spans (`average_over` = ever_occupied | occupied | all).
     """
-    trajs = list(trajs)
-    if not trajs:
+    return _utility_surface(
+        _Fleet.of(trajs), spec, vehicle_counts, freqs, a, seed, average_over, count_mode
+    )
+
+
+def _utility_surface(
+    fleet: _Fleet,
+    spec: GridSpec,
+    vehicle_counts: Sequence[int],
+    freqs: Sequence[float],
+    a: float = DEFAULT_GRID_SHAPE,
+    seed: int = 0,
+    average_over: str = "ever_occupied",
+    count_mode: str = "vehicles",
+) -> UtilitySurface:
+    """`build_utility_surface` over a fleet's tracks.
+
+    The fleet is gridded once. Each row's cell is its key's position in that
+    full map, and a sub-fleet's map is one bincount over the cells of its
+    tracks' kept rows: each track's distinct cells in `vehicles` mode (tracks
+    that share a vehicle id count once per cell, as in `build_map`), every
+    kept row's cell in `samples` mode.
+    """
+    n_tracks = len(fleet.ids)
+    if not n_tracks:
         raise ValueError("need at least one trajectory")
     if not vehicle_counts or not freqs:
         raise ValueError("vehicle_counts and freqs must be nonempty")
     if average_over not in ("ever_occupied", "occupied", "all"):
         raise ValueError(f"unknown average_over mode {average_over!r}")
     for count in vehicle_counts:
-        if count < 0 or count > len(trajs):
-            raise ValueError(f"vehicle count {count} exceeds dataset size {len(trajs)}")
+        if count < 0 or count > n_tracks:
+            raise ValueError(f"vehicle count {count} exceeds dataset size {n_tracks}")
+    _check_count_mode(count_mode)
 
-    full_map = build_map(trajs, spec, count_mode=count_mode)
-    ever_occupied = full_map.occupied_cells()
+    cell, keys, _, _ = _grid(fleet, spec)
+    n_cells = keys.shape[1]
     if average_over == "all":
         nx, ny = spec.n_cells
-        t_bins = {k[2] for k in ever_occupied}
-        n_time = (max(t_bins) - min(t_bins) + 1) if t_bins else 1
+        n_time = int(keys[2].max()) - int(keys[2].min()) + 1 if n_cells else 1
         denom_all = nx * ny * n_time
+    # A row outside the bbox counts in an extra last cell, which is dropped.
+    row_cell = np.where(cell < 0, n_cells, cell).tolist()
 
-    kept: dict[tuple[int, float], Trajectory] = {}  # (i, f) -> subsample, made on first use
+    distinct = count_mode == "vehicles"
+    shared_ids = distinct and len(set(fleet.ids)) < n_tracks
+    if shared_ids:
+        ids: dict[str, int] = {}
+        owner = [ids.setdefault(vid, len(ids)) for vid in fleet.ids]
+    tracks = fleet.tracks()
+    starts = fleet.offsets.tolist()
+    kept: dict[tuple[int, float], Collection[int]] = {}  # (i, f) -> cells, made on first use
     points = []
     point_idx = 0
     for count in vehicle_counts:
@@ -120,18 +154,28 @@ def build_utility_surface(
             if count == 0:
                 points.append((float(count), float(f), 0.0))
                 continue
-            chosen = sorted(rng.choice(len(trajs), size=count, replace=False))
+            chosen = sorted(rng.choice(n_tracks, size=count, replace=False))
             for i in chosen:
                 if (i, f) not in kept:
-                    kept[i, f] = subsample(trajs[i], f)
-            m = build_map([kept[i, f] for i in chosen], spec, count_mode=count_mode)
+                    track_cells = row_cell[starts[i] : starts[i + 1]]
+                    cells = itemgetter(*_kept_index(tracks[i], f))(track_cells)
+                    kept[i, f] = set(cells) if distinct else cells
+            parts = [kept[i, f] for i in chosen]
+            cells = np.fromiter(chain.from_iterable(parts), dtype=np.intp)
+            if shared_ids:
+                # Tracks that share a vehicle id count once per cell.
+                pairs = np.repeat([owner[i] for i in chosen], [len(p) for p in parts])
+                cells = np.unique(pairs * (n_cells + 1) + cells) % (n_cells + 1)
+            per_cell = np.bincount(cells, minlength=n_cells + 1)[:n_cells]
+            values, multiplicity = np.unique(per_cell[per_cell > 0], return_counts=True)
             # One grid_utility per distinct count; fsum's exact sum ignores order.
-            per_count = {c: grid_utility(c, a) for c in set(m.counts.values())}
-            utilities = [per_count[c] for c in m.counts.values()]
+            utilities = chain.from_iterable(
+                repeat(grid_utility(c, a), k) for c, k in zip(values.tolist(), multiplicity.tolist())
+            )
             if average_over == "ever_occupied":
-                denom = len(ever_occupied)
+                denom = n_cells
             elif average_over == "occupied":
-                denom = len(m.counts)
+                denom = int(multiplicity.sum())
             else:
                 denom = denom_all
             avg = math.fsum(utilities) / denom if denom else 0.0

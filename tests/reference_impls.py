@@ -3,9 +3,11 @@ checked against, bitwise where the tests say so.
 
 The package computes profit in one straight line (`econ._profit_parts`),
 evaluates the certifying grid over arrays (`econ.profit_slabs`), grids
-samples over arrays (`trajectories.build_map`) and scores the privacy curve's
-captures in batches (`smpc.empirical_privacy_curve`). The helper chains and
-loops they replaced live here, as tests use them, and nowhere in `src/`.
+samples over arrays (`trajectories.build_map`), counts the utility surface
+from per-row cell ids (`utility.build_utility_surface`) and scores the
+privacy curve's captures in batches (`smpc.empirical_privacy_curve`). The
+helper chains and loops they replaced live here, as tests use them, and
+nowhere in `src/`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import numpy as np
 
 from vanetmarket import (
     Trajectory,
+    build_map,
     eval_utility,
+    grid_utility,
     path_similarity,
     profit,
     project_planar,
@@ -214,3 +218,47 @@ def per_seed_privacy_curve(trajs, f_d_values, s_values, n_compromised=1, seeds=(
                     sims.append(path_similarity(full.path, path, full.diameter))
             points.append((float(f_d), int(s), math.fsum(sims) / len(sims)))
     return points
+
+
+def loop_utility_surface(
+    trajs, spec, vehicle_counts, freqs, a=100.0, seed=0, average_over="ever_occupied",
+    count_mode="vehicles",
+):
+    """`build_utility_surface`'s points by the loop it replaced: every point
+    draws its sub-fleet, subsamples each drawn vehicle (once per frequency)
+    and grids the subsampled trajectories with `build_map`."""
+    trajs = list(trajs)
+    full_map = build_map(trajs, spec, count_mode=count_mode)
+    ever_occupied = full_map.occupied_cells()
+    if average_over == "all":
+        nx, ny = spec.n_cells
+        t_bins = {k[2] for k in ever_occupied}
+        n_time = (max(t_bins) - min(t_bins) + 1) if t_bins else 1
+        denom_all = nx * ny * n_time
+
+    kept = {}  # (i, f) -> subsample, made on first use
+    points = []
+    point_idx = 0
+    for count in vehicle_counts:
+        for f in freqs:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, point_idx]))
+            point_idx += 1
+            if count == 0:
+                points.append((float(count), float(f), 0.0))
+                continue
+            chosen = sorted(rng.choice(len(trajs), size=count, replace=False))
+            for i in chosen:
+                if (i, f) not in kept:
+                    kept[i, f] = subsample(trajs[i], f)
+            m = build_map([kept[i, f] for i in chosen], spec, count_mode=count_mode)
+            per_count = {c: grid_utility(c, a) for c in set(m.counts.values())}
+            utilities = [per_count[c] for c in m.counts.values()]
+            if average_over == "ever_occupied":
+                denom = len(ever_occupied)
+            elif average_over == "occupied":
+                denom = len(m.counts)
+            else:
+                denom = denom_all
+            avg = math.fsum(utilities) / denom if denom else 0.0
+            points.append((float(count), float(f), avg))
+    return tuple(points)

@@ -88,6 +88,19 @@ class TestCalibrateCommands:
         assert set(fit) >= {"alpha", "beta", "residual_rms", "converged", "valid"}
 
 
+    def test_frequency_without_a_finite_period_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {"calibration_freqs": [1e-320, 0.5], "synthetic_vehicles": 4, "synthetic_duration": 12}
+            )
+        )
+        out = tmp_path / "c"
+        assert run(["calibrate-loss", "--synthetic", "--config", cfg, "--out", out]) == 1
+        assert "1e-320" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestOptimizeCommand:
     def test_solution_and_reference_block(self, tmp_path):
         out = tmp_path / "o"

@@ -1,3 +1,4 @@
+import csv
 import gc
 import io
 import json
@@ -21,6 +22,7 @@ from vanetmarket import (
     project_planar,
     subsample,
 )
+import vanetmarket.trajectories as trajectories
 from vanetmarket.trajectories import _kept_index
 
 HEADER = "vehicle_id,timestamp,lat,lon\n"
@@ -107,6 +109,231 @@ class TestParseTraces:
         rows = HEADER + "a,0,40,116.3\nb,0,40,116.3\na,1,40,116.3\nb,1,40,116.3\n"
         trajs = parse_traces(io.StringIO(rows))
         assert sorted(t.vehicle_id for t in trajs) == ["a", "b"]
+
+
+def sample_bits(trajs):
+    """Trajectories as comparable values that tell -0.0 from 0.0 and check types."""
+    return [
+        (type(t), t.vehicle_id, [(type(s), *map(float.hex, s)) for s in t.samples])
+        for t in trajs
+    ]
+
+
+def outcome(parse, stream):
+    """parse(stream)'s trajectories as `sample_bits`, or its exception's type and text."""
+    try:
+        return sample_bits(parse(stream))
+    except (TraceParseError, csv.Error, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+
+
+def text_stream(text):
+    return io.StringIO(text)
+
+
+def bytes_stream(text):
+    return io.BytesIO(text.encode("utf-8"))
+
+
+def row_loop_reading(make_stream, parse_rows=trajectories._parse_rows):
+    """The row loop over a stream made as parse_traces reads it: a binary one
+    through a UTF-8 text wrapper, a text one as its lines."""
+    if make_stream is bytes_stream:
+        return lambda stream: parse_rows(io.TextIOWrapper(stream, encoding="utf-8"))
+    return parse_rows
+
+
+# The TraceParseError cases of TestParseTraces and the CLI's bad trace file,
+# then one for each other error the row loop raises.
+TRACE_PARSE_ERROR_CASES = {
+    "latitude out of range": HEADER + "a,0,40.0,116.3\na,1,95,116.3\n",
+    "empty": "",
+    "header only": HEADER,
+    "wrong header": "vid,t,lat,lon\na,0,40,116\n",
+    "wrong field count": HEADER + "a,0,40.0\n",
+    "latitude out of range on line 2": HEADER + "a,0,95,116\n",
+    "empty vehicle id": HEADER + "a,0,40,116\n ,1,40,116\n",
+    "unparsable number": HEADER + "a,0,forty,116\n",
+    "bad ISO-8601 time": HEADER + "a,2008-13-45T00:00:00,40,116\n",
+    "non-finite timestamp": HEADER + "a,nan,40,116\n",
+    "longitude out of range": HEADER + "a,0,40,181\n",
+}
+
+
+@pytest.mark.parametrize("make_stream", [text_stream, bytes_stream], ids=["text", "bytes"])
+@pytest.mark.parametrize("text", TRACE_PARSE_ERROR_CASES.values(), ids=TRACE_PARSE_ERROR_CASES)
+def test_trace_parse_errors_match_the_row_loop(text, make_stream):
+    got = outcome(parse_traces, make_stream(text))
+    want = outcome(row_loop_reading(make_stream), make_stream(text))
+    assert got[0] is TraceParseError
+    assert got == want
+
+
+FIELD_SPACES = st.sampled_from(["", " ", "\t"])
+VEHICLE_IDS = st.sampled_from(["a", "b", "v0007"]).map(str)
+# Times drawn from a few values, so (vehicle, t) rows repeat; -0.0 and 0.0 are one time.
+PLAIN_TIMES = st.sampled_from(["0", "0.0", "-0.0", "1", "2.5", "1_0", "\uff13", "-7.25"]) | st.floats(
+    -100.0, 100.0
+).map(repr)
+PLAIN_LATS = st.floats(-90.0, 90.0).map(repr) | st.sampled_from(["-0.0", "90", "-90.0", "4_0"])
+PLAIN_LONS = st.floats(-180.0, 180.0).map(repr) | st.sampled_from(["180", "-180.0", "0"])
+# Fields only the row loop reads, by position: ones it accepts, and any field
+# it rejects.
+ACCEPTED_ODD_FIELDS = [
+    st.sampled_from(['"a"', '" b"', '"v,1"']),
+    st.sampled_from(["2008-02-02T15:36:08Z", "2008-02-02 15:37:08", '"2.5"']),
+    st.sampled_from(['"40.5"', '"-0.0"']),
+    st.sampled_from(['"116"']),
+]
+REJECTED_FIELDS = st.sampled_from(
+    ["", "  ", "nan", "inf", "-inf", "1e400", "95", "-90.5", "181", "x", "1__0", "0x10", "\x00",
+     "7\r"]
+)
+
+
+@st.composite
+def trace_texts(draw):
+    """A trace file's text. Plain rows have whitespace around ids and numbers,
+    repeated and unsorted times, repr floats, -0.0, 1_0 and full-width digits.
+    An odd text adds what the row loop accepts: quotes, ISO-8601 times, blank
+    lines, CRLF line ends, spaces in the header. A broken one adds what it
+    rejects: bad fields, wrong field counts, a wrong header, no data rows.
+    Both may end lines with a lone carriage return."""
+    form = draw(st.sampled_from(["plain", "odd", "broken"]))
+    header = "vehicle_id,timestamp,lat,lon"
+    if form != "plain":
+        header = draw(st.sampled_from([header, " vehicle_id , timestamp,lat,lon"]))
+    if form == "broken":
+        header = draw(st.sampled_from([header, "vid,t,lat,lon", ""]))
+    kinds = {
+        "plain": ["plain"],
+        "odd": ["plain", "plain", "accepted", "blank"],
+        "broken": ["plain", "accepted", "blank", "rejected", "short", "long"],
+    }[form]
+    lines = [header]
+    for _ in range(draw(st.integers(0 if form == "broken" else 1, 12))):
+        space = draw(FIELD_SPACES)
+        fields = [
+            space + draw(VEHICLE_IDS) + draw(FIELD_SPACES),
+            draw(PLAIN_TIMES) + space,
+            space + draw(PLAIN_LATS),
+            draw(PLAIN_LONS),
+        ]
+        kind = draw(st.sampled_from(kinds))
+        position = draw(st.integers(0, 3))
+        if kind == "accepted":
+            fields[position] = draw(ACCEPTED_ODD_FIELDS[position])
+        elif kind == "rejected":
+            fields[position] = draw(REJECTED_FIELDS)
+        elif kind == "blank":
+            fields = []
+        elif kind == "short":
+            fields = fields[:3]
+        elif kind == "long":
+            fields.append("1")
+        lines.append(",".join(fields))
+    newline = "\n" if form == "plain" else draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines)
+    return text + newline if form == "plain" or draw(st.booleans()) else text
+
+
+class TestColumnarReader:
+    """`parse_traces` reads a trace in one columnar pass and leaves anything
+    unusual to the row loop; either way it returns the row loop's result."""
+
+    @pytest.mark.parametrize("make_stream", [text_stream, bytes_stream], ids=["text", "bytes"])
+    def test_equals_the_row_loop_on_drawn_texts(self, monkeypatch, make_stream):
+        row_loop = trajectories._parse_rows
+        used_loop = []
+
+        def watched(lines):
+            used_loop.append(True)
+            return row_loop(lines)
+
+        monkeypatch.setattr(trajectories, "_parse_rows", watched)
+        reached = {"columns": 0, "row loop, trajectories": 0, "row loop, error": 0}
+
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        @given(text=trace_texts())
+        def check(text):
+            used_loop.clear()
+            got = outcome(parse_traces, make_stream(text))
+            assert got == outcome(row_loop_reading(make_stream, row_loop), make_stream(text))
+            if not used_loop:
+                reached["columns"] += 1
+            elif isinstance(got, list):
+                reached["row loop, trajectories"] += 1
+            else:
+                reached["row loop, error"] += 1
+
+        check()
+        assert all(count >= 50 for count in reached.values()), reached
+
+    def test_plain_trace_never_enters_the_row_loop(self, monkeypatch, tmp_path):
+        fleet = generate_synthetic(20, 30, seed=4)
+        text = HEADER + "".join(
+            f"{traj.vehicle_id},{s.t!r},{float(s.lat)!r},{float(s.lon)!r}\n"
+            for traj in fleet
+            for s in traj.samples
+        )
+        assert text.count("\n") == 601
+        want = sample_bits(trajectories._parse_rows(io.StringIO(text)))
+        assert want == sample_bits(fleet)
+
+        def no_row_loop(lines):
+            raise AssertionError("a plain trace went through the row loop")
+
+        monkeypatch.setattr(trajectories, "_parse_rows", no_row_loop)
+        assert sample_bits(parse_traces(io.StringIO(text))) == want
+        assert sample_bits(parse_traces(io.BytesIO(text.encode()))) == want
+        path = tmp_path / "traces.csv"
+        path.write_text(text)
+        with open(path, "rb") as fh:
+            assert sample_bits(trajectories._read_fleet(fh).trajectories()) == want
+
+    def test_duplicate_time_keeps_the_first_row_of_minus_zero(self):
+        rows = HEADER + "a,-0.0,40.0,116.3\na,0.0,41.0,116.3\nb,0,40.0,116.3\nb,-0.0,41.0,116.3\n"
+        assert trajectories._columns(rows) is not None
+        trajs = parse_traces(io.StringIO(rows))
+        assert sample_bits(trajs) == sample_bits(trajectories._parse_rows(io.StringIO(rows)))
+        # -0.0 == 0.0, so each vehicle keeps one sample: its first row, sign included.
+        assert [(len(t), math.copysign(1.0, t.samples[0].t), t.samples[0].lat) for t in trajs] == [
+            (1, -1.0, 40.0),
+            (1, 1.0, 40.0),
+        ]
+
+    @pytest.mark.parametrize("make_stream", [text_stream, bytes_stream], ids=["text", "bytes"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            HEADER.replace("\n", "\r\n") + "a,0,40.0,116.3\r\na,1,40.1,116.3\r\n",
+            HEADER + "a,0,40.0,116.3\ra,1,40.1,116.3\n",
+            HEADER + "a,0,40.0\r,116.3\n",
+            HEADER + "a,0,40.0,116.3\r\n",
+        ],
+        ids=["crlf", "lone cr ends a row", "cr inside a row", "cr on the last row"],
+    )
+    def test_carriage_returns_go_to_the_row_loop(self, text, make_stream):
+        # float() ignores a trailing "\r", but the row loop splits rows at it.
+        assert trajectories._columns(text) is None
+        got = outcome(parse_traces, make_stream(text))
+        assert got == outcome(row_loop_reading(make_stream), make_stream(text))
+
+    def test_stream_that_splits_lines_elsewhere_goes_to_the_row_loop(self):
+        # A stream with newline="\r" yields the whole text as one line, which
+        # csv rejects; the columns would have read it line by line.
+        raw = io.BytesIO((HEADER + "a,0,40.0,116.3\n").encode())
+        stream = io.TextIOWrapper(raw, encoding="utf-8", newline="\r")
+        with pytest.raises(csv.Error):
+            parse_traces(stream)
+
+    def test_field_over_the_csv_limit_goes_to_the_row_loop(self):
+        rows = HEADER + "a,0,40.0," + "1" * (csv.field_size_limit() + 1) + "\n"
+        with pytest.raises(csv.Error):
+            trajectories._parse_rows(io.StringIO(rows))
+        assert trajectories._columns(rows) is None
+        with pytest.raises(csv.Error):
+            parse_traces(io.StringIO(rows))
 
 
 class TestTrajectoryInvariants:
@@ -213,6 +440,17 @@ class TestSubsample:
             subsample(moving_traj(range(5)), 0.0)
         with pytest.raises(ValueError):
             subsample(moving_traj(range(5)), -1.0)
+
+    @pytest.mark.parametrize("f_d", [1e-320, math.nan, math.inf], ids=["tiny", "nan", "inf"])
+    def test_frequency_without_a_finite_period_rejected(self, f_d):
+        # 1/1e-320 overflows to inf and 1/inf is 0: no sample would ever be due.
+        traj = moving_traj(range(5))
+        for thin in (subsample, _kept_index):
+            with pytest.raises(ValueError, match=f"sampling frequency.*{f_d}"):
+                thin(traj, f_d)
+        track = trajectories._Fleet.of([traj]).tracks()[0]
+        with pytest.raises(ValueError, match=f"sampling frequency.*{f_d}"):
+            _kept_index(track, f_d)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from reference_impls import scalar_build_map
+from reference_impls import loop_utility_surface, scalar_build_map
+import vanetmarket.trajectories as trajectories
 import vanetmarket.utility as utility_module
 from vanetmarket import (
     GridSpec,
+    Trajectory,
     UtilityModel,
     UtilitySurface,
     build_utility_surface,
@@ -131,16 +133,16 @@ class TestUtilitySurface:
     def test_subsamples_each_vehicle_once_per_frequency(self, fleet, monkeypatch):
         calls = []
 
-        def counting(traj, f_d):
-            calls.append((traj.vehicle_id, f_d))
-            return subsample(traj, f_d)
+        def counting(track, f_d):
+            calls.append((track.vehicle_id, f_d))
+            return trajectories._kept_index(track, f_d)
 
-        monkeypatch.setattr(utility_module, "subsample", counting)
+        monkeypatch.setattr(utility_module, "_kept_index", counting)
         n, freqs = len(fleet), (1.0, 0.5, 0.25)
         # The counts calibrate-utility derives from the fleet size.
         build_utility_surface(fleet, SPEC, [0, n // 4, n // 2, (3 * n) // 4, n], freqs, seed=3)
         assert sorted(calls) == sorted((t.vehicle_id, f) for t in fleet for f in freqs)
-        # A small sub-fleet subsamples only the vehicles it draws.
+        # A small sub-fleet takes kept rows only for the vehicles it draws.
         calls.clear()
         build_utility_surface(fleet, SPEC, [3, 3], freqs, seed=3)
         assert len(calls) == len(set(calls)) <= 2 * 3 * len(freqs)
@@ -175,6 +177,56 @@ class TestUtilitySurface:
             UtilitySurface(())
         with pytest.raises(ValueError):
             UtilitySurface(((1.0, 1.0, 1.5),))
+
+
+class TestSurfaceMatchesLoop:
+    """The surface counted from per-row cell ids equals the loop that
+    subsampled and gridded every sub-fleet, point for point."""
+
+    # A bbox smaller than the fleet's, so some samples fall outside it.
+    spec = GridSpec((39.85, 39.95, 116.3, 116.45), cell_size=333.0, time_bin=7.0)
+
+    @pytest.fixture(scope="class")
+    def trajs(self, fleet):
+        # A second trajectory under fleet[0]'s id, a few meters off its path,
+        # so the two share cells and count once there in `vehicles` mode.
+        twin = Trajectory(
+            fleet[0].vehicle_id, tuple(s._replace(lat=s.lat + 1e-5) for s in fleet[0].samples)
+        )
+        return [*fleet, twin]
+
+    def test_fixture_reaches_outside_rows_and_a_shared_cell(self, trajs):
+        assert 0 < build_map(trajs, self.spec).dropped_outside < sum(len(t) for t in trajs)
+        shared = set(build_map(trajs[:1], self.spec).counts)
+        shared &= set(build_map(trajs[-1:], self.spec).counts)
+        assert shared
+        by_samples = build_map([trajs[0], trajs[-1]], self.spec, count_mode="samples").counts
+        by_vehicles = build_map([trajs[0], trajs[-1]], self.spec).counts
+        assert any(by_samples[k] > by_vehicles[k] == 1 for k in shared)
+
+    @pytest.mark.parametrize("count_mode", ["vehicles", "samples"])
+    @pytest.mark.parametrize("average_over", ["ever_occupied", "occupied", "all"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_equals_the_loop(self, trajs, count_mode, average_over, seed):
+        n = len(trajs)
+        kw = dict(
+            vehicle_counts=[0, 1, n // 3, n // 2, n - 1, n],
+            freqs=(1.0, 0.5, 1 / 3, 0.1),
+            a=37.0,
+            seed=seed,
+            average_over=average_over,
+            count_mode=count_mode,
+        )
+        surface = build_utility_surface(trajs, self.spec, **kw)
+        assert surface.points == loop_utility_surface(trajs, self.spec, **kw)
+
+    def test_fleet_entirely_outside_the_bbox(self, fleet):
+        spec = GridSpec((10.0, 11.0, 10.0, 11.0))
+        kw = dict(vehicle_counts=[0, 3, len(fleet)], freqs=(1.0, 0.25), seed=1)
+        for average_over in ("ever_occupied", "occupied", "all"):
+            surface = build_utility_surface(fleet, spec, average_over=average_over, **kw)
+            assert surface.points == loop_utility_surface(fleet, spec, average_over=average_over, **kw)
+            assert all(u == 0.0 for _, _, u in surface.points)
 
 
 class TestFitUtility:
