@@ -12,8 +12,6 @@ import os
 import sys
 import tempfile
 from dataclasses import fields
-from itertools import groupby
-from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -24,22 +22,8 @@ from .econ import profit, profit_terms, validate_params
 from .fitting import FitDivergence
 from .optimize import SWEEPABLE, NonFiniteObjective, grid_oracle, optimize_profit, sweep
 from .privacy import calibrate_per_server_loss
-from .smpc import (
-    aggregate_secure,
-    empirical_privacy_curve,
-    route_samples,
-    write_privacy_curve_csv,
-)
-from .trajectories import (
-    Trajectory,
-    _Fleet,
-    _map_of,
-    _read_fleet,
-    build_map,
-    generate_synthetic,
-    parse_traces,
-    subsample,
-)
+from .smpc import _route, aggregate_secure, empirical_privacy_curve, write_privacy_curve_csv
+from .trajectories import _Fleet, _map_of, _read_fleet, generate_synthetic
 from .utility import _utility_surface, fit_utility
 
 PARTICIPATION_FLAG = {"cdf": "cdf", "pdf": "pdf_as_written"}
@@ -78,23 +62,19 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _load_trajectories(config: RunConfig) -> list[Trajectory]:
-    if config.traces:
-        with open(config.traces, "rb") as fh:
-            return parse_traces(fh)
-    if config.synthetic:
-        return generate_synthetic(
-            config.synthetic_vehicles, config.synthetic_duration, config.seed, config.bbox
-        )
-    raise ValueError("no input data: pass --traces FILE or --synthetic")
-
-
 def _load_fleet(config: RunConfig) -> _Fleet:
-    """`_load_trajectories` as a fleet; a trace file is read into it directly."""
+    """The input fleet: the trace file, read into columns directly, or the
+    seeded synthetic fleet."""
     if config.traces:
         with open(config.traces, "rb") as fh:
             return _read_fleet(fh)
-    return _Fleet.of(_load_trajectories(config))
+    if config.synthetic:
+        return _Fleet.of(
+            generate_synthetic(
+                config.synthetic_vehicles, config.synthetic_duration, config.seed, config.bbox
+            )
+        )
+    raise ValueError("no input data: pass --traces FILE or --synthetic")
 
 
 def cmd_gen(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
@@ -130,7 +110,7 @@ def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
 
 
 def cmd_calibrate_loss(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
-    trajs = _load_trajectories(config)
+    trajs = _load_fleet(config).trajectories()
     report = calibrate_per_server_loss(trajs, config.calibration_freqs)
     csv_buf = io.StringIO()
     csv_buf.write("f_d,mean_similarity,fitted_prediction\n")
@@ -182,8 +162,13 @@ def cmd_optimize(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     # Checked here as well as in grid_oracle, so a bad value fails before the search.
     if args.certify and config.grid_resolution < 2:
         raise ValueError(f"grid_resolution must be >= 2 per axis, got {config.grid_resolution}")
-    solution = optimize_profit(config.econ, config.bounds, config.n_starts, config.seed)
     ref_c1, ref_fd, ref_s = config.reference_point
+    # Relative differences divide by each coordinate, and profit needs s >= 1.
+    if not (ref_c1 > 0 and ref_fd > 0 and ref_s >= 1):
+        raise ValueError(
+            f"reference_point must have c1 > 0, f_d > 0 and s >= 1, got {config.reference_point}"
+        )
+    solution = optimize_profit(config.econ, config.bounds, config.n_starts, config.seed)
     ref_profit = profit(config.econ, ref_c1, ref_fd, ref_s)
 
     def rel(found: float, ref: float) -> float:
@@ -245,10 +230,10 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
 
 
 def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
-    trajs = _load_trajectories(config)
+    fleet = _load_fleet(config)
     seeds = [config.seed + trial for trial in range(config.sim_trials)]
     curve = empirical_privacy_curve(
-        trajs,
+        fleet.trajectories(),
         config.calibration_freqs,
         config.sim_s_values,
         n_compromised=config.n_compromised,
@@ -257,24 +242,17 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     csv_buf = io.StringIO()
     write_privacy_curve_csv(curve, config.econ.loss.k, csv_buf)
 
-    # One full routing + secure-aggregation round at the native rate.
+    # One full routing + secure-aggregation round at the native rate: each
+    # server grids the fleet rows the curve's draw sent it.
     s_demo = max(config.sim_s_values)
-    inboxes = route_samples(trajs, 1.0, s_demo, config.seed)
+    servers, n_retained = _route(fleet, 1.0, s_demo, config.seed)
     spec = config.grid_spec()
-    partials = []
-    for inbox in inboxes:
-        # route_samples keeps each vehicle's samples contiguous and in time order.
-        mini = [
-            Trajectory(vid, tuple(sample for _, sample in group))
-            for vid, group in groupby(inbox.received, key=itemgetter(0))
-        ]
-        partials.append(build_map(mini, spec, count_mode=config.count_mode))
+    partials = [_map_of(rows, spec, config.count_mode) for rows in servers]
     transcript = aggregate_secure(partials, seed=config.seed)
 
-    n_routed = sum(len(i.received) for i in inboxes)
-    n_retained = sum(len(subsample(t, 1.0)) for t in trajs)
+    n_routed = sum(len(rows.txy) for rows in servers)
     summary = {
-        "n_vehicles": len(trajs),
+        "n_vehicles": len(fleet.ids),
         "n_servers": s_demo,
         "n_routed_samples": n_routed,
         "routing_partition_ok": n_routed == n_retained,

@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence, Sized
 
 import numpy as np
 
 from .privacy import _frechet_many, _full_paths, _similarity, path_similarity
 from .trajectories import GeoSample, PlanarPath, SpatioTemporalMap, Trajectory, _kept_index
-from .trajectories import project_planar, subsample
+from .trajectories import _Fleet, project_planar, subsample
 
 FIELD_PRIME = 2**61 - 1  # Mersenne prime; counts stay far below it
 
@@ -65,6 +66,19 @@ def route_samples(
         for sample, pick in zip(sub.samples, picks.tolist()):
             inboxes[pick].received.append((sub.vehicle_id, sample))
     return inboxes
+
+
+def _route(fleet: _Fleet, f_d: float, s: int, seed: int) -> tuple[list[_Fleet], int]:
+    """`route_samples` over a fleet's rows: each server's kept rows, as a fleet
+    over the same tracks, and the number of kept rows. The draw is
+    `route_samples`' draw, so server i's rows are inbox i's samples."""
+    if s < 1:
+        raise ValueError(f"server count must be >= 1, got {s}")
+    kept = [_kept_index(track, f_d) for track in fleet.tracks()]
+    rows = np.fromiter(chain.from_iterable(kept), dtype=np.intp)
+    rows += np.repeat(fleet.offsets[:-1], list(map(len, kept)))
+    servers = np.concatenate(_draw_servers(kept, s, seed))
+    return [fleet._rows(rows[servers == i]) for i in range(s)], len(rows)
 
 
 def secret_share(x: int, n: int, seed: int | np.random.Generator = 0) -> list[int]:

@@ -107,6 +107,10 @@ class _Fleet(NamedTuple):
         offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))
         return cls([traj.vehicle_id for traj in trajs], offsets, txy)
 
+    def _rows(self, rows: np.ndarray) -> _Fleet:
+        """The fleet of the given rows, in increasing order, over the same tracks."""
+        return _Fleet(self.ids, np.searchsorted(rows, self.offsets), self.txy[rows])
+
     def _spans(self) -> Iterable[tuple[str, int, int]]:
         bounds = self.offsets.tolist()
         return zip(self.ids, bounds, bounds[1:])
@@ -402,8 +406,8 @@ def generate_synthetic(
         wp = np.array([rng.uniform(0, width), rng.uniform(0, height)])
         samples = []
         for t in range(duration):
-            lat = lat_min + pos[1] / m_lat
-            lon = lon_min + pos[0] / m_lon
+            lat = lat_min + float(pos[1]) / m_lat
+            lon = lon_min + float(pos[0]) / m_lon
             samples.append(GeoSample(float(t), lat, lon))
             remaining = speed * rng.uniform(0.5, 1.5)
             while remaining > 0:

@@ -4,8 +4,9 @@ checked against, bitwise where the tests say so.
 The package computes profit in one straight line (`econ._profit_parts`),
 evaluates the certifying grid over arrays (`econ.profit_slabs`), grids
 samples over arrays (`trajectories.build_map`), counts the utility surface
-from per-row cell ids (`utility.build_utility_surface`) and scores the
-privacy curve's captures in batches (`smpc.empirical_privacy_curve`). The
+from per-row cell ids (`utility.build_utility_surface`), scores the
+privacy curve's captures in batches (`smpc.empirical_privacy_curve`) and
+routes the aggregation round over fleet rows (`smpc._route`). The
 helper chains and loops they replaced live here, as tests use them, and
 nowhere in `src/`.
 """
@@ -13,7 +14,8 @@ nowhere in `src/`.
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import compress, groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from vanetmarket import (
     path_similarity,
     profit,
     project_planar,
+    route_samples,
     subsample,
     total_loss_raw,
 )
@@ -195,6 +198,21 @@ def scalar_build_map(trajs, spec, count_mode="vehicles"):
     if count_mode == "vehicles":
         seen = {k: len(v) for k, v in seen.items()}
     return seen, dropped
+
+
+def regrouped_partial_maps(trajs, f_d, s, seed, spec, count_mode="vehicles"):
+    """The aggregation round `simulate` ran before `smpc._route`: route samples
+    into inboxes, regroup each inbox by vehicle into fresh trajectories and
+    grid those, one partial map per server."""
+    partials = []
+    for inbox in route_samples(trajs, f_d, s, seed):
+        # route_samples keeps each vehicle's samples contiguous and in time order.
+        mini = [
+            Trajectory(vid, tuple(sample for _, sample in group))
+            for vid, group in groupby(inbox.received, key=itemgetter(0))
+        ]
+        partials.append(build_map(mini, spec, count_mode=count_mode))
+    return partials
 
 
 def per_seed_privacy_curve(trajs, f_d_values, s_values, n_compromised=1, seeds=(0,)):

@@ -7,7 +7,8 @@ import stat
 
 import pytest
 
-from vanetmarket import Bounds, EconParams, LossModel, UtilityModel
+from vanetmarket import Bounds, EconParams, LossModel, UtilityModel, cli, privacy, smpc
+from vanetmarket import trajectories
 from vanetmarket.cli import _json_text, build_parser, main
 from vanetmarket.config import RunConfig, load_config
 
@@ -235,6 +236,33 @@ class TestSimulateCommand:
         transcript = json.loads((out / "transcript.json").read_text())
         assert "reconstructed" in transcript
 
+    @pytest.mark.parametrize("source", ["traces", "synthetic"])
+    def test_round_skips_the_inbox_path(self, tmp_path, monkeypatch, source):
+        # The round routes fleet rows and grids them; nothing builds inboxes,
+        # regroups them into trajectories or subsamples a second time.
+        forbidden = ("route_samples", "build_map", "subsample", "parse_traces")
+        assert not set(vars(cli)) & {*forbidden, "Trajectory", "groupby", "itemgetter"}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the inbox path ran")
+
+        for module in (cli, smpc, trajectories, privacy):
+            for name in forbidden:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        if source == "traces":
+            assert run(["gen", "--vehicles", 6, "--duration", 20, "--out", tmp_path / "g"]) == 0
+            argv = ["--traces", tmp_path / "g" / "traces.csv"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"synthetic_vehicles": 6, "synthetic_duration": 20}))
+            argv = ["--config", cfg, "--synthetic"]
+        out = tmp_path / "sim"
+        assert run(["simulate", *argv, "--s-values", "1,4", "--trials", 1, "--out", out]) == 0
+        summary = json.loads((out / "simulation_summary.json").read_text())
+        assert summary["n_routed_samples"] == 6 * 20
+        assert summary["routing_partition_ok"] is True
+
     def test_keep_shares_flag(self, tmp_path):
         out = tmp_path / "ks"
         cfg = tmp_path / "cfg.json"
@@ -291,6 +319,26 @@ def test_certify_grid_resolution_checked_before_the_search(tmp_path, capsys, mon
         args += ["--config", cfg]
     assert run(args) == 1
     assert "grid_resolution must be >= 2 per axis, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(0.0, 7.31, 15.12), (-1e-6, 7.31, 15.12), (3.57e-6, 0.0, 15.12), (3.57e-6, 7.31, 0.5)],
+    ids=["zero-c1", "negative-c1", "zero-f_d", "s-below-one"],
+)
+def test_reference_point_checked_before_the_search(tmp_path, capsys, monkeypatch, point):
+    def no_search(*args, **kwargs):
+        raise AssertionError("optimize_profit ran")
+
+    monkeypatch.setattr("vanetmarket.cli.optimize_profit", no_search)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"reference_point": list(point)}))
+    out = tmp_path / "out"
+    assert run(["optimize", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: reference_point must have c1 > 0, f_d > 0 and s >= 1, got {point}\n"
+    )
     assert not out.exists()
 
 

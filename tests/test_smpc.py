@@ -19,7 +19,7 @@ from vanetmarket import (
     secret_share,
     subsample,
 )
-from reference_impls import per_seed_privacy_curve
+from reference_impls import per_seed_privacy_curve, regrouped_partial_maps
 from vanetmarket import privacy, smpc, trajectories
 
 SPEC = GridSpec((39.8, 40.0, 116.25, 116.5))
@@ -119,6 +119,50 @@ class TestRouting:
     def test_server_count_validation(self, small_fleet):
         with pytest.raises(ValueError):
             route_samples(small_fleet, 0.5, 0, seed=0)
+
+
+# (f_d, s, bbox): a round at the native rate, a single server, a thinned round,
+# a bbox that drops samples, and more servers than samples.
+ROUTE_CASES = [
+    (1.0, 8, SPEC.bbox),
+    (1.0, 1, SPEC.bbox),
+    (0.25, 4, SPEC.bbox),
+    (1.0, 4, (39.85, 39.95, 116.3, 116.45)),
+    (1.0, 500, SPEC.bbox),
+]
+
+
+class TestRouteFleet:
+    """`smpc._route` + `_map_of` against the inbox regroup they replaced."""
+
+    @pytest.mark.parametrize("count_mode", ["vehicles", "samples"])
+    @pytest.mark.parametrize("f_d, s, bbox", ROUTE_CASES)
+    def test_partial_maps_equal_the_inbox_regroup(self, small_fleet, count_mode, f_d, s, bbox):
+        spec = GridSpec(bbox)
+        servers, n_kept = smpc._route(trajectories._Fleet.of(small_fleet), f_d, s, seed=6)
+        got = [trajectories._map_of(rows, spec, count_mode) for rows in servers]
+        want = regrouped_partial_maps(small_fleet, f_d, s, 6, spec, count_mode)
+        assert [list(p.counts.items()) for p in got] == [list(p.counts.items()) for p in want]
+        assert [p.dropped_outside for p in got] == [p.dropped_outside for p in want]
+        assert n_kept == sum(len(subsample(t, f_d)) for t in small_fleet)
+        if bbox != SPEC.bbox:
+            assert sum(p.dropped_outside for p in want) > 0
+        if s == 500:
+            assert any(len(rows.txy) == 0 for rows in servers)
+
+    @pytest.mark.parametrize("f_d, s", [(f_d, s) for f_d, s, _ in ROUTE_CASES])
+    def test_server_rows_are_the_inbox_samples(self, small_fleet, f_d, s):
+        servers, _ = smpc._route(trajectories._Fleet.of(small_fleet), f_d, s, seed=2)
+        inboxes = route_samples(small_fleet, f_d, s, seed=2)
+        assert len(servers) == len(inboxes) == s
+        for rows, inbox in zip(servers, inboxes):
+            assert rows.ids == [t.vehicle_id for t in small_fleet]
+            received = [(t.vehicle_id, g) for t in rows.trajectories() for g in t.samples]
+            assert received == inbox.received
+
+    def test_server_count_validation(self, small_fleet):
+        with pytest.raises(ValueError, match="server count must be >= 1, got 0"):
+            smpc._route(trajectories._Fleet.of(small_fleet), 1.0, 0, seed=0)
 
 
 class TestSecretSharing:

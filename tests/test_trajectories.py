@@ -376,6 +376,12 @@ class TestGenerateSynthetic:
                 assert bbox[0] <= s.lat <= bbox[1]
                 assert bbox[2] <= s.lon <= bbox[3]
 
+    def test_samples_hold_python_floats(self):
+        # As parse_traces gives them: no numpy scalars, whose repr differs.
+        for traj in generate_synthetic(3, 20, seed=4):
+            for sample in traj.samples:
+                assert all(type(v) is float for v in sample), sample
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             generate_synthetic(0, 10, seed=1)
