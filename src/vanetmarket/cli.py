@@ -23,8 +23,8 @@ from .fitting import FitDivergence
 from .optimize import SWEEPABLE, NonFiniteObjective, grid_oracle, optimize_profit, sweep
 from .privacy import calibrate_per_server_loss
 from .smpc import _route, aggregate_secure, empirical_privacy_curve, write_privacy_curve_csv
-from .trajectories import _Fleet, _map_of, _read_fleet, generate_synthetic
-from .utility import _utility_surface, fit_utility
+from .trajectories import _Fleet, _read_fleet, build_map, generate_synthetic
+from .utility import build_utility_surface, fit_utility
 
 PARTICIPATION_FLAG = {"cdf": "cdf", "pdf": "pdf_as_written"}
 COST_FLAG = {"as-written": "per_server_as_written", "times-s": "total_times_s"}
@@ -62,6 +62,17 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _synthetic(config: RunConfig) -> list:
+    """`generate_synthetic`'s seeded trajectories, their size checked under
+    their config keys."""
+    n_vehicles, duration = config.synthetic_vehicles, config.synthetic_duration
+    if n_vehicles < 1:
+        raise ValueError(f"synthetic_vehicles must be >= 1, got {n_vehicles}")
+    if duration < 2:
+        raise ValueError(f"synthetic_duration must be >= 2 minutes, got {duration}")
+    return generate_synthetic(n_vehicles, duration, config.seed, config.bbox)
+
+
 def _load_fleet(config: RunConfig) -> _Fleet:
     """The input fleet: the trace file, read into columns directly, or the
     seeded synthetic fleet."""
@@ -69,18 +80,12 @@ def _load_fleet(config: RunConfig) -> _Fleet:
         with open(config.traces, "rb") as fh:
             return _read_fleet(fh)
     if config.synthetic:
-        return _Fleet.of(
-            generate_synthetic(
-                config.synthetic_vehicles, config.synthetic_duration, config.seed, config.bbox
-            )
-        )
+        return _Fleet.of(_synthetic(config))
     raise ValueError("no input data: pass --traces FILE or --synthetic")
 
 
 def cmd_gen(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
-    trajs = generate_synthetic(
-        config.synthetic_vehicles, config.synthetic_duration, config.seed, config.bbox
-    )
+    trajs = _synthetic(config)
     buf = io.StringIO()
     buf.write("vehicle_id,timestamp,lat,lon\n")
     for traj in trajs:
@@ -93,7 +98,7 @@ def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     if not config.traces:
         raise ValueError("ingest requires --traces FILE")
     fleet = _load_fleet(config)
-    stmap = _map_of(fleet, config.grid_spec(), config.count_mode)
+    stmap = build_map(fleet, config.grid_spec(), config.count_mode)
     csv_buf = io.StringIO()
     stmap.write_csv(csv_buf)
     summary = {
@@ -110,8 +115,7 @@ def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
 
 
 def cmd_calibrate_loss(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
-    trajs = _load_fleet(config).trajectories()
-    report = calibrate_per_server_loss(trajs, config.calibration_freqs)
+    report = calibrate_per_server_loss(_load_fleet(config), config.calibration_freqs)
     csv_buf = io.StringIO()
     csv_buf.write("f_d,mean_similarity,fitted_prediction\n")
     for f, sim in report.points:
@@ -128,7 +132,7 @@ def cmd_calibrate_utility(config: RunConfig, args: argparse.Namespace) -> dict[s
     if not counts:
         n = len(fleet.ids)
         counts = tuple(sorted({0, n // 4, n // 2, (3 * n) // 4, n}))
-    surface = _utility_surface(
+    surface = build_utility_surface(
         fleet,
         config.grid_spec(),
         counts,
@@ -230,10 +234,13 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
 
 
 def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
+    # Checked here as well as in the curve, so a bad value fails before the input is read.
+    if config.sim_trials < 1:
+        raise ValueError(f"sim_trials must be >= 1, got {config.sim_trials}")
     fleet = _load_fleet(config)
     seeds = [config.seed + trial for trial in range(config.sim_trials)]
     curve = empirical_privacy_curve(
-        fleet.trajectories(),
+        fleet,
         config.calibration_freqs,
         config.sim_s_values,
         n_compromised=config.n_compromised,
@@ -247,7 +254,7 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     s_demo = max(config.sim_s_values)
     servers, n_retained = _route(fleet, 1.0, s_demo, config.seed)
     spec = config.grid_spec()
-    partials = [_map_of(rows, spec, config.count_mode) for rows in servers]
+    partials = [build_map(rows, spec, config.count_mode) for rows in servers]
     transcript = aggregate_secure(partials, seed=config.seed)
 
     n_routed = sum(len(rows.txy) for rows in servers)

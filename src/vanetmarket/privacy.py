@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .fitting import fit_least_squares
-from .trajectories import PlanarPath, Trajectory, _kept_index, _planar_points, project_planar
+from .trajectories import PlanarPath, Trajectory, _Fleet, _kept_index, _planar, _planar_points
 
 # Sub-sampling ladder used for the per-server loss measurement: one sample
 # every 2, 3, ..., 10 minutes.
@@ -279,15 +279,20 @@ class _FullPath(NamedTuple):
     diameter: float
 
 
-def _full_paths(trajs: Sequence[Trajectory]) -> list[_FullPath]:
+def _full_paths(trajs: Sequence[Trajectory] | _Fleet) -> list[_FullPath]:
+    """Each track's full path, projected about its centroid: the exact mean of
+    its latitudes and of its longitudes, as `Trajectory.centroid` takes it."""
+    fleet = _Fleet.of(trajs)
+    lat = fleet.txy[:, 1].tolist()
+    lon = fleet.txy[:, 2].tolist()
     fulls = []
-    for traj in trajs:
-        origin = traj.centroid()
-        path = project_planar(traj, origin=origin)
+    for vid, a, b in fleet._spans():
+        origin = (math.fsum(lat[a:b]) / (b - a), math.fsum(lon[a:b]) / (b - a))
+        path = _planar(fleet.txy[a:b], origin)
         diameter = path.diameter()
         if diameter <= 0.0:
             raise ValueError(
-                f"vehicle {traj.vehicle_id!r} never moves: its full path has zero "
+                f"vehicle {vid!r} never moves: its full path has zero "
                 "diameter, so similarity is undefined"
             )
         fulls.append(_FullPath(origin, path, diameter))
@@ -295,7 +300,7 @@ def _full_paths(trajs: Sequence[Trajectory]) -> list[_FullPath]:
 
 
 def mean_similarity_by_frequency(
-    trajs: Iterable[Trajectory], freqs: Sequence[float]
+    trajs: Sequence[Trajectory] | _Fleet, freqs: Sequence[float]
 ) -> list[tuple[float, float]]:
     """Mean over vehicles of similarity(full path, path subsampled at f), per frequency.
 
@@ -303,21 +308,21 @@ def mean_similarity_by_frequency(
     keeps, bitwise its own projection. Means use exact summation, so the
     result is independent of vehicle order.
     """
-    trajs = list(trajs)
-    if not trajs:
+    fleet = _Fleet.of(trajs)
+    if not fleet.ids:
         raise ValueError("need at least one trajectory")
     if not freqs:
         raise ValueError("need at least one frequency")
     sims: dict[float, list[float]] = {f: [] for f in freqs}
-    for traj, full in zip(trajs, _full_paths(trajs)):
+    for track, full in zip(fleet.tracks(), _full_paths(fleet)):
         for f in freqs:
-            rows = full.path.points[_kept_index(traj, f)]
+            rows = full.path.points[_kept_index(track, f)]
             sims[f].append(path_similarity(full.path, rows, full.diameter))
     return [(f, math.fsum(sims[f]) / len(sims[f])) for f in freqs]
 
 
 def calibrate_per_server_loss(
-    trajs: Iterable[Trajectory], freqs: Sequence[float] = DEFAULT_CALIBRATION_FREQS
+    trajs: Sequence[Trajectory] | _Fleet, freqs: Sequence[float] = DEFAULT_CALIBRATION_FREQS
 ) -> CalibrationReport:
     """Measure mean path similarity per sampling frequency and fit the decay coefficient."""
     return fit_per_server_decay(mean_similarity_by_frequency(trajs, freqs))

@@ -224,7 +224,7 @@ class CurvePoint(NamedTuple):
 
 
 def empirical_privacy_curve(
-    trajs: Sequence[Trajectory],
+    trajs: Sequence[Trajectory] | _Fleet,
     f_d_values: Sequence[float],
     s_values: Sequence[int],
     n_compromised: int = 1,
@@ -232,7 +232,7 @@ def empirical_privacy_curve(
 ) -> list[CurvePoint]:
     """Monte Carlo mean adversary similarity per (f_d, s) with the first
     `n_compromised` servers compromised, routing with `route_samples`' draw.
-    Each trajectory is scored on its own.
+    Each trajectory, or each track of a fleet, is scored on its own.
 
     Per f_d, each vehicle's kept samples are the rows of its projected full
     path that `subsample` keeps, and a capture is the rows its compromised
@@ -240,7 +240,8 @@ def empirical_privacy_curve(
     f_d are scored in one `_frechet_many` batch. At s = n_compromised the
     adversary captures every kept sample whatever the seed, so that capture is
     scored once and counted for every seed."""
-    if not trajs:
+    fleet = _Fleet.of(trajs)
+    if not fleet.ids:
         raise ValueError("need at least one trajectory")
     if not f_d_values or not s_values:
         raise ValueError("f_d_values and s_values must be nonempty")
@@ -250,10 +251,11 @@ def empirical_privacy_curve(
         if n_compromised < 1 or n_compromised > s:
             raise ValueError(f"n_compromised={n_compromised} invalid for s={s} servers")
     # Each vehicle's full path and diameter are the same for every (f_d, s, seed).
-    fulls = _full_paths(trajs)
+    fulls = _full_paths(fleet)
+    tracks = fleet.tracks()
     points = []
     for f_d in f_d_values:
-        planar = [full.path.points[_kept_index(traj, f_d)] for traj, full in zip(trajs, fulls)]
+        planar = [full.path.points[_kept_index(track, f_d)] for track, full in zip(tracks, fulls)]
         # Per s, each capture as (vehicle index, captured rows).
         rounds = []
         for s in s_values:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain, count, repeat
 from operator import itemgetter
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,7 +95,10 @@ class _Fleet(NamedTuple):
     txy: np.ndarray
 
     @classmethod
-    def of(cls, trajs: Iterable[Trajectory]) -> _Fleet:
+    def of(cls, trajs: Iterable[Trajectory] | _Fleet) -> _Fleet:
+        """The fleet of the trajectories, or the fleet itself, unchanged."""
+        if isinstance(trajs, _Fleet):
+            return trajs
         trajs = list(trajs)
         lengths = [len(traj.samples) for traj in trajs]
         n = sum(lengths)
@@ -241,29 +244,22 @@ def parse_traces(stream: IO[bytes] | IO[str]) -> list[Trajectory]:
     """Parse a trace file into one Trajectory per vehicle, samples sorted by time.
 
     Duplicate (vehicle, timestamp) rows collapse keeping the first occurrence.
-    A binary stream is read as UTF-8 and left open. The file is read into
-    columns in one pass; unusual input goes through the row loop, which
-    accepts it or raises its `TraceParseError` (see `_columns`).
+    A binary stream is read as UTF-8 and left open.
     """
-    fleet, lines = _read_columns(stream)
-    return _parse_rows(lines) if fleet is None else fleet.trajectories()
+    return _read_fleet(stream).trajectories()
 
 
 def _read_fleet(stream: IO[bytes] | IO[str]) -> _Fleet:
-    """`parse_traces`' result as a fleet, without building its trajectories."""
-    fleet, lines = _read_columns(stream)
-    return _Fleet.of(_parse_rows(lines)) if fleet is None else fleet
+    """`parse_traces`' result as a fleet, without building its trajectories.
 
-
-def _read_columns(stream: IO[bytes] | IO[str]) -> tuple[_Fleet | None, Iterable[str]]:
-    """Read the whole stream and take its columns in one pass.
-
-    Returns (fleet, lines): the fleet where `_columns` accepts the text, else
-    None and the lines the row loop reads, split as iterating the stream
-    splits them. For a binary stream those lines come from a UTF-8 text
-    wrapper with universal newlines, as they always did, so an undecodable
-    byte raises where the row loop reaches it; `_columns` sees the bytes
-    decoded whole, carriage returns kept, and leaves those to the row loop.
+    The whole stream is read and taken into columns in one pass where
+    `_columns` accepts the text. Unusual input goes through the row loop,
+    which accepts it or raises its `TraceParseError`, over the lines
+    iterating the stream gives. For a binary stream those lines come from a
+    UTF-8 text wrapper with universal newlines, so an undecodable byte
+    raises where the row loop reaches it; `_columns` sees the bytes decoded
+    whole, carriage returns kept, and leaves those to the row loop. The row
+    loop's values go into the fleet's float64 columns unchanged.
     """
     if isinstance(stream, io.BufferedIOBase) or (
         hasattr(stream, "read") and isinstance(getattr(stream, "mode", ""), str) and "b" in getattr(stream, "mode", "")
@@ -273,13 +269,14 @@ def _read_columns(stream: IO[bytes] | IO[str]) -> tuple[_Fleet | None, Iterable[
             fleet = _columns(data.decode("utf-8"))
         except UnicodeDecodeError:
             fleet = None
-        return fleet, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") if fleet is None else ()
-    lines = list(stream)
-    text = "".join(lines)
-    # Only a stream that splits lines at each "\n" splits them as _columns does.
-    if len(lines) != text.count("\n") + (not text.endswith("\n")):
-        return None, lines
-    return _columns(text), lines
+        lines: Iterable[str] = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    else:
+        lines = list(stream)
+        text = "".join(lines)
+        # Only a stream that splits lines at each "\n" splits them as _columns does.
+        same_split = len(lines) == text.count("\n") + (not text.endswith("\n"))
+        fleet = _columns(text) if same_split else None
+    return _Fleet.of(_parse_rows(lines)) if fleet is None else fleet
 
 
 def _columns(text: str) -> _Fleet | None:
@@ -436,7 +433,9 @@ def _kept_index(traj: Trajectory | _Track, f_d: float) -> list[int]:
         raise ValueError(f"sampling frequency {f_d} has no finite, positive period 1/f_d")
     times = traj.times if isinstance(traj, _Track) else list(map(_TIME, traj.samples))
     if len(times) < 2:
-        raise ValueError("cannot subsample a trajectory with fewer than 2 samples")
+        raise ValueError(
+            f"vehicle {traj.vehicle_id!r}: cannot subsample a trajectory with fewer than 2 samples"
+        )
     t0 = times[0]
     kept = []
     n_target = 0
@@ -460,19 +459,25 @@ def subsample(traj: Trajectory, f_d: float) -> Trajectory:
 
 def project_planar(traj: Trajectory, origin: tuple[float, float] | None = None) -> PlanarPath:
     """Equirectangular projection to meters about `origin` (default: the trajectory centroid)."""
-    lat0, lon0 = origin if origin is not None else traj.centroid()
+    origin = origin if origin is not None else traj.centroid()
+    return _planar(np.array(traj.samples, dtype=np.float64), origin)
+
+
+def _planar(txy: np.ndarray, origin: tuple[float, float]) -> PlanarPath:
+    """`project_planar` of (t, lat, lon) rows about origin = (lat0, lon0): x is
+    (lon - lon0) * scale * cos0 and y is (lat - lat0) * scale, evaluated in that
+    order, with cos0 from libm's cos as the scalar formula takes it."""
+    lat0, lon0 = origin
     scale = EARTH_RADIUS_M * math.pi / 180.0
     cos0 = math.cos(math.radians(lat0))
-    pts = np.array(
-        [((s.lon - lon0) * scale * cos0, (s.lat - lat0) * scale) for s in traj.samples]
-    )
-    return PlanarPath(pts)
+    x = (txy[:, 2] - lon0) * scale * cos0
+    return PlanarPath(np.column_stack((x, (txy[:, 1] - lat0) * scale)))
 
 
 def build_map(
-    trajs: Iterable[Trajectory], spec: GridSpec, count_mode: str = "vehicles"
+    trajs: Sequence[Trajectory] | _Fleet, spec: GridSpec, count_mode: str = "vehicles"
 ) -> SpatioTemporalMap:
-    """Aggregate trajectories onto the grid.
+    """Aggregate trajectories, or a fleet's tracks, onto the grid.
 
     `vehicles` mode counts distinct contributing vehicle ids per cell; `samples`
     counts raw samples. Samples outside the bbox (bounds inclusive) are
@@ -482,16 +487,7 @@ def build_map(
     arrays; `scalar_build_map` in `tests/reference_impls.py` is the
     per-sample reference it matches.
     """
-    return _map_of(_Fleet.of(trajs), spec, count_mode)
-
-
-def _check_count_mode(count_mode: str) -> None:
-    if count_mode not in ("vehicles", "samples"):
-        raise ValueError(f"count_mode must be 'vehicles' or 'samples', got {count_mode!r}")
-
-
-def _map_of(fleet: _Fleet, spec: GridSpec, count_mode: str) -> SpatioTemporalMap:
-    """`build_map` of a fleet's tracks."""
+    fleet = _Fleet.of(trajs)
     _check_count_mode(count_mode)
     cell, keys, vehicles, dropped = _grid(fleet, spec)
     if count_mode == "samples":
@@ -500,6 +496,11 @@ def _map_of(fleet: _Fleet, spec: GridSpec, count_mode: str) -> SpatioTemporalMap
         counts = vehicles
     pairs = zip(*(map(int, column) for column in keys.tolist()))
     return SpatioTemporalMap(spec, dict(zip(pairs, counts.tolist())), dropped)
+
+
+def _check_count_mode(count_mode: str) -> None:
+    if count_mode not in ("vehicles", "samples"):
+        raise ValueError(f"count_mode must be 'vehicles' or 'samples', got {count_mode!r}")
 
 
 def _grid(fleet: _Fleet, spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:

@@ -76,7 +76,7 @@ class UtilitySurface:
 
 
 def build_utility_surface(
-    trajs: Sequence[Trajectory],
+    trajs: Sequence[Trajectory] | _Fleet,
     spec: GridSpec,
     vehicle_counts: Sequence[int],
     freqs: Sequence[float],
@@ -92,23 +92,6 @@ def build_utility_surface(
     grid_utility over the eligible cell set: cells ever occupied by the full
     fleet (default), only currently occupied cells, or every cell the grid
     spans (`average_over` = ever_occupied | occupied | all).
-    """
-    return _utility_surface(
-        _Fleet.of(trajs), spec, vehicle_counts, freqs, a, seed, average_over, count_mode
-    )
-
-
-def _utility_surface(
-    fleet: _Fleet,
-    spec: GridSpec,
-    vehicle_counts: Sequence[int],
-    freqs: Sequence[float],
-    a: float = DEFAULT_GRID_SHAPE,
-    seed: int = 0,
-    average_over: str = "ever_occupied",
-    count_mode: str = "vehicles",
-) -> UtilitySurface:
-    """`build_utility_surface` over a fleet's tracks.
 
     The fleet is gridded once. Each row's cell is its key's position in that
     full map, and a sub-fleet's map is one bincount over the cells of its
@@ -116,6 +99,7 @@ def _utility_surface(
     that share a vehicle id count once per cell, as in `build_map`), every
     kept row's cell in `samples` mode.
     """
+    fleet = _Fleet.of(trajs)
     n_tracks = len(fleet.ids)
     if not n_tracks:
         raise ValueError("need at least one trajectory")

@@ -2,8 +2,9 @@
 checked against, bitwise where the tests say so.
 
 The package computes profit in one straight line (`econ._profit_parts`),
-evaluates the certifying grid over arrays (`econ.profit_slabs`), grids
-samples over arrays (`trajectories.build_map`), counts the utility surface
+evaluates the certifying grid over arrays (`econ.profit_slabs`), projects
+and grids samples over arrays (`trajectories.project_planar`,
+`trajectories.build_map`), counts the utility surface
 from per-row cell ids (`utility.build_utility_surface`), scores the
 privacy curve's captures in batches (`smpc.empirical_privacy_curve`) and
 routes the aggregation round over fleet rows (`smpc._route`). The
@@ -156,6 +157,15 @@ def scalar_subsample(traj, f_d: float) -> tuple:
     if kept[-1] != traj.samples[-1]:
         kept.append(traj.samples[-1])
     return tuple(kept)
+
+
+def scalar_projection(traj, origin) -> np.ndarray:
+    """The per-sample equirectangular formula `project_planar` evaluates over
+    arrays: Python floats, cos0 from libm, each product left to right."""
+    lat0, lon0 = origin
+    scale = 6371000.0 * math.pi / 180.0
+    cos0 = math.cos(math.radians(lat0))
+    return np.array([((s.lon - lon0) * scale * cos0, (s.lat - lat0) * scale) for s in traj.samples])
 
 
 def cell_of(spec, lat: float, lon: float) -> tuple[int, int] | None:

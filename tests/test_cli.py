@@ -239,20 +239,27 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("source", ["traces", "synthetic"])
     def test_round_skips_the_inbox_path(self, tmp_path, monkeypatch, source):
         # The round routes fleet rows and grids them; nothing builds inboxes,
-        # regroups them into trajectories or subsamples a second time.
-        forbidden = ("route_samples", "build_map", "subsample", "parse_traces")
+        # regroups them into trajectories or subsamples a second time, and the
+        # curve scores the fleet's columns without building a trajectory.
+        forbidden = ("route_samples", "subsample", "parse_traces")
         assert not set(vars(cli)) & {*forbidden, "Trajectory", "groupby", "itemgetter"}
 
         def refuse(*args, **kwargs):
             raise AssertionError("the inbox path ran")
 
+        def no_trajectory(*args, **kwargs):
+            raise AssertionError("a trajectory was built")
+
         for module in (cli, smpc, trajectories, privacy):
             for name in forbidden:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(trajectories.Trajectory, "_trusted", no_trajectory)
         if source == "traces":
             assert run(["gen", "--vehicles", 6, "--duration", 20, "--out", tmp_path / "g"]) == 0
             argv = ["--traces", tmp_path / "g" / "traces.csv"]
+            # The synthetic fleet is made of trajectories; a trace file's is not.
+            monkeypatch.setattr(trajectories.Trajectory, "__post_init__", no_trajectory)
         else:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"synthetic_vehicles": 6, "synthetic_duration": 20}))
@@ -300,6 +307,22 @@ def test_parked_vehicle_is_named_and_nothing_written(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert run([command, "--traces", traces, "--out", out]) == 1
     assert "'parked-7' never moves" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate-loss", "calibrate-utility", "simulate"])
+def test_single_row_vehicle_is_named_and_nothing_written(tmp_path, capsys, command):
+    traces = tmp_path / "traces.csv"
+    rows = ["vehicle_id,timestamp,lat,lon"]
+    rows += [f"mover,{t},{39.9 + 0.001 * t},116.4" for t in range(12)]
+    rows += ["lone-3,5,39.95,116.3"]
+    traces.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert run([command, "--traces", traces, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: vehicle 'lone-3'")
+    if command == "calibrate-utility":
+        assert "cannot subsample a trajectory with fewer than 2 samples" in err
     assert not out.exists()
 
 
@@ -505,6 +528,34 @@ class TestManifestAndConfig:
         cfg.write_text(text)
         out = tmp_path / "x"
         assert run(["optimize", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, data, message",
+        [
+            (["gen"], {"synthetic_vehicles": 0}, "synthetic_vehicles must be >= 1, got 0"),
+            (["gen", "--duration", 1], {}, "synthetic_duration must be >= 2 minutes, got 1"),
+            (
+                ["calibrate-utility", "--synthetic"],
+                {"synthetic_vehicles": -2},
+                "synthetic_vehicles must be >= 1, got -2",
+            ),
+            (["simulate", "--synthetic", "--trials", 0], {}, "sim_trials must be >= 1, got 0"),
+            # Checked before the input is read: this trace file does not exist.
+            (
+                ["simulate", "--traces", "no-such-dir/traces.csv"],
+                {"sim_trials": 0},
+                "sim_trials must be >= 1, got 0",
+            ),
+        ],
+        ids=["vehicles", "duration-flag", "vehicles-synthetic", "trials-flag", "trials-before-input"],
+    )
+    def test_out_of_range_setting_names_its_config_key(self, tmp_path, capsys, argv, data, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "x"
+        assert run([*argv, "--config", cfg, "--out", out]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 

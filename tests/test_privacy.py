@@ -4,10 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reference_impls import total_loss
+from reference_impls import scalar_projection, total_loss
 from vanetmarket import (
     CalibrationReport,
     DEFAULT_CALIBRATION_FREQS,
@@ -24,7 +24,7 @@ from vanetmarket import (
     subsample,
     total_loss_raw,
 )
-from vanetmarket import privacy
+from vanetmarket import privacy, trajectories
 from vanetmarket.privacy import _ROW_BLOCK
 
 
@@ -436,18 +436,50 @@ class TestPerServerFit:
             CalibrationReport(fitted_k=1.0, residual_rms=0.0, points=((0.5, 1.2),))
 
 
+# Latitudes and longitudes over the whole range the projection takes, signed
+# zeros included.
+LATITUDES = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-89.0, 89.0))
+LONGITUDES = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-179.0, 179.0))
+
+
+@st.composite
+def moving_trajectories(draw, vid):
+    points = draw(st.lists(st.tuples(LATITUDES, LONGITUDES), min_size=2, max_size=50))
+    traj = Trajectory(vid, tuple(GeoSample(float(t), *p) for t, p in enumerate(points)))
+    # A full path needs a positive diameter, which subnormal steps underflow to 0.
+    assume(PlanarPath(scalar_projection(traj, traj.centroid())).diameter() > 0.0)
+    return traj
+
+
+class TestFullPaths:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_columns_give_the_trajectory_centroid_and_projection(self, data):
+        n = data.draw(st.integers(1, 4))
+        trajs = [data.draw(moving_trajectories(f"v{i}")) for i in range(n)]
+        for traj, full in zip(trajs, privacy._full_paths(trajectories._Fleet.of(trajs))):
+            origin = traj.centroid()
+            assert np.array(full.origin).tobytes() == np.array(origin).tobytes()
+            want = scalar_projection(traj, origin).tobytes()
+            assert full.path.points.tobytes() == want
+            assert project_planar(traj, origin=origin).points.tobytes() == want
+
+
 class TestCalibration:
     def test_mean_similarity_non_decreasing_in_frequency(self, fleet):
         points = dict(mean_similarity_by_frequency(fleet, DEFAULT_CALIBRATION_FREQS))
         ordered = [points[f] for f in sorted(points)]
         assert all(a <= b + 1e-12 for a, b in zip(ordered, ordered[1:]))
 
-    def test_report_points_match_measurement(self, fleet):
+    def test_report_points_match_measurement(self, fleet, input_forms):
         freqs = (0.5, 0.25, 0.125)
         report = calibrate_per_server_loss(fleet, freqs)
         measured = mean_similarity_by_frequency(fleet, freqs)
         assert report.points == tuple(measured)
         assert 0.0 < report.fitted_k
+        for form, trajs in input_forms(fleet).items():
+            assert mean_similarity_by_frequency(trajs, freqs) == measured, form
+            assert calibrate_per_server_loss(trajs, freqs) == report, form
 
     def test_vehicle_order_invariance(self, fleet):
         freqs = (0.5, 0.2)
@@ -464,14 +496,18 @@ class TestCalibration:
     def test_projects_each_vehicle_once(self, small_fleet, monkeypatch):
         calls = []
 
-        def counting(traj, origin=None):
-            calls.append((traj.vehicle_id, len(traj)))
-            return project_planar(traj, origin=origin)
+        planar = trajectories._planar
 
-        monkeypatch.setattr(privacy, "project_planar", counting)
+        def counting(txy, origin):
+            calls.append(txy.tobytes())
+            return planar(txy, origin)
+
+        # Both names, so a projection through `project_planar` is counted too.
+        monkeypatch.setattr(trajectories, "_planar", counting)
+        monkeypatch.setattr(privacy, "_planar", counting)
         mean_similarity_by_frequency(small_fleet, (0.5, 0.25, 0.2))
         # The full paths only: each frequency's subsampled path is rows of them.
-        assert calls == [(t.vehicle_id, len(t)) for t in small_fleet]
+        assert calls == [np.array(t.samples, dtype=np.float64).tobytes() for t in small_fleet]
 
     def test_parked_vehicle_named_before_any_frechet_work(self, small_fleet, monkeypatch):
         samples = tuple(GeoSample(float(t), 39.9, 116.4) for t in range(10, 20))

@@ -133,14 +133,14 @@ ROUTE_CASES = [
 
 
 class TestRouteFleet:
-    """`smpc._route` + `_map_of` against the inbox regroup they replaced."""
+    """`smpc._route` + `build_map` against the inbox regroup they replaced."""
 
     @pytest.mark.parametrize("count_mode", ["vehicles", "samples"])
     @pytest.mark.parametrize("f_d, s, bbox", ROUTE_CASES)
     def test_partial_maps_equal_the_inbox_regroup(self, small_fleet, count_mode, f_d, s, bbox):
         spec = GridSpec(bbox)
         servers, n_kept = smpc._route(trajectories._Fleet.of(small_fleet), f_d, s, seed=6)
-        got = [trajectories._map_of(rows, spec, count_mode) for rows in servers]
+        got = [trajectories.build_map(rows, spec, count_mode) for rows in servers]
         want = regrouped_partial_maps(small_fleet, f_d, s, 6, spec, count_mode)
         assert [list(p.counts.items()) for p in got] == [list(p.counts.items()) for p in want]
         assert [p.dropped_outside for p in got] == [p.dropped_outside for p in want]
@@ -425,28 +425,32 @@ class TestEmpiricalCurve:
     @pytest.mark.parametrize(
         "n_compromised, s_values", [(1, [1, 2]), (2, [2])], ids=["one-compromised", "two-compromised"]
     )
-    def test_equals_per_seed_scoring_exactly(self, fleet, n_compromised, s_values):
+    def test_equals_per_seed_scoring_exactly(self, fleet, n_compromised, s_values, input_forms):
         # At s = n_compromised the capture is scored once and counted per seed.
         f_d_values, seeds = (0.5, 0.2), [0, 1, 2]
-        curve = empirical_privacy_curve(
-            fleet, f_d_values, s_values, n_compromised=n_compromised, seeds=seeds
-        )
         expected = per_seed_privacy_curve(fleet, f_d_values, s_values, n_compromised, seeds)
-        assert [tuple(pt) for pt in curve] == expected
+        for form, trajs in input_forms(fleet).items():
+            curve = empirical_privacy_curve(
+                trajs, f_d_values, s_values, n_compromised=n_compromised, seeds=seeds
+            )
+            assert [tuple(pt) for pt in curve] == expected, form
 
     def test_projects_each_vehicle_once_per_frequency(self, small_fleet, monkeypatch):
         calls = []
 
-        def counting(traj, origin=None):
-            calls.append((traj.vehicle_id, len(traj)))
-            return trajectories.project_planar(traj, origin=origin)
+        planar = trajectories._planar
 
-        monkeypatch.setattr(smpc, "project_planar", counting)
-        monkeypatch.setattr(privacy, "project_planar", counting)
+        def counting(txy, origin):
+            calls.append(txy.tobytes())
+            return planar(txy, origin)
+
+        # Both names, so a projection through `project_planar` is counted too.
+        monkeypatch.setattr(trajectories, "_planar", counting)
+        monkeypatch.setattr(privacy, "_planar", counting)
         f_d_values = (0.5, 0.25, 0.2)
         empirical_privacy_curve(small_fleet, f_d_values, [1, 2, 4], n_compromised=1, seeds=[0, 1])
         # The full paths only: each f_d's kept samples are rows of them.
-        assert calls == [(t.vehicle_id, len(t)) for t in small_fleet]
+        assert calls == [np.array(t.samples, dtype=np.float64).tobytes() for t in small_fleet]
 
     def test_captures_of_one_sample_start_no_frechet_work(self, small_fleet, monkeypatch):
         batches = []

@@ -291,6 +291,10 @@ class TestColumnarReader:
         with open(path, "rb") as fh:
             assert sample_bits(trajectories._read_fleet(fh).trajectories()) == want
 
+    def test_fleet_of_a_fleet_is_that_fleet(self, fleet):
+        columns = trajectories._Fleet.of(fleet)
+        assert trajectories._Fleet.of(columns) is columns
+
     def test_duplicate_time_keeps_the_first_row_of_minus_zero(self):
         rows = HEADER + "a,-0.0,40.0,116.3\na,0.0,41.0,116.3\nb,0,40.0,116.3\nb,-0.0,41.0,116.3\n"
         assert trajectories._columns(rows) is not None
@@ -653,8 +657,14 @@ class TestBuildMapMatchesScalarLoop:
             GridSpec((39.8, 40.0, 116.25, 116.5), cell_size=50000.0, time_bin=0.5),
         ],
     )
-    def test_fleet(self, fleet, spec):
+    def test_fleet(self, fleet, spec, input_forms):
         self.check(fleet, spec)
+        for mode in ("vehicles", "samples"):
+            want = build_map(fleet, spec, count_mode=mode)
+            for form, trajs in input_forms(fleet).items():
+                got = build_map(trajs, spec, count_mode=mode)
+                assert list(got.counts.items()) == list(want.counts.items()), form
+                assert got.dropped_outside == want.dropped_outside, form
 
     def test_inside_and_outside_within_one_trajectory(self):
         crossing = Trajectory(

@@ -220,6 +220,13 @@ class TestSurfaceMatchesLoop:
         surface = build_utility_surface(trajs, self.spec, **kw)
         assert surface.points == loop_utility_surface(trajs, self.spec, **kw)
 
+    @pytest.mark.parametrize("count_mode", ["vehicles", "samples"])
+    def test_every_input_form_gives_the_same_surface(self, fleet, input_forms, count_mode):
+        kw = dict(vehicle_counts=[0, 5, 20, len(fleet)], freqs=(1.0, 0.25), seed=3)
+        want = build_utility_surface(fleet, self.spec, count_mode=count_mode, **kw)
+        for form, trajs in input_forms(fleet).items():
+            assert build_utility_surface(trajs, self.spec, count_mode=count_mode, **kw) == want, form
+
     def test_fleet_entirely_outside_the_bbox(self, fleet):
         spec = GridSpec((10.0, 11.0, 10.0, 11.0))
         kw = dict(vehicle_counts=[0, 3, len(fleet)], freqs=(1.0, 0.25), seed=1)
