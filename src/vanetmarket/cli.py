@@ -5,14 +5,14 @@ reports. Every run writes complete artifact files plus a manifest."""
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import fields
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .econ import profit, profit_terms, validate_params
 from .fitting import FitDivergence
 from .optimize import SWEEPABLE, NonFiniteObjective, grid_oracle, optimize_profit, sweep
 from .privacy import calibrate_per_server_loss
-from .smpc import _route, aggregate_secure, empirical_privacy_curve, write_privacy_curve_csv
+from .smpc import _route, aggregate_secure, empirical_privacy_curve
 from .trajectories import _Fleet, _read_fleet, build_map, generate_synthetic
 from .utility import build_utility_surface, fit_utility
 
@@ -37,20 +37,14 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _file_mode() -> int:
-    """The mode open() gives a new file: 0o666 under the process umask."""
-    umask = os.umask(0)
-    os.umask(umask)
-    return 0o666 & ~umask
-
-
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}-{os.path.basename(path)}")
+    # Mode 0o666 lets the kernel apply the umask, as open() does.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.chmod(tmp, _file_mode())  # mkstemp creates the file 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -60,6 +54,28 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _csv_text(header: str, rows: Iterable[Sequence], newline: str = "\n") -> str:
+    buf = io.StringIO()
+    buf.write(header + newline)
+    csv.writer(buf, lineterminator=newline).writerows(rows)
+    return buf.getvalue()
+
+
+def _check_each(key: str, values: Sequence, ok: Callable, rule: str) -> None:
+    """Reject an empty list, or the first element that breaks the rule, under its config key."""
+    if not values:
+        raise ValueError(f"{key} must not be empty")
+    for i, v in enumerate(values):
+        if not ok(v):
+            raise ValueError(f"{key}[{i}] must be {rule}, got {v}")
+
+
+def _check_freqs(key: str, freqs: Sequence[float]) -> None:
+    """`_kept_index`'s rule, checked before any input is read."""
+    rule = "positive with a finite period 1/f"
+    _check_each(key, freqs, lambda f: f > 0 and 0.0 < 1.0 / f < math.inf, rule)
 
 
 def _synthetic(config: RunConfig) -> list:
@@ -85,22 +101,16 @@ def _load_fleet(config: RunConfig) -> _Fleet:
 
 
 def cmd_gen(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
-    trajs = _synthetic(config)
-    buf = io.StringIO()
-    buf.write("vehicle_id,timestamp,lat,lon\n")
-    for traj in trajs:
-        for s in traj.samples:
-            buf.write(f"{traj.vehicle_id},{s.t},{s.lat},{s.lon}\n")
-    return {"traces.csv": buf.getvalue()}
+    rows = ((traj.vehicle_id, *sample) for traj in _synthetic(config) for sample in traj.samples)
+    return {"traces.csv": _csv_text("vehicle_id,timestamp,lat,lon", rows)}
 
 
 def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     if not config.traces:
         raise ValueError("ingest requires --traces FILE")
+    spec = config.grid_spec()
     fleet = _load_fleet(config)
-    stmap = build_map(fleet, config.grid_spec(), config.count_mode)
-    csv_buf = io.StringIO()
-    stmap.write_csv(csv_buf)
+    stmap = build_map(fleet, spec, config.count_mode)
     summary = {
         "n_vehicles": len(fleet.ids),
         "n_samples": len(fleet.txy),
@@ -108,25 +118,30 @@ def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
         "dropped_outside": stmap.dropped_outside,
     }
     return {
-        "map.csv": csv_buf.getvalue(),
+        # CRLF is the csv module's default line end, which map.csv has always had.
+        "map.csv": _csv_text(
+            "cell_x,cell_y,time_idx,count",
+            ((*key, count) for key, count in sorted(stmap.counts.items())),
+            newline="\r\n",
+        ),
         "map.json": _json_text(stmap.to_json_dict()),
         "ingest_summary.json": _json_text(summary),
     }
 
 
 def cmd_calibrate_loss(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
+    _check_freqs("calibration_freqs", config.calibration_freqs)
     report = calibrate_per_server_loss(_load_fleet(config), config.calibration_freqs)
-    csv_buf = io.StringIO()
-    csv_buf.write("f_d,mean_similarity,fitted_prediction\n")
-    for f, sim in report.points:
-        csv_buf.write(f"{f},{sim},{report.prediction(f)}\n")
+    rows = ((f, sim, report.prediction(f)) for f, sim in report.points)
     return {
         "loss_calibration.json": _json_text(report.to_json_dict()),
-        "loss_calibration.csv": csv_buf.getvalue(),
+        "loss_calibration.csv": _csv_text("f_d,mean_similarity,fitted_prediction", rows),
     }
 
 
 def cmd_calibrate_utility(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
+    _check_freqs("surface_freqs", config.surface_freqs)
+    spec = config.grid_spec()
     fleet = _load_fleet(config)
     counts = config.surface_vehicle_counts
     if not counts:
@@ -134,7 +149,7 @@ def cmd_calibrate_utility(config: RunConfig, args: argparse.Namespace) -> dict[s
         counts = tuple(sorted({0, n // 4, n // 2, (3 * n) // 4, n}))
     surface = build_utility_surface(
         fleet,
-        config.grid_spec(),
+        spec,
         counts,
         config.surface_freqs,
         a=config.econ.utility.a,
@@ -143,23 +158,10 @@ def cmd_calibrate_utility(config: RunConfig, args: argparse.Namespace) -> dict[s
         count_mode=config.count_mode,
     )
     fit = fit_utility(surface)
-    csv_buf = io.StringIO()
-    surface.write_csv(csv_buf)
     return {
-        "utility_surface.csv": csv_buf.getvalue(),
+        "utility_surface.csv": _csv_text("n_vehicles,f_d,avg_utility", surface.points),
         "utility_fit.json": _json_text(fit.to_json_dict()),
     }
-
-
-def _decomposition_rows(config: RunConfig, points: list[tuple[float, float, float]]) -> str:
-    buf = io.StringIO()
-    buf.write("c1,f_d,s,utility,server_cost,payments,profit\n")
-    for c1, f_d, s in points:
-        terms = profit_terms(config.econ, c1, f_d, s)
-        buf.write(
-            f"{c1},{f_d},{s},{terms.utility},{terms.server_cost},{terms.payments},{terms.profit}\n"
-        )
-    return buf.getvalue()
 
 
 def cmd_optimize(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
@@ -204,16 +206,13 @@ def cmd_optimize(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
             "oracle": oracle.to_json_dict(),
             "optimizer_dominates_oracle": solution.profit_star >= oracle.profit_star - 1e-9,
         }
-    decomposition = _decomposition_rows(
-        config,
-        [
-            (solution.c1_star, solution.f_d_star, solution.s_star),
-            (ref_c1, ref_fd, ref_s),
-        ],
-    )
+    points = [(solution.c1_star, solution.f_d_star, solution.s_star), (ref_c1, ref_fd, ref_s)]
+    decomposition = ((*point, *profit_terms(config.econ, *point)) for point in points)
     return {
         "solution.json": _json_text(payload),
-        "profit_decomposition.csv": decomposition,
+        "profit_decomposition.csv": _csv_text(
+            "c1,f_d,s,utility,server_cost,payments,profit", decomposition
+        ),
     }
 
 
@@ -228,15 +227,29 @@ def cmd_sweep(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
         config.n_starts,
         config.seed,
     )
-    csv_buf = io.StringIO()
-    result.write_csv(csv_buf)
-    return {"sweep.csv": csv_buf.getvalue(), "sweep.json": _json_text(result.to_json_dict())}
+    rows = (
+        (value, sol.c1_star, sol.f_d_star, sol.s_star, sol.profit_star)
+        for value, sol in zip(result.values, result.solutions)
+    )
+    return {
+        "sweep.csv": _csv_text("param_value,c1,f_d,s,profit", rows),
+        "sweep.json": _json_text(result.to_json_dict()),
+    }
 
 
 def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     # Checked here as well as in the curve, so a bad value fails before the input is read.
     if config.sim_trials < 1:
         raise ValueError(f"sim_trials must be >= 1, got {config.sim_trials}")
+    _check_each("sim_s_values", config.sim_s_values, lambda s: s >= 1, ">= 1")
+    s_min = min(config.sim_s_values)
+    if not 1 <= config.n_compromised <= s_min:
+        raise ValueError(
+            f"n_compromised must lie in [1, min(sim_s_values)] = [1, {s_min}],"
+            f" got {config.n_compromised}"
+        )
+    _check_freqs("calibration_freqs", config.calibration_freqs)
+    spec = config.grid_spec()
     fleet = _load_fleet(config)
     seeds = [config.seed + trial for trial in range(config.sim_trials)]
     curve = empirical_privacy_curve(
@@ -246,14 +259,13 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
         n_compromised=config.n_compromised,
         seeds=seeds,
     )
-    csv_buf = io.StringIO()
-    write_privacy_curve_csv(curve, config.econ.loss.k, csv_buf)
+    k = config.econ.loss.k
+    curve_rows = ((*pt, 1.0 - math.exp(-k * pt.f_d / pt.s)) for pt in curve)
 
     # One full routing + secure-aggregation round at the native rate: each
     # server grids the fleet rows the curve's draw sent it.
     s_demo = max(config.sim_s_values)
     servers, n_retained = _route(fleet, 1.0, s_demo, config.seed)
-    spec = config.grid_spec()
     partials = [build_map(rows, spec, config.count_mode) for rows in servers]
     transcript = aggregate_secure(partials, seed=config.seed)
 
@@ -267,7 +279,7 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
         "seeds": seeds,
     }
     return {
-        "privacy_curve.csv": csv_buf.getvalue(),
+        "privacy_curve.csv": _csv_text("f_d,s,mean_similarity,model_prediction", curve_rows),
         "transcript.json": _json_text(transcript.to_json_dict(keep_shares=config.keep_shares)),
         "simulation_summary.json": _json_text(summary),
     }

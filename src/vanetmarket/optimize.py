@@ -365,13 +365,6 @@ class SweepResult:
         if len(self.values) != len(self.solutions):
             raise ValueError("values and solutions must have the same length")
 
-    def write_csv(self, fileobj) -> None:
-        fileobj.write("param_value,c1,f_d,s,profit\n")
-        for value, sol in zip(self.values, self.solutions):
-            fileobj.write(
-                f"{value},{sol.c1_star},{sol.f_d_star},{sol.s_star},{sol.profit_star}\n"
-            )
-
     def to_json_dict(self) -> dict:
         return {
             "parameter": self.parameter,

@@ -281,12 +281,3 @@ def empirical_privacy_curve(
             points.append(CurvePoint(float(f_d), int(s), math.fsum(sims) / len(sims)))
     return points
 
-
-def write_privacy_curve_csv(
-    points: Sequence[CurvePoint], per_server_k: float, fileobj
-) -> None:
-    """Plot-ready comparison of the empirical curve to 1 - exp(-k * f_d/s)."""
-    fileobj.write("f_d,s,mean_similarity,model_prediction\n")
-    for pt in points:
-        prediction = 1.0 - math.exp(-per_server_k * pt.f_d / pt.s)
-        fileobj.write(f"{pt.f_d},{pt.s},{pt.mean_similarity},{prediction}\n")

@@ -209,12 +209,6 @@ class SpatioTemporalMap:
     def occupied_cells(self) -> set[tuple[int, int, int]]:
         return set(self.counts)
 
-    def write_csv(self, fileobj: IO[str]) -> None:
-        writer = csv.writer(fileobj)
-        writer.writerow(["cell_x", "cell_y", "time_idx", "count"])
-        for key in sorted(self.counts):
-            writer.writerow([key[0], key[1], key[2], self.counts[key]])
-
     def to_json_dict(self) -> dict:
         return {
             "bbox": list(self.spec.bbox),

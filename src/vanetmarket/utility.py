@@ -69,11 +69,6 @@ class UtilitySurface:
             if not (0.0 <= u <= 1.0):
                 raise ValueError(f"avg utility {u} at (v={n}, f_d={f}) outside [0, 1]")
 
-    def write_csv(self, fileobj) -> None:
-        fileobj.write("n_vehicles,f_d,avg_utility\n")
-        for n, f, u in self.points:
-            fileobj.write(f"{n},{f},{u}\n")
-
 
 def build_utility_surface(
     trajs: Sequence[Trajectory] | _Fleet,

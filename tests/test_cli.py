@@ -8,6 +8,7 @@ import stat
 import pytest
 
 from vanetmarket import Bounds, EconParams, LossModel, UtilityModel, cli, privacy, smpc
+from vanetmarket import DEFAULT_CALIBRATION_FREQS, calibrate_per_server_loss, parse_traces
 from vanetmarket import trajectories
 from vanetmarket.cli import _json_text, build_parser, main
 from vanetmarket.config import RunConfig, load_config
@@ -67,6 +68,21 @@ class TestCalibrateCommands:
             )
         for name in ("loss_calibration.csv", "loss_calibration.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_loss_calibration_csv_lists_each_point_and_its_prediction(self, tmp_path):
+        # Rebuilt in process, not pinned: the fitted k passes through numpy's
+        # exp, whose last bits vary with the CPU.
+        assert run(["gen", "--vehicles", 12, "--duration", 40, "--seed", 5, "--out", tmp_path]) == 0
+        traces = tmp_path / "traces.csv"
+        out = tmp_path / "loss"
+        assert run(["calibrate-loss", "--traces", traces, "--out", out]) == 0
+        with open(traces, "rb") as fh:
+            report = calibrate_per_server_loss(parse_traces(fh), DEFAULT_CALIBRATION_FREQS)
+        expected = "f_d,mean_similarity,fitted_prediction\n" + "".join(
+            f"{f},{sim},{report.prediction(f)}\n" for f, sim in report.points
+        )
+        assert len(report.points) == len(DEFAULT_CALIBRATION_FREQS)
+        assert (out / "loss_calibration.csv").read_bytes() == expected.encode()
 
     def test_utility_surface_artifacts(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -445,6 +461,17 @@ class TestManifestAndConfig:
         for name in written:
             assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o640, name
 
+    def test_writes_leave_the_process_umask_alone(self, tmp_path, monkeypatch):
+        # Setting the umask, even for an instant, changes the mode of files
+        # that other threads of the process create meanwhile.
+        def umask(mask):
+            raise AssertionError("the run changed the process umask")
+
+        monkeypatch.setattr(os, "umask", umask)
+        out = tmp_path / "g"
+        assert run(["gen", "--vehicles", 3, "--duration", 10, "--out", out]) == 0
+        assert sorted(os.listdir(out)) == ["manifest.json", "traces.csv"]
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"not_a_real_knob": 1}))
@@ -548,8 +575,86 @@ class TestManifestAndConfig:
                 {"sim_trials": 0},
                 "sim_trials must be >= 1, got 0",
             ),
+            (
+                ["simulate", "--traces", "no-such-dir/traces.csv", "--n-compromised", 0],
+                {},
+                "n_compromised must lie in [1, min(sim_s_values)] = [1, 1], got 0",
+            ),
+            (
+                ["simulate", "--traces", "no-such-dir/traces.csv", "--s-values", "2,4"],
+                {"n_compromised": 3},
+                "n_compromised must lie in [1, min(sim_s_values)] = [1, 2], got 3",
+            ),
+            (
+                ["simulate", "--traces", "no-such-dir/traces.csv", "--s-values", "2,0"],
+                {},
+                "sim_s_values[1] must be >= 1, got 0",
+            ),
+            (
+                ["simulate", "--traces", "no-such-dir/traces.csv"],
+                {"sim_s_values": []},
+                "sim_s_values must not be empty",
+            ),
+            (
+                ["simulate", "--traces", "no-such-dir/traces.csv"],
+                {"calibration_freqs": [0.5, 0.0]},
+                "calibration_freqs[1] must be positive with a finite period 1/f, got 0.0",
+            ),
+            (
+                ["calibrate-loss", "--traces", "no-such-dir/traces.csv"],
+                {"calibration_freqs": [-1.0]},
+                "calibration_freqs[0] must be positive with a finite period 1/f, got -1.0",
+            ),
+            (
+                ["calibrate-loss", "--traces", "no-such-dir/traces.csv"],
+                {"calibration_freqs": []},
+                "calibration_freqs must not be empty",
+            ),
+            (
+                ["calibrate-utility", "--traces", "no-such-dir/traces.csv"],
+                {"surface_freqs": [1.0, 0.0]},
+                "surface_freqs[1] must be positive with a finite period 1/f, got 0.0",
+            ),
+            (
+                ["calibrate-utility", "--traces", "no-such-dir/traces.csv"],
+                {"surface_freqs": []},
+                "surface_freqs must not be empty",
+            ),
+            (
+                ["ingest", "--traces", "no-such-dir/traces.csv"],
+                {"cell_size": 0},
+                "cell_size must be positive",
+            ),
+            (
+                ["calibrate-utility", "--traces", "no-such-dir/traces.csv"],
+                {"time_bin": 0},
+                "time_bin must be positive",
+            ),
+            (
+                ["simulate", "--traces", "no-such-dir/traces.csv"],
+                {"cell_size": -5},
+                "cell_size must be positive",
+            ),
         ],
-        ids=["vehicles", "duration-flag", "vehicles-synthetic", "trials-flag", "trials-before-input"],
+        ids=[
+            "vehicles",
+            "duration-flag",
+            "vehicles-synthetic",
+            "trials-flag",
+            "trials-before-input",
+            "compromised-zero-before-input",
+            "compromised-above-min-servers",
+            "server-count-zero",
+            "server-counts-empty",
+            "simulate-calibration-freq-zero",
+            "loss-calibration-freq-negative",
+            "loss-calibration-freqs-empty",
+            "surface-freq-zero",
+            "surface-freqs-empty",
+            "ingest-cell-size",
+            "utility-time-bin",
+            "simulate-cell-size",
+        ],
     )
     def test_out_of_range_setting_names_its_config_key(self, tmp_path, capsys, argv, data, message):
         cfg = tmp_path / "cfg.json"

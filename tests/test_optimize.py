@@ -1,4 +1,3 @@
-import io
 import math
 from dataclasses import replace
 
@@ -18,7 +17,9 @@ from vanetmarket import (
     sweep,
 )
 from reference_impls import lattice_axes, scalar_grid_oracle, total_loss
+from vanetmarket import cli
 from vanetmarket import optimize as optimize_module
+from vanetmarket.config import RunConfig
 from vanetmarket.econ import PARTICIPATION_MODELS, SERVER_COST_MODELS, profit_slabs
 from vanetmarket.optimize import DEFAULT_BOUNDS, NonFiniteObjective
 
@@ -549,10 +550,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(self.params, SMALL_BOUNDS, "c2", [])
 
-    def test_csv_shape(self):
+    def test_csv_shape(self, monkeypatch):
         result = sweep(self.params, SMALL_BOUNDS, "c2", [1e-7, 1e-6], n_starts=2, seed=0)
-        buf = io.StringIO()
-        result.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
+        monkeypatch.setattr(cli, "sweep", lambda *args: result)
+        text = cli.cmd_sweep(RunConfig(sweep_values=result.values), None)["sweep.csv"]
+        lines = text.strip().splitlines()
         assert lines[0] == "param_value,c1,f_d,s,profit"
         assert len(lines) == 3

@@ -23,6 +23,8 @@ from vanetmarket import (
     subsample,
 )
 import vanetmarket.trajectories as trajectories
+from vanetmarket import cli
+from vanetmarket.config import RunConfig
 from vanetmarket.trajectories import _kept_index
 
 HEADER = "vehicle_id,timestamp,lat,lon\n"
@@ -622,12 +624,13 @@ class TestBuildMap:
         with pytest.raises(ValueError):
             build_map([], self.spec, count_mode="bogus")
 
-    def test_csv_and_json_shape(self):
+    def test_csv_and_json_shape(self, monkeypatch):
         traj = make_traj([0], lat=39.9, lon=116.3)
         m = build_map([traj], self.spec)
-        buf = io.StringIO()
-        m.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
+        monkeypatch.setattr(cli, "_load_fleet", lambda config: trajectories._Fleet.of([traj]))
+        monkeypatch.setattr(cli, "build_map", lambda *args: m)
+        text = cli.cmd_ingest(RunConfig(traces="in.csv"), None)["map.csv"]
+        lines = text.strip().splitlines()
         assert lines[0] == "cell_x,cell_y,time_idx,count"
         assert len(lines) == 2
         d = m.to_json_dict()
