@@ -23,8 +23,8 @@ from .fitting import FitDivergence
 from .optimize import SWEEPABLE, NonFiniteObjective, grid_oracle, optimize_profit, sweep
 from .privacy import calibrate_per_server_loss
 from .smpc import _route, aggregate_secure, empirical_privacy_curve
-from .trajectories import _Fleet, _read_fleet, build_map, generate_synthetic
-from .utility import build_utility_surface, fit_utility
+from .trajectories import _check_count_mode, _Fleet, _read_fleet, build_map, generate_synthetic
+from .utility import _check_average_over, build_utility_surface, fit_utility
 
 PARTICIPATION_FLAG = {"cdf": "cdf", "pdf": "pdf_as_written"}
 COST_FLAG = {"as-written": "per_server_as_written", "times-s": "total_times_s"}
@@ -108,6 +108,7 @@ def cmd_gen(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
 def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     if not config.traces:
         raise ValueError("ingest requires --traces FILE")
+    _check_count_mode(config.count_mode)
     spec = config.grid_spec()
     fleet = _load_fleet(config)
     stmap = build_map(fleet, spec, config.count_mode)
@@ -141,9 +142,13 @@ def cmd_calibrate_loss(config: RunConfig, args: argparse.Namespace) -> dict[str,
 
 def cmd_calibrate_utility(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     _check_freqs("surface_freqs", config.surface_freqs)
+    counts = config.surface_vehicle_counts
+    if counts:  # empty: derived from the fleet size below
+        _check_each("surface_vehicle_counts", counts, lambda n: n >= 0, ">= 0")
+    _check_count_mode(config.count_mode)
+    _check_average_over(config.average_over)
     spec = config.grid_spec()
     fleet = _load_fleet(config)
-    counts = config.surface_vehicle_counts
     if not counts:
         n = len(fleet.ids)
         counts = tuple(sorted({0, n // 4, n // 2, (3 * n) // 4, n}))
@@ -249,6 +254,7 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
             f" got {config.n_compromised}"
         )
     _check_freqs("calibration_freqs", config.calibration_freqs)
+    _check_count_mode(config.count_mode)
     spec = config.grid_spec()
     fleet = _load_fleet(config)
     seeds = [config.seed + trial for trial in range(config.sim_trials)]

@@ -4,6 +4,7 @@ multi-start, a brute-force grid certifier, and parameter sensitivity sweeps."""
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 from itertools import product
 from typing import Callable, NamedTuple, Sequence
@@ -269,6 +270,112 @@ def _latin_hypercube(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return u
 
 
+class _Task(NamedTuple):
+    """One start pair of the market search; picklable, so a worker can run it."""
+
+    params: EconParams
+    bounds: Bounds
+    lower: tuple[float, float, float]
+    upper: tuple[float, float, float]
+    z0: tuple[float, ...]
+
+
+class _Outcome(NamedTuple):
+    fun: float
+    point: tuple[float, float, float]
+    nfev: int
+    converged: bool
+
+
+def _search_tasks(params: EconParams, bounds: Bounds, n_starts: int, seed: int) -> list[_Task]:
+    """The start pairs of one `optimize_profit` search, in start order."""
+    if n_starts < 1:
+        raise ValueError("n_starts must be >= 1")
+    lower = (math.log(bounds.c1[0]), float(bounds.f_d[0]), float(bounds.s[0]))
+    upper = (math.log(bounds.c1[1]), float(bounds.f_d[1]), float(bounds.s[1]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    units = [
+        *_latin_hypercube(rng, n_starts, 3).tolist(),
+        *product((0.0, 1.0), repeat=3),  # the box corners
+        (0.5, 0.5, 0.5),
+    ]
+    starts = [tuple(lo + u * (hi - lo) for u, lo, hi in zip(unit, lower, upper)) for unit in units]
+    return [_Task(params, bounds, lower, upper, z0) for z0 in starts]
+
+
+def _run_start(task: _Task) -> _Outcome:
+    """One Nelder-Mead run from the task's start, restarted once from its
+    endpoint; the better of the two is kept."""
+    params, bounds, lower, upper, z0 = task
+    c1_lo, c1_hi = float(bounds.c1[0]), float(bounds.c1[1])
+
+    def objective(z: tuple[float, float, float]) -> float:
+        # nelder_mead passes only points in [lower, upper] (it clips every
+        # candidate and steps its first simplex inward), so f_d and s are in
+        # bounds. exp(log c1) can round outside them: clip c1 as Bounds.clip.
+        log_c1, f_d, s = z
+        c1 = math.exp(log_c1)
+        c1 = c1_lo if c1 < c1_lo else c1_hi if c1 > c1_hi else c1
+        return profit(params, c1, f_d, s)
+
+    result = nelder_mead(objective, z0, lower, upper)
+    restarted = nelder_mead(objective, result.x, lower, upper)
+    nfev = result.nfev + restarted.nfev
+    if restarted.fun > result.fun:
+        result = restarted
+    point = bounds.clip(math.exp(result.x[0]), result.x[1], result.x[2])
+    return _Outcome(result.fun, point, nfev, result.converged)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _run_starts(tasks: Sequence[_Task]) -> list[_Outcome]:
+    """`_run_start` over every task, results in task order.
+
+    With more than one CPU the tasks go to a pool of forked workers, one per
+    CPU. Forking, unlike spawning, re-imports nothing, so a worker costs a
+    few milliseconds and runs the parent's code as it is. With one CPU, in a
+    daemonic process (which may not have children) or where fork does not
+    exist, the same function runs here. Each task is computed alone, so the
+    results do not depend on which process ran it.
+    """
+    import multiprocessing
+
+    workers = min(_cpu_count(), len(tasks))
+    if (
+        workers < 2
+        or multiprocessing.current_process().daemon
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return list(map(_run_start, tasks))
+    # Leaving the block terminates the workers, also when a task raised.
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        outcomes = pool.map(_run_start, tasks, chunksize=1)
+        pool.close()
+        pool.join()
+    return outcomes
+
+
+def _best_of(params: EconParams, bounds: Bounds, outcomes: Sequence[_Outcome]) -> Solution:
+    """The best outcome, with exact profit ties broken toward the
+    lexicographically smallest (c1, f_d, s)."""
+    best_fun = max(o.fun for o in outcomes)
+    best_point = min(o.point for o in outcomes if o.fun == best_fun)
+    return _finalize(
+        params,
+        bounds,
+        best_point,
+        sum(o.nfev for o in outcomes),
+        any(o.converged for o in outcomes),
+    )
+
+
 def optimize_profit(
     params: EconParams,
     bounds: Bounds = DEFAULT_BOUNDS,
@@ -282,48 +389,11 @@ def optimize_profit(
     optima routinely sit on the bounds. Every run is restarted once from its
     endpoint with a fresh simplex, which undoes premature simplex collapse
     against a clipped face. The best run wins, with exact profit ties broken
-    toward the lexicographically smallest (c1, f_d, s).
+    toward the lexicographically smallest (c1, f_d, s). The starts run on
+    one process per available CPU; the result does not depend on the count.
     """
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
-    lower = (math.log(bounds.c1[0]), float(bounds.f_d[0]), float(bounds.s[0]))
-    upper = (math.log(bounds.c1[1]), float(bounds.f_d[1]), float(bounds.s[1]))
-
-    c1_lo, c1_hi = float(bounds.c1[0]), float(bounds.c1[1])
-
-    def objective(z: tuple[float, float, float]) -> float:
-        # nelder_mead passes only points in [lower, upper] (it clips every
-        # candidate and steps its first simplex inward), so f_d and s are in
-        # bounds. exp(log c1) can round outside them: clip c1 as Bounds.clip.
-        log_c1, f_d, s = z
-        c1 = math.exp(log_c1)
-        c1 = c1_lo if c1 < c1_lo else c1_hi if c1 > c1_hi else c1
-        return profit(params, c1, f_d, s)
-
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    units = [
-        *_latin_hypercube(rng, n_starts, 3).tolist(),
-        *product((0.0, 1.0), repeat=3),  # the box corners
-        (0.5, 0.5, 0.5),
-    ]
-    starts = [[lo + u * (hi - lo) for u, lo, hi in zip(unit, lower, upper)] for unit in units]
-
-    candidates = []
-    total_nfev = 0
-    any_converged = False
-    for z0 in starts:
-        result = nelder_mead(objective, z0, lower, upper)
-        restarted = nelder_mead(objective, result.x, lower, upper)
-        total_nfev += result.nfev + restarted.nfev
-        if restarted.fun > result.fun:
-            result = restarted
-        any_converged = any_converged or result.converged
-        point = bounds.clip(math.exp(result.x[0]), result.x[1], result.x[2])
-        candidates.append((result.fun, point))
-
-    best_fun = max(fun for fun, _ in candidates)
-    best_point = min(point for fun, point in candidates if fun == best_fun)
-    return _finalize(params, bounds, best_point, total_nfev, any_converged)
+    tasks = _search_tasks(params, bounds, n_starts, seed)
+    return _best_of(params, bounds, _run_starts(tasks))
 
 
 def grid_oracle(params: EconParams, bounds: Bounds = DEFAULT_BOUNDS, resolution: int = 41) -> Solution:
@@ -388,13 +458,20 @@ def sweep(
     seed: int = 0,
 ) -> SweepResult:
     """Re-optimize for each value of one parameter, re-using the same seed so
-    results do not depend on evaluation order."""
+    results do not depend on evaluation order.
+
+    Every value's parameters are built, and so checked, before any search.
+    The start pairs of all values then share one pool (see `optimize_profit`).
+    """
     if parameter not in SWEEPABLE:
         raise ValueError(f"sweep parameter must be one of {SWEEPABLE}, got {parameter!r}")
     if not values:
         raise ValueError("sweep needs at least one value")
+    per_value = [_with_parameter(params, parameter, v) for v in values]
+    tasks = [_search_tasks(p, bounds, n_starts, seed) for p in per_value]
+    outcomes = iter(_run_starts([task for value_tasks in tasks for task in value_tasks]))
     solutions = tuple(
-        optimize_profit(_with_parameter(params, parameter, v), bounds, n_starts, seed)
-        for v in values
+        _best_of(p, bounds, [next(outcomes) for _ in value_tasks])
+        for p, value_tasks in zip(per_value, tasks)
     )
     return SweepResult(parameter, tuple(float(v) for v in values), solutions)

@@ -70,6 +70,11 @@ class UtilitySurface:
                 raise ValueError(f"avg utility {u} at (v={n}, f_d={f}) outside [0, 1]")
 
 
+def _check_average_over(average_over: str) -> None:
+    if average_over not in ("ever_occupied", "occupied", "all"):
+        raise ValueError(f"unknown average_over mode {average_over!r}")
+
+
 def build_utility_surface(
     trajs: Sequence[Trajectory] | _Fleet,
     spec: GridSpec,
@@ -100,10 +105,11 @@ def build_utility_surface(
         raise ValueError("need at least one trajectory")
     if not vehicle_counts or not freqs:
         raise ValueError("vehicle_counts and freqs must be nonempty")
-    if average_over not in ("ever_occupied", "occupied", "all"):
-        raise ValueError(f"unknown average_over mode {average_over!r}")
+    _check_average_over(average_over)
     for count in vehicle_counts:
-        if count < 0 or count > n_tracks:
+        if count < 0:
+            raise ValueError(f"vehicle count must be >= 0, got {count}")
+        if count > n_tracks:
             raise ValueError(f"vehicle count {count} exceeds dataset size {n_tracks}")
     _check_count_mode(count_mode)
 

@@ -635,6 +635,31 @@ class TestManifestAndConfig:
                 {"cell_size": -5},
                 "cell_size must be positive",
             ),
+            (
+                ["calibrate-utility", "--traces", "no-such-dir/traces.csv"],
+                {"surface_vehicle_counts": [-1, 5]},
+                "surface_vehicle_counts[0] must be >= 0, got -1",
+            ),
+            (
+                ["calibrate-utility", "--traces", "no-such-dir/traces.csv"],
+                {"count_mode": "bogus"},
+                "count_mode must be 'vehicles' or 'samples', got 'bogus'",
+            ),
+            (
+                ["calibrate-utility", "--traces", "no-such-dir/traces.csv"],
+                {"average_over": "bogus"},
+                "unknown average_over mode 'bogus'",
+            ),
+            (
+                ["ingest", "--traces", "no-such-dir/traces.csv"],
+                {"count_mode": "bogus"},
+                "count_mode must be 'vehicles' or 'samples', got 'bogus'",
+            ),
+            (
+                ["simulate", "--traces", "no-such-dir/traces.csv"],
+                {"count_mode": "bogus"},
+                "count_mode must be 'vehicles' or 'samples', got 'bogus'",
+            ),
         ],
         ids=[
             "vehicles",
@@ -654,6 +679,11 @@ class TestManifestAndConfig:
             "ingest-cell-size",
             "utility-time-bin",
             "simulate-cell-size",
+            "surface-vehicle-count-negative",
+            "utility-count-mode",
+            "utility-average-over",
+            "ingest-count-mode",
+            "simulate-count-mode",
         ],
     )
     def test_out_of_range_setting_names_its_config_key(self, tmp_path, capsys, argv, data, message):

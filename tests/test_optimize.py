@@ -1,5 +1,7 @@
 import math
-from dataclasses import replace
+import multiprocessing
+import os
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -333,6 +335,8 @@ def replay_every_profit_start(params, monkeypatch):
         return result
 
     monkeypatch.setattr(optimize_module, "nelder_mead", recording)
+    # Forked workers would record into their own copies of `runs`.
+    monkeypatch.setattr(optimize_module, "_cpu_count", lambda: 1)
     optimize_profit(params, seed=0)
     assert len(runs) == 2 * (32 + 9)
     assert any(len(set(seen)) < len(seen) for *_, seen in runs)
@@ -444,6 +448,89 @@ class TestOptimizeProfit:
         assert bounds.contains(sol.c1_star, sol.f_d_star, sol.s_star)
 
 
+# Never ask for more worker processes than this process may run on.
+POOL = min(2, optimize_module._cpu_count())
+needs_two_cpus = pytest.mark.skipif(POOL < 2, reason="the pool path needs two CPUs")
+
+
+def on_workers(monkeypatch, n, search, *args, **kwargs):
+    """Run `search` with the start pairs spread over n processes. Returns the
+    result and the nelder_mead calls this process saw; a worker's calls land
+    in its own copy of the list."""
+    calls = []
+
+    def counting(*a, **kw):
+        calls.append(os.getpid())
+        return nelder_mead(*a, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(optimize_module, "_cpu_count", lambda: n)
+        m.setattr(optimize_module, "nelder_mead", counting)
+        result = search(*args, **kwargs)
+    assert multiprocessing.active_children() == []
+    return result, calls
+
+
+def assert_same_bits(a, b):
+    assert a == b
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, float):
+            assert x.hex() == y.hex(), f.name
+
+
+@needs_two_cpus
+class TestStartPool:
+    """The start pairs give the same result in one process and on the pool."""
+
+    @pytest.mark.parametrize("modes", ALL_MODES, ids="-".join)
+    def test_same_solution_on_one_and_two_workers(self, modes, monkeypatch):
+        params = EconParams().with_modes(*modes)
+        one, calls_here = on_workers(monkeypatch, 1, optimize_profit, params, seed=0)
+        two, calls_pooled = on_workers(monkeypatch, POOL, optimize_profit, params, seed=0)
+        assert len(calls_here) == 2 * (32 + 9)
+        assert calls_pooled == []  # every run happened in a worker
+        assert_same_bits(one, two)
+
+    def test_sweep_same_on_one_and_two_workers(self, monkeypatch):
+        args = (EconParams(), SMALL_BOUNDS, "sigma", [0.3, 0.5, 0.8])
+        one, _ = on_workers(monkeypatch, 1, sweep, *args, n_starts=8, seed=0)
+        two, calls_pooled = on_workers(monkeypatch, POOL, sweep, *args, n_starts=8, seed=0)
+        assert calls_pooled == []
+        assert one == two
+        for a, b in zip(one.solutions, two.solutions):
+            assert_same_bits(a, b)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        def failing(objective, x0, lower, upper):
+            raise NonFiniteObjective(f"objective returned nan in process {os.getpid()}")
+
+        monkeypatch.setattr(optimize_module, "_cpu_count", lambda: POOL)
+        monkeypatch.setattr(optimize_module, "nelder_mead", failing)
+        pattern = r"^objective returned nan in process \d+$"
+        with pytest.raises(NonFiniteObjective, match=pattern) as err:
+            optimize_profit(EconParams(), SMALL_BOUNDS, n_starts=4, seed=0)
+        assert type(err.value) is NonFiniteObjective
+        assert not str(err.value).endswith(f" {os.getpid()}")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("where", ["no-fork", "daemonic"])
+    def test_runs_in_process_where_it_cannot_fork(self, where, monkeypatch):
+        if where == "no-fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        else:
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        params = EconParams()
+        got, calls = on_workers(monkeypatch, POOL, optimize_profit, params, SMALL_BOUNDS, 2)
+        monkeypatch.undo()
+        assert len(calls) == 2 * (2 + 9)
+        assert got == optimize_profit(params, SMALL_BOUNDS, 2)
+
+    def test_cpu_count_without_sched_getaffinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert optimize_module._cpu_count() == (os.cpu_count() or 1)
+
+
 class TestGridOracle:
     params = EconParams()
 
@@ -549,6 +636,14 @@ class TestSweep:
     def test_empty_values(self):
         with pytest.raises(ValueError):
             sweep(self.params, SMALL_BOUNDS, "c2", [])
+
+    def test_bad_last_value_fails_before_any_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran before every value was checked")
+
+        monkeypatch.setattr(optimize_module, "nelder_mead", no_search)
+        with pytest.raises(ValueError, match="sigma must be positive, got -1.0"):
+            sweep(self.params, SMALL_BOUNDS, "sigma", [0.5, 0.8, -1.0])
 
     def test_csv_shape(self, monkeypatch):
         result = sweep(self.params, SMALL_BOUNDS, "c2", [1e-7, 1e-6], n_starts=2, seed=0)

@@ -163,6 +163,10 @@ class TestUtilitySurface:
         with pytest.raises(ValueError, match="exceeds"):
             build_utility_surface(fleet, SPEC, [len(fleet) + 1], [0.5])
 
+    def test_negative_count_rejected(self, fleet):
+        with pytest.raises(ValueError, match="vehicle count must be >= 0, got -1"):
+            build_utility_surface(fleet, SPEC, [-1], [0.5])
+
     def test_average_over_modes(self, fleet):
         n = len(fleet)
         kw = dict(vehicle_counts=[n // 2], freqs=[0.5], seed=2)
