@@ -85,14 +85,21 @@ def nelder_mead(
     last slot and a shrink keeps the best in the first, so new vertices rank
     before old vertices of equal value. The final pick uses the same rule.
 
-    A box with a lower bound above its upper bound is a ValueError. The
-    inputs are converted to Python floats once. Each point is a tuple of
-    floats, computed with the same operations in the same order as the
-    elementwise numpy form, so results are bitwise equal to it, with one
-    exception: a coordinate equal to a bound of the other zero sign (0.0
-    against a bound of -0.0, or the reverse). Clipping here keeps the point,
-    as min(max(v, lo), hi) does, where `np.clip` returns the bound, so the
-    two forms can differ in the sign of that zero.
+    A start or bound that is not finite, or a box with a lower bound above
+    its upper bound, is a ValueError naming it. The inputs are converted to
+    Python floats once. Each point is a tuple of floats, computed with the
+    same operations in the same order as the elementwise numpy form, so
+    results are bitwise equal to it, with one exception: a coordinate equal
+    to a bound of the other zero sign (0.0 against a bound of -0.0, or the
+    reverse). Clipping here keeps the point, as min(max(v, lo), hi) does,
+    where `np.clip` returns the bound, so the two forms can differ in the
+    sign of that zero.
+
+    A start with three coordinates, as in the market search, runs a
+    straight-line step on plain floats with the coordinates unrolled
+    (`_nelder_mead_3`). It does the same float operations in the same order,
+    with the same tie rule and the same objective calls, so its result is
+    bitwise equal to the generic loop's. The start's length alone selects it.
     """
     box = [(float(lo), float(hi)) for lo, hi in zip(lower, upper)]
     x0 = [float(v) for v in x0]
@@ -101,7 +108,12 @@ def nelder_mead(
         raise ValueError(
             f"x0, lower and upper must have one length, got {dim}, {len(lower)}, {len(upper)}"
         )
-    for lo, hi in box:
+    for k, v in enumerate(x0):
+        if not math.isfinite(v):
+            raise ValueError(f"start x0[{k}] must be finite, got {v}")
+    for k, (lo, hi) in enumerate(box):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"bounds for coordinate {k} must be finite, got ({lo}, {hi})")
         if lo > hi:
             raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
     nfev = 0
@@ -132,6 +144,9 @@ def nelder_mead(
         vertex = list(x0)
         vertex[k] = x0[k] + step if x0[k] + step <= hi else x0[k] - step
         simplex.append(tuple(vertex))
+    if dim == 3:
+        x, fun, converged = _nelder_mead_3(evaluate, simplex, box, diameter_tol, max_iter)
+        return NMResult(x, fun, converged, nfev)
     values = [evaluate(v) for v in simplex]
     slots = range(dim + 1)
 
@@ -195,6 +210,113 @@ def nelder_mead(
 
     best_idx = max(slots, key=lambda i: (values[i], i))
     return NMResult(simplex[best_idx], values[best_idx], converged, nfev)
+
+
+def _nelder_mead_3(
+    evaluate: Callable[[tuple[float, ...]], float],
+    simplex: list[tuple[float, ...]],
+    box: list[tuple[float, float]],
+    tol: float,
+    max_iter: int,
+) -> tuple[tuple[float, ...], float, bool]:
+    """`nelder_mead`'s loop for three coordinates, on plain floats; returns
+    the best point, its value and whether the simplex converged.
+
+    The coordinates are unrolled, but every float operation, comparison and
+    `evaluate` call is the generic loop's, in its order: the centroid is
+    ((b + v1) + v2) / 3, each candidate is clipped as
+    `lo if v < lo else hi if v > hi else v`, and vertices rank by descending
+    value with the higher slot first on a tie. So the result is bitwise
+    equal. `simplex` is the first simplex, the clipped start first.
+    """
+    (lo0, hi0), (lo1, hi1), (lo2, hi2) = box
+    values = [evaluate(v) for v in simplex]
+    converged = False
+    for _ in range(max_iter):
+        # sorted stays stable under reverse=True, so listing the slots high
+        # to low ranks the higher slot first on a tie.
+        i0, i1, i2, i3 = sorted((3, 2, 1, 0), key=values.__getitem__, reverse=True)
+        best, second, third, worst = simplex[i0], simplex[i1], simplex[i2], simplex[i3]
+        f_best, f_second, f_third, f_worst = values[i0], values[i1], values[i2], values[i3]
+        b0, b1, b2 = best
+        m0, m1, m2 = second
+        n0, n1, n2 = third
+        w0, w1, w2 = worst
+
+        # Every coordinate of every vertex within tol of the best, relative
+        # to max(1, |best|); a NaN distance fails `<`, as in the generic loop.
+        s0, s1, s2 = abs(b0), abs(b1), abs(b2)
+        s0 = s0 if s0 > 1.0 else 1.0
+        s1 = s1 if s1 > 1.0 else 1.0
+        s2 = s2 if s2 > 1.0 else 1.0
+        if (
+            abs(m0 - b0) / s0 < tol and abs(m1 - b1) / s1 < tol and abs(m2 - b2) / s2 < tol
+            and abs(n0 - b0) / s0 < tol and abs(n1 - b1) / s1 < tol and abs(n2 - b2) / s2 < tol
+            and abs(w0 - b0) / s0 < tol and abs(w1 - b1) / s1 < tol and abs(w2 - b2) / s2 < tol
+        ):
+            simplex = [best, second, third, worst]
+            values = [f_best, f_second, f_third, f_worst]
+            converged = True
+            break
+
+        c0 = ((b0 + m0) + n0) / 3
+        c1 = ((b1 + m1) + n1) / 3
+        c2 = ((b2 + m2) + n2) / 3
+        r0 = c0 + 1.0 * (c0 - w0)
+        r1 = c1 + 1.0 * (c1 - w1)
+        r2 = c2 + 1.0 * (c2 - w2)
+        r0 = lo0 if r0 < lo0 else hi0 if r0 > hi0 else r0
+        r1 = lo1 if r1 < lo1 else hi1 if r1 > hi1 else r1
+        r2 = lo2 if r2 < lo2 else hi2 if r2 > hi2 else r2
+        reflected = (r0, r1, r2)
+        f_reflected = evaluate(reflected)
+
+        if f_reflected > f_best:
+            e0 = c0 + 2.0 * (r0 - c0)
+            e1 = c1 + 2.0 * (r1 - c1)
+            e2 = c2 + 2.0 * (r2 - c2)
+            e0 = lo0 if e0 < lo0 else hi0 if e0 > hi0 else e0
+            e1 = lo1 if e1 < lo1 else hi1 if e1 > hi1 else e1
+            e2 = lo2 if e2 < lo2 else hi2 if e2 > hi2 else e2
+            expanded = (e0, e1, e2)
+            f_expanded = evaluate(expanded)
+            if f_expanded > f_reflected:
+                new, f_new = expanded, f_expanded
+            else:
+                new, f_new = reflected, f_reflected
+        elif f_reflected > f_third:
+            new, f_new = reflected, f_reflected
+        else:
+            outside = f_reflected > f_worst
+            if outside:  # c + 0.5 * (r - c)
+                k0, k1, k2 = c0 + 0.5 * (r0 - c0), c1 + 0.5 * (r1 - c1), c2 + 0.5 * (r2 - c2)
+            else:  # inside: c + 0.5 * (w - c)
+                k0, k1, k2 = c0 + 0.5 * (w0 - c0), c1 + 0.5 * (w1 - c1), c2 + 0.5 * (w2 - c2)
+            k0 = lo0 if k0 < lo0 else hi0 if k0 > hi0 else k0
+            k1 = lo1 if k1 < lo1 else hi1 if k1 > hi1 else k1
+            k2 = lo2 if k2 < lo2 else hi2 if k2 > hi2 else k2
+            contracted = (k0, k1, k2)
+            f_contracted = evaluate(contracted)
+            if (f_contracted >= f_reflected) if outside else (f_contracted > f_worst):
+                new, f_new = contracted, f_contracted
+            else:  # shrink toward the best: b + 0.5 * (v - b), clipped
+                simplex = [best]
+                for p0, p1, p2 in (second, third, worst):
+                    p0 = b0 + 0.5 * (p0 - b0)
+                    p1 = b1 + 0.5 * (p1 - b1)
+                    p2 = b2 + 0.5 * (p2 - b2)
+                    simplex.append((
+                        lo0 if p0 < lo0 else hi0 if p0 > hi0 else p0,
+                        lo1 if p1 < lo1 else hi1 if p1 > hi1 else p1,
+                        lo2 if p2 < lo2 else hi2 if p2 > hi2 else p2,
+                    ))
+                values = [f_best] + [evaluate(v) for v in simplex[1:]]
+                continue
+        simplex = [best, second, third, new]
+        values = [f_best, f_second, f_third, f_new]
+
+    best_idx = max((3, 2, 1, 0), key=values.__getitem__)  # the higher slot on a tie
+    return simplex[best_idx], values[best_idx], converged
 
 
 # JSON keys of the Solution fields whose JSON name differs.

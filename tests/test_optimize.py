@@ -168,7 +168,7 @@ class TestNelderMeadTies:
         tied = []
 
         @settings(max_examples=150, deadline=None, derandomize=True)
-        @given(problem=plateau_problems(), max_iter=st.sampled_from([40, 400]))
+        @given(problem=plateau_problems(), max_iter=st.sampled_from([0, 1, 40, 400]))
         def check(problem, max_iter):
             objective, x0, lower, upper = problem
             seen = []
@@ -186,6 +186,28 @@ class TestNelderMeadTies:
 
         check()
         assert sum(tied) >= len(tied) // 2
+
+    def test_same_objective_calls_as_numpy_reference_on_plateaus(self):
+        # Shrink steps are common on plateaus; the objective must see the same
+        # points in the same order, not only give the same result.
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(problem=plateau_problems(), max_iter=st.sampled_from([1, 40, 400]))
+        def check(problem, max_iter):
+            objective, x0, lower, upper = problem
+            calls = {"got": [], "want": []}
+
+            def recording(key):
+                def tracked(x):
+                    calls[key].append(tuple(float(v) for v in x))
+                    return objective(x)
+
+                return tracked
+
+            nelder_mead(recording("got"), x0, lower, upper, max_iter=max_iter)
+            numpy_nelder_mead(recording("want"), x0, lower, upper, max_iter=max_iter)
+            assert calls["got"] == calls["want"]
+
+        check()
 
 
 def golden_section_max(f, lo, hi, tol=1e-12):
@@ -245,6 +267,57 @@ class TestNelderMead:
         with pytest.raises(NonFiniteObjective, match="nan"):
             nelder_mead(bad, [0.4], [0.0], [1.0])
 
+    def test_non_finite_objective_in_3d_after_the_reference_call_count(self):
+        # The three-coordinate path raises at the same call, on the same point,
+        # as the reference.
+        def bad(x):
+            return math.nan if x[0] + x[1] > 0.9 else -((x[0] - 1.0) ** 2) - x[2] ** 2
+
+        calls = {"got": [], "want": []}
+
+        def counted(key):
+            def objective(x):
+                calls[key].append(tuple(float(v) for v in x))
+                return bad(x)
+
+            return objective
+
+        box = ([0.4, 0.2, 0.3], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        with pytest.raises(NonFiniteObjective, match=r"nan at \(") as raised:
+            nelder_mead(counted("got"), *box)
+        with pytest.raises(NonFiniteObjective):
+            numpy_nelder_mead(counted("want"), *box)
+        assert len(calls["got"]) == len(calls["want"]) > 4
+        assert calls["got"] == calls["want"]
+        assert str(calls["got"][-1]) in str(raised.value)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize(
+        "where, bad, message",
+        [
+            ("x0", math.nan, r"start x0\[0\] must be finite, got nan"),
+            ("lower", math.nan, r"bounds for coordinate 0 must be finite, got \(nan, 1.0\)"),
+            ("lower", -math.inf, r"bounds for coordinate 0 must be finite, got \(-inf, 1.0\)"),
+            ("upper", math.inf, r"bounds for coordinate 0 must be finite, got \(0.0, inf\)"),
+            ("upper", math.nan, r"bounds for coordinate 0 must be finite, got \(0.0, nan\)"),
+        ],
+        ids=["nan-start", "nan-lower", "-inf-lower", "inf-upper", "nan-upper"],
+    )
+    def test_non_finite_start_or_bound_is_rejected(self, dim, where, bad, message):
+        # The caller's input, not the objective, is at fault: fail before any call.
+        args = {"x0": [0.5] * dim, "lower": [0.0] * dim, "upper": [1.0] * dim}
+        args[where][0] = bad
+        calls = []
+        with pytest.raises(ValueError, match=message):
+            nelder_mead(calls.append, args["x0"], args["lower"], args["upper"])
+        assert calls == []
+
+    def test_non_finite_later_coordinate_is_named(self):
+        with pytest.raises(ValueError, match=r"start x0\[2\] must be finite, got inf"):
+            nelder_mead(lambda x: 0.0, [0.5, 0.5, math.inf], [0.0] * 3, [1.0] * 3)
+        with pytest.raises(ValueError, match=r"bounds for coordinate 1 must be finite"):
+            nelder_mead(lambda x: 0.0, [0.5] * 3, [0.0, -math.inf, 0.0], [1.0] * 3)
+
     def test_start_outside_box_is_clipped(self):
         result = nelder_mead(lambda x: -(x[0] ** 2), [5.0], [-1.0, ], [1.0])
         assert result.x[0] == pytest.approx(0.0, abs=1e-6)
@@ -259,6 +332,19 @@ class TestNelderMead:
         result = nelder_mead(objective, np.array([1, 0.5]), [0, -1], (1, np.float64(1.0)))
         for x in [*seen, result.x]:
             assert type(x) is tuple and [type(v) for v in x] == [float, float]
+
+    def test_points_are_tuples_of_floats_in_3d(self):
+        seen = []
+
+        def objective(x):
+            seen.append(x)
+            return -((x[0] - 0.25) ** 2) - x[1] ** 2 - (x[2] - 2) ** 2
+
+        result = nelder_mead(
+            objective, np.array([1, 0.5, 3]), [0, -1, np.int64(1)], (1, np.float64(1.0), 4)
+        )
+        for x in [*seen, result.x]:
+            assert type(x) is tuple and [type(v) for v in x] == [float, float, float]
 
     def test_box_length_must_match_start(self):
         with pytest.raises(ValueError, match="one length"):
@@ -277,8 +363,26 @@ class TestNelderMead:
             (lambda x: profit(EconParams(), x[0], 2.0, 5.0), [2e-4], [1e-7], [1e-3]),
             (lambda x: -(x[0] ** 2), [5.0], [-1.0], [1.0]),
             (lambda x: x[0] + x[1], [0.5, 0.5], [0.0, 0.0], [1.0, 1.0]),
+            (
+                # Coordinate 0 starts outside the box and coordinate 1's +5%
+                # step leaves it, so both first steps go inward.
+                lambda x: -((x[0] - 0.3) ** 2 + 2 * (x[1] + 0.1) ** 2 + (x[2] - 0.7) ** 2)
+                - x[0] * x[1],
+                [5.0, 0.96, -0.2],
+                [-1.0, -1.0, -1.0],
+                [1.0, 1.0, 1.0],
+            ),
+            (
+                lambda x: profit(EconParams(), math.exp(x[0]), x[1], x[2]),
+                [math.log(1e-3), 59.0, 50.0],
+                [math.log(1e-9), 0.1, 1.0],
+                [math.log(1e-3), 60.0, 100.0],
+            ),
         ],
-        ids=["parabola", "rosenbrock", "payment-slice", "clipped-start", "corner"],
+        ids=[
+            "parabola", "rosenbrock", "payment-slice", "clipped-start", "corner",
+            "3d-inward-steps", "3d-profit",
+        ],
     )
     def test_bitwise_equal_to_numpy_reference(self, objective, x0, lower, upper):
         assert_same_nm_result(
@@ -299,6 +403,19 @@ class TestNelderMead:
         assert [math.copysign(1.0, v) for v in got.x] == [1.0, 1.0]
         assert got.x == (0.0, 0.0)
         assert [math.copysign(1.0, v) for v in want.x] == [1.0, -1.0]
+        assert (got.fun, got.converged, got.nfev) == (want.fun, want.converged, want.nfev)
+
+    def test_signed_zero_bound_keeps_the_point_in_3d(self):
+        # The same exception on the three-coordinate path.
+        def objective(x):
+            return -(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
+
+        box = ([0.0, 1.0, 0.5], [0.0, -0.0, 0.0], [1.0, 1.0, 1.0])
+        got = nelder_mead(objective, *box)
+        want = numpy_nelder_mead(objective, *box)
+        assert [math.copysign(1.0, v) for v in got.x] == [1.0, 1.0, 1.0]
+        assert got.x == (0.0, 0.0, 0.0)
+        assert [math.copysign(1.0, v) for v in want.x] == [1.0, -1.0, 1.0]
         assert (got.fun, got.converged, got.nfev) == (want.fun, want.converged, want.nfev)
 
     def test_inverted_box_is_rejected(self):
