@@ -17,49 +17,188 @@ from .trajectories import PlanarPath, Trajectory, _Fleet, _kept_index, _planar, 
 DEFAULT_CALIBRATION_FREQS = tuple(1.0 / m for m in range(2, 11))
 
 
-# Rows of the distance matrix computed per numpy call; bounds the kernel's
-# scratch memory to O(_ROW_BLOCK * |q|) floats, as in PlanarPath.diameter.
+# Rows of the distance matrix computed per numpy call; bounds each kernel's
+# scratch memory to O(_ROW_BLOCK * |q|) floats per pair, as in PlanarPath.diameter.
 _ROW_BLOCK = 512
+
+# Pairs of more than this many cells |p|·|q| take the bounds of `_bounds`
+# before `_dfd_core`'s dynamic program: below it the bounds' numpy calls cost
+# more than the cells they could save.
+_BOUNDED_CELLS = 1024
+
+
+def _pack(ps: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """A batch of pairs' coordinates as (2, B, n) and (2, B, m) arrays, n and m
+    the longest |p| and |q|. p is padded with +inf and q with -inf, so every
+    padded cell's distance is +inf and no subtraction meets inf - inf."""
+    b, n, m = len(ps), max(map(len, ps)), max(map(len, qs))
+    pts = np.full((2, b, n), np.inf)
+    qts = np.full((2, b, m), -np.inf)
+    for k, (p, q) in enumerate(zip(ps, qs)):
+        pts[:, k, : len(p)] = p.T
+        qts[:, k, : len(q)] = q.T
+    return pts, qts
+
+
+def _distances(px, py, qx, qy, out: np.ndarray | None = None) -> np.ndarray:
+    """Point distances sqrt(dx*dx + dy*dy) with p - q operands, broadcast over
+    the coordinate arrays: the one formula of every Fréchet kernel here, so
+    all of them read the same float64 for the same pair of points."""
+    dist = np.subtract(px, qx, out=out)
+    dy = py - qy
+    dist *= dist
+    dy *= dy
+    dist += dy
+    return np.sqrt(dist, out=dist)
+
+
+def _bounds(
+    pts: np.ndarray, qts: np.ndarray, n_p: np.ndarray, n_q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds L <= d_F <= U on the discrete Fréchet distance of each pair k of
+    packed coordinates (its first n_p[k] points of p and n_q[k] of q), with
+    L == U exactly when max(max_i min_j d(p_i, q_j), d(p_0, q_0), d(p_n, q_m))
+    == U. That max is a lower bound, since every coupling pairs each p_i with
+    some q_j and holds both end pairs.
+
+    U is the cost of the natural coupling of a q made of p's rows. q_j's
+    anchor a_j is its first row of p at the same point, a zero distance;
+    rows up to a_0 go to q_0 and rows after the last anchor to q_m; the rows
+    of each gap (a_{j-1}, a_j] split once, the first ones to q_{j-1} and the
+    rest, a_j among them, to q_j. Any strictly increasing anchors give a
+    valid coupling, so d_F <= U; without them U = inf and L = 0.
+
+    The best split of a gap costs the max over its rows r of min(A_r, b_r),
+    b_r being row r's distance to q_j and A_r the largest distance to q_{j-1}
+    of the gap's rows up to r. No split costs less: row r goes right, or a row
+    at or before it goes left. Splitting just before the first row farther
+    than that from q_{j-1} costs no more. Before a_0 and after the last anchor
+    both sides are one point, and the formula gives the max. So U is the max
+    of min(A_r, b_r) over all rows, and A is the only scan: by doubling
+    (Hillis & Steele), a round per power of two below the widest gap.
+
+    A row's min reaches U only if its distances to both its coupled points
+    do, so L takes the end pairs and the mins of those rows alone, and no
+    distance matrix is built. L and U are entries of the distance matrix, so
+    when they meet they are d_F to the bit. Points are compared, and those
+    rows' mins taken, _ROW_BLOCK rows at a time.
+    """
+    b, n = pts.shape[1:]
+    m = qts.shape[2]
+    anchor = np.arange(n, n + m)  # past p's rows until found, and in order
+    for start in range(0, n, _ROW_BLOCK):
+        # (2, B, 1, rows) of p against (2, B, m, 1) of q
+        blk = pts[:, :, None, start : start + _ROW_BLOCK]
+        equal = (blk[0] == qts[0, :, :, None]) & (blk[1] == qts[1, :, :, None])
+        first = np.where(equal.any(axis=2), equal.argmax(axis=2) + start, n + m)
+        anchor = np.minimum(anchor, first)
+    # Strictly increasing anchors, the last of a pair's own q found in p, are
+    # all found; a pair's padded columns keep their increasing n + j.
+    pairs = np.arange(b)
+    widths = anchor[:, 1:] - anchor[:, :-1]
+    ok = (anchor[pairs, n_q - 1] < n) & (widths > 0).all(axis=1)
+    if not ok.any():
+        return np.zeros(b), np.full(b, np.inf)
+    # Row r's gap is the number of anchors above it: gap j in 1..|q|-1 holds
+    # the rows of (a_{j-1}, a_j], gap 0 the rows up to a_0 and gap |q| the rows
+    # after the last anchor, the last two with one point on both sides.
+    step = np.zeros((b, n + m + 1), dtype=np.intp)
+    step[pairs[:, None], anchor + 1] = 1
+    gap = step[:, :n].cumsum(axis=1)
+    sides = np.stack([np.maximum(gap - 1, 0), np.minimum(gap, n_q[:, None] - 1)])
+    sides += pairs[:, None] * m
+    to_left, to_right = _distances(pts[0], pts[1], qts[0].take(sides), qts[1].take(sides))
+    reach = np.minimum(to_left, to_right)
+    padded = n_p.min() < n or n_q.min() < m
+    if padded:  # +inf rows past a pair's p; gaps into its padded columns
+        row_pad = np.arange(n) >= n_p[:, None]
+        reach[row_pad] = -np.inf
+        widths[np.arange(1, m) >= n_q[:, None]] = 0
+    widest = widths[ok].max(initial=0)
+    shift = 1
+    while shift < widest:
+        same = gap[:, shift:] == gap[:, :-shift]
+        np.maximum(
+            to_left[:, shift:], np.where(same, to_left[:, :-shift], 0.0), out=to_left[:, shift:]
+        )
+        shift *= 2
+    cost = np.minimum(to_left, to_right)
+    if padded:
+        cost[row_pad] = 0.0
+    upper = np.where(ok, cost.max(axis=1), np.inf)
+    # The end pairs (0, 0) and (n, m) are coupled, on one point each side:
+    # their cost is their distance.
+    lower = np.where(ok, np.maximum(cost[:, 0], cost[pairs, n_p - 1]), 0.0)
+    pair, row = np.nonzero((reach >= upper[:, None]) & ok[:, None])
+    for start in range(0, len(row), _ROW_BLOCK):
+        k = pair[start : start + _ROW_BLOCK]
+        r = row[start : start + _ROW_BLOCK]
+        dist = _distances(pts[0, k, r, None], pts[1, k, r, None], qts[0, k], qts[1, k])
+        np.maximum.at(lower, k, dist.min(axis=1))
+    return lower, upper
 
 
 def _dfd_core(p, q):
     """Eiter & Mannila's DP, one row at a time over plain Python floats.
 
-    Distances come from numpy in row blocks as sqrt(dx*dx + dy*dy), the same
-    float64 operations in the same order as a scalar loop, so the result is
-    bitwise that of the naive recursion.
+    A pair of more than _BOUNDED_CELLS cells takes `_bounds` first: it
+    returns L when L == U, and otherwise fills only each row's hull of cells
+    with d <= U, from the first such column to the last. A cell with d > U >=
+    d_F lies on no optimal coupling, and every cell of one lies in a hull, so
+    the corner's value is unchanged. Smaller pairs, and pairs without a
+    finite U, fill every cell. Distances come from `_distances` in row
+    blocks, the same float64 operations in the same order as a scalar loop,
+    and min and max are exact, so the result is bitwise that of the naive
+    recursion. Scratch memory stays O(_ROW_BLOCK * |q|).
     """
-    m = q.shape[0]
-    qx = q[:, 0]
-    qy = q[:, 1]
-    dp = None  # the DP row of the previous point of p
-    for start in range(0, p.shape[0], _ROW_BLOCK):
+    n, m = p.shape[0], q.shape[0]
+    upper = math.inf
+    if n * m > _BOUNDED_CELLS:
+        lower, upper = (
+            x.item() for x in _bounds(p.T[:, None], q.T[:, None], np.array([n]), np.array([m]))
+        )
+        if lower == upper:
+            return lower
+    # dp[j + 1] is cell j of the last row filled, +inf outside its hull;
+    # dp[0] is the border: -inf above-left of cell (0, 0), then +inf.
+    dp = [math.inf] * (m + 1)
+    dp[0] = -math.inf
+    prev_lo = prev_hi = 0  # the last row's hull, as dp indices prev_lo + 1 .. prev_hi
+    for start in range(0, n, _ROW_BLOCK):
         block = p[start : start + _ROW_BLOCK]
-        dx = block[:, 0, None] - qx
-        dy = block[:, 1, None] - qy
-        for row in np.sqrt(dx * dx + dy * dy).tolist():
-            if dp is None:  # first row: running maximum along q
-                dp = row
-                for j in range(1, m):
-                    if dp[j - 1] > dp[j]:
-                        dp[j] = dp[j - 1]
-                continue
-            # Overwrite the previous row in place, left to right; `diag`
-            # keeps the previous row's value at j - 1.
-            diag = dp[0]
-            d = row[0]
-            left = diag if diag > d else d
-            dp[0] = left
-            for j in range(1, m):
+        dist = _distances(block[:, 0, None], block[:, 1, None], q[:, 0], q[:, 1])
+        if upper < math.inf:
+            near = dist <= upper  # every row has one: U >= d_F >= the row's min
+            los = near.argmax(axis=1)
+            his = m - near[:, ::-1].argmax(axis=1)
+            cols = np.arange(m)
+            cells = dist[(cols >= los[:, None]) & (cols < his[:, None])].tolist()
+            stops = np.cumsum(his - los).tolist()
+            rows = zip(los.tolist(), [cells[a:b] for a, b in zip([0, *stops], stops)])
+        else:
+            rows = zip([0] * len(block), dist.tolist())
+        for lo, row in rows:
+            # Overwrite the last row in place, left to right; `diag` keeps
+            # its value at j - 1.
+            diag = dp[lo]
+            left = math.inf
+            j = lo
+            for d in row:
+                j += 1
                 up = dp[j]
-                d = row[j]
                 c = up if up < diag else diag
                 if left < c:
                     c = left
                 left = c if c > d else d
                 dp[j] = left
                 diag = up
-    return dp[-1]
+            dp[0] = math.inf
+            if lo > prev_lo or j < prev_hi:  # the last row's cells outside this hull
+                dp[prev_lo + 1 : lo + 1] = [math.inf] * (lo - prev_lo)
+                dp[j + 1 : prev_hi + 1] = [math.inf] * (prev_hi - j)
+            prev_lo = lo
+            prev_hi = j
+    return dp[m]
 
 
 # The Fréchet backend; there is only the one above (the benchmark harness
@@ -76,27 +215,19 @@ _FRECHET_CELLS = 1 << 16
 def _frechet_block(ps: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> list[float]:
     """`_dfd_core` of every pair of one chunk.
 
-    The pairs are padded with 0.0 to an (n, m, B) block of distances, n and m
-    the longest |p| and |q|, with the batch on the last axis; padded cells
-    never feed a pair's own cells. The block gets a +inf border row and column
-    with a -inf corner, so the DP needs no edge cases, and is overwritten in
-    place one anti-diagonal at a time, each reading the two before it.
+    The pairs are packed by `_pack` into an (n, m, B) block of distances, n
+    and m the longest |p| and |q|, with the batch on the last axis; padded
+    cells never feed a pair's own cells. The block gets a +inf border row and
+    column with a -inf corner, so the DP needs no edge cases, and is
+    overwritten in place one anti-diagonal at a time, each reading the two
+    before it.
     """
-    b, n, m = len(ps), max(map(len, ps)), max(map(len, qs))
-    pts = np.zeros((2, n, b))
-    qts = np.zeros((2, m, b))
-    for k, (p, q) in enumerate(zip(ps, qs)):
-        pts[:, : len(p), k] = p.T
-        qts[:, : len(q), k] = q.T
+    pts, qts = _pack(ps, qs)
+    b, n = pts.shape[1:]
+    m = qts.shape[2]
     block = np.empty((n + 1, m + 1, b))
-    dist = block[1:, 1:]
-    # sqrt(dx*dx + dy*dy) with p - q operands, as `_dfd_core` computes them.
-    np.subtract(pts[0, :, None], qts[0, None], out=dist)
-    dy = pts[1, :, None] - qts[1, None]
-    dist *= dist
-    dy *= dy
-    dist += dy
-    np.sqrt(dist, out=dist)
+    # (n, 1, B) against (1, m, B): the batch on the last axis.
+    _distances(pts[0].T[:, None], pts[1].T[:, None], qts[0].T, qts[1].T, out=block[1:, 1:])
     block[0] = np.inf
     block[:, 0] = np.inf
     block[0, 0] = -np.inf
@@ -121,17 +252,10 @@ def _frechet_block(ps: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> list[f
     return [block[len(p), len(q), k].item() for k, (p, q) in enumerate(zip(ps, qs))]
 
 
-def _frechet_many(ps: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> list[float]:
-    """Discrete Fréchet distance of every pair (ps[k], qs[k]) of checked
-    (n, 2) float64 arrays, each bitwise `_dfd_core(ps[k], qs[k])`.
-
-    The pairs run in chunks of similar sizes (sorted by (|p|, |q|)), each of at
-    most _FRECHET_CELLS padded cells, through `_frechet_block`. A pair over
-    that budget on its own goes through `_dfd_core`. Min and max are exact and
-    the distances are the same float64 operations, so batching changes no bit.
-    """
-    out = [0.0] * len(ps)
-    order = sorted(range(len(ps)), key=lambda k: (len(ps[k]), len(qs[k])))
+def _chunks(order: Sequence[int], ps: Sequence[np.ndarray], qs: Sequence[np.ndarray]):
+    """Runs of `order` (pairs sorted by (|p|, |q|)) of at most _FRECHET_CELLS
+    padded cells each, as (run, padded cells); a pair over that budget on its
+    own is a run by itself."""
     start = 0
     while start < len(order):
         n, m = len(ps[order[start]]), len(qs[order[start]])
@@ -142,14 +266,42 @@ def _frechet_many(ps: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> list[fl
             if grown_n * grown_m * (stop + 1 - start) > _FRECHET_CELLS:
                 break
             n, m, stop = grown_n, grown_m, stop + 1
-        chunk = order[start:stop]
-        if n * m > _FRECHET_CELLS:
-            dists = [_dfd_core(ps[k], qs[k]) for k in chunk]
-        else:
-            dists = _frechet_block([ps[k] for k in chunk], [qs[k] for k in chunk])
-        for k, d in zip(chunk, dists):
-            out[k] = d
+        yield order[start:stop], n * m
         start = stop
+
+
+def _frechet_many(ps: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> list[float]:
+    """Discrete Fréchet distance of every pair (ps[k], qs[k]) of checked
+    (n, 2) float64 arrays, each bitwise `_dfd_core(ps[k], qs[k])`.
+
+    The pairs run in chunks of similar sizes (sorted by (|p|, |q|)), each of at
+    most _FRECHET_CELLS padded cells. `_bounds` takes each chunk's L and U and
+    settles every pair with L == U. The rest are chunked again under the same
+    budget and swept by `_frechet_block`. A pair over that budget on its own
+    goes through `_dfd_core`. Min and max are exact and the distances are the
+    same float64 operations, so neither the bounds nor batching changes a bit.
+    """
+    out = [0.0] * len(ps)
+    order = sorted(range(len(ps)), key=lambda k: (len(ps[k]), len(qs[k])))
+    unresolved = []
+    for chunk, cells in _chunks(order, ps, qs):
+        if cells > _FRECHET_CELLS:
+            for k in chunk:
+                out[k] = _dfd_core(ps[k], qs[k])
+            continue
+        cps = [ps[k] for k in chunk]
+        cqs = [qs[k] for k in chunk]
+        lower, upper = _bounds(
+            *_pack(cps, cqs), np.array(list(map(len, cps))), np.array(list(map(len, cqs)))
+        )
+        for k, low, up in zip(chunk, lower.tolist(), upper.tolist()):
+            if low == up:
+                out[k] = low
+            else:
+                unresolved.append(k)
+    for chunk, _ in _chunks(unresolved, ps, qs):
+        for k, d in zip(chunk, _frechet_block([ps[k] for k in chunk], [qs[k] for k in chunk])):
+            out[k] = d
     return out
 
 
@@ -157,7 +309,11 @@ def discrete_frechet(p: PlanarPath | np.ndarray, q: PlanarPath | np.ndarray) -> 
     """Discrete Fréchet distance between two planar polylines, in meters.
 
     Dynamic program over all monotone couplings of the two vertex sequences
-    (Eiter & Mannila); O(|p|·|q|) time.
+    (Eiter & Mannila); O(|p|·|q|) time at most. Through `_dfd_core`, a pair of
+    more than _BOUNDED_CELLS cells first takes cheap bounds L <= d_F <= U and
+    returns L when they meet, which they often do when q is a row subset of p
+    (a subsampled or captured path); otherwise the program skips every cell
+    farther apart than U. The result is bitwise that of the full program.
     """
     pa = p.points if isinstance(p, PlanarPath) else _planar_points(p)
     qa = q.points if isinstance(q, PlanarPath) else _planar_points(q)
@@ -171,13 +327,16 @@ def path_similarity(
 
     1 - min(1, frechet / diameter(full)): 1.0 for an exact reconstruction,
     0.0 once the reconstruction strays by the full path's own extent.
-    `diameter` is `full.diameter()` when the caller already has it.
+    `diameter` is `full.diameter()` when the caller already has it; a
+    diameter outside (0, inf) is a ValueError.
     """
     if len(full) < 2 or len(reconstructed) < 2:
         raise ValueError("path similarity requires at least 2 points per path")
     diam = full.diameter() if diameter is None else diameter
-    if diam <= 0.0:
-        raise ValueError("full path has zero diameter; similarity undefined")
+    if not 0.0 < diam < math.inf:  # NaN fails too
+        raise ValueError(
+            f"full path diameter must be positive and finite, got {diam}; similarity undefined"
+        )
     return _similarity(discrete_frechet(full, reconstructed), diam)
 
 

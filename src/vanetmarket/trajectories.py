@@ -154,12 +154,16 @@ class PlanarPath:
 
     def diameter(self) -> float:
         """Maximum pairwise point distance."""
-        pts = self.points
+        x = self.points[:, 0]
+        y = self.points[:, 1]
         best = 0.0
         # Blockwise pairwise distances keep memory bounded on long paths.
-        for i in range(0, len(pts), 512):
-            block = pts[i : i + 512]
-            d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        for i in range(0, len(x), 512):
+            d2 = x[i : i + 512, None] - x
+            dy = y[i : i + 512, None] - y
+            d2 *= d2
+            dy *= dy
+            d2 += dy
             best = max(best, float(d2.max()))
         return math.sqrt(best)
 

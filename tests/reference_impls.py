@@ -6,8 +6,9 @@ evaluates the certifying grid over arrays (`econ.profit_slabs`), projects
 and grids samples over arrays (`trajectories.project_planar`,
 `trajectories.build_map`), counts the utility surface
 from per-row cell ids (`utility.build_utility_surface`), scores the
-privacy curve's captures in batches (`smpc.empirical_privacy_curve`) and
-routes the aggregation round over fleet rows (`smpc._route`). The
+privacy curve's captures in batches (`smpc.empirical_privacy_curve`),
+routes the aggregation round over fleet rows (`smpc._route`) and takes a
+path's diameter from its coordinate columns (`PlanarPath.diameter`). The
 helper chains and loops they replaced live here, as tests use them, and
 nowhere in `src/`.
 """
@@ -157,6 +158,18 @@ def scalar_subsample(traj, f_d: float) -> tuple:
     if kept[-1] != traj.samples[-1]:
         kept.append(traj.samples[-1])
     return tuple(kept)
+
+
+def blocked_diameter(points) -> float:
+    """`PlanarPath.diameter` as it was: squares of (rows, n, 2) coordinate
+    differences summed over the last axis, 512 rows of the path at a time."""
+    pts = np.asarray(points, dtype=np.float64)
+    best = 0.0
+    for i in range(0, len(pts), 512):
+        block = pts[i : i + 512]
+        d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        best = max(best, float(d2.max()))
+    return math.sqrt(best)
 
 
 def scalar_projection(traj, origin) -> np.ndarray:

@@ -314,6 +314,153 @@ class TestFrechetMany:
         assert peak <= 3 * 8 * privacy._FRECHET_CELLS
 
 
+@st.composite
+def subset_pairs(draw):
+    """A (p, q) pair where q is p's rows at strictly increasing positions (the
+    form every pair the package scores takes), or an unrelated path, either
+    way round. p may hold runs of one repeated point (a stationary vehicle),
+    so that a column of the distance matrix holds several zeros."""
+    coord = draw(st.sampled_from([
+        st.integers(0, 4).map(float),  # ties and equal distances
+        st.integers(-100, 100).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    ]))
+    # Distinct points, so that a path can wander back towards an earlier
+    # anchor without meeting it; stops repeat a point on purpose.
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=24, unique=True))
+    stops = st.sampled_from([1, 1, 1, 2, 3])
+    repeats = draw(st.lists(stops, min_size=len(points), max_size=len(points)))
+    p = np.repeat(np.array(points, dtype=np.float64), repeats, axis=0)
+    n = len(p)
+    kind = draw(st.sampled_from(["rows", "rows", "rows", "whole", "one", "unrelated"]))
+    if kind == "whole":
+        q = p.copy()
+    elif kind == "one":
+        q = p[[draw(st.integers(0, n - 1))]]
+    elif kind == "rows":
+        kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        q = p[np.flatnonzero(kept)] if any(kept) else p[[n - 1]]
+    else:
+        q = np.array(draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=24)))
+    return (q, p) if draw(st.booleans()) else (p, q)
+
+
+def bounds_of(p, q):
+    """`_bounds` of one pair, as Python floats."""
+    lower, upper = privacy._bounds(*privacy._pack([p], [q]), np.array([len(p)]), np.array([len(q)]))
+    return lower.item(), upper.item()
+
+
+class TestFrechetBounds:
+    """The bounds step of both kernels: L <= d_F <= U, and results bitwise the
+    full dynamic program's whichever branch a pair takes."""
+
+    def test_kernels_bitwise_equal_scalar_dp_on_row_subsets(self, monkeypatch):
+        seen = []
+        bounds = privacy._bounds
+
+        def recording_bounds(pts, qts, n_p, n_q):
+            lower, upper = bounds(pts, qts, n_p, n_q)
+            seen.extend(zip(lower.tolist(), upper.tolist()))
+            return lower, upper
+
+        monkeypatch.setattr(privacy, "_bounds", recording_bounds)
+        reached = {"settled": 0, "pruned DP": 0, "no finite U": 0, "first row dropped": 0,
+                   "last row dropped": 0, "|q| = 1": 0, "q = p": 0, "stationary": 0,
+                   "swapped": 0, "unrelated": 0, "several row blocks": 0}
+
+        # Row blocks of 5 rows take pairs past one block at these sizes; a
+        # zero cell threshold sends every pair of `_dfd_core` through the bounds.
+        @settings(max_examples=250, deadline=None, derandomize=True)
+        @given(
+            batch=st.lists(subset_pairs(), min_size=1, max_size=4),
+            row_block=st.sampled_from([5, privacy._ROW_BLOCK]),
+            threshold=st.sampled_from([0, privacy._BOUNDED_CELLS]),
+        )
+        def check(batch, row_block, threshold):
+            monkeypatch.setattr(privacy, "_ROW_BLOCK", row_block)
+            monkeypatch.setattr(privacy, "_BOUNDED_CELLS", threshold)
+            want = [scalar_dp_frechet(p, q) for p, q in batch]
+            seen.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                core = [privacy._dfd_core(p, q) for p, q in batch]
+                many = privacy._frechet_many([p for p, _ in batch], [q for _, q in batch])
+            assert all(type(d) is float for d in core + many)
+            assert distances_bytes(core) == distances_bytes(want)
+            assert distances_bytes(many) == distances_bytes(want)
+            for (p, q), d in zip(batch, want):
+                lower, upper = bounds_of(p, q)
+                assert lower <= d <= upper
+            # A batch's padding changes no pair's bounds.
+            lower, upper = privacy._bounds(
+                *privacy._pack([p for p, _ in batch], [q for _, q in batch]),
+                np.array([len(p) for p, _ in batch]), np.array([len(q) for _, q in batch]),
+            )
+            assert distances_bytes(lower) == distances_bytes([bounds_of(p, q)[0] for p, q in batch])
+            assert distances_bytes(upper) == distances_bytes([bounds_of(p, q)[1] for p, q in batch])
+
+            reached["settled"] += any(lo == up for lo, up in seen)
+            reached["pruned DP"] += any(lo < up < math.inf for lo, up in seen)
+            reached["no finite U"] += any(up == math.inf for _, up in seen)
+            for p, q in batch:
+                rows = [np.flatnonzero((p == point).all(axis=1)) for point in q]
+                subset = all(len(r) for r in rows)
+                swapped = not subset and all(len(np.flatnonzero((q == pt).all(axis=1))) for pt in p)
+                reached["unrelated"] += not subset and not swapped
+                reached["swapped"] += swapped and len(q) > len(p)
+                reached["first row dropped"] += subset and not (q[0] == p[0]).all()
+                reached["last row dropped"] += subset and not (q[-1] == p[-1]).all()
+                reached["|q| = 1"] += subset and len(q) == 1 < len(p)
+                reached["q = p"] += subset and p.shape == q.shape and (p == q).all()
+                reached["stationary"] += bool((p[1:] == p[:-1]).all(axis=1).any())
+                reached["several row blocks"] += max(len(p), len(q)) > row_block
+
+        check()
+        assert all(count >= 1 for count in reached.values()), reached
+
+    def test_gap_that_doubles_back_takes_its_best_split(self):
+        # Between the anchors q_0 = p_0 and q_1 = p_3 the path nears q_1, then
+        # q_0 again: each row's nearer side is 0.1 away, but any one split
+        # puts p_1 on the left (9.0 away) or p_2 on the right (8.9 away).
+        p = np.array([[0.0, 0.0], [9.0, 0.1], [0.1, 0.0], [9.0, 0.0]])
+        q = p[[0, 3]]
+        want = scalar_dp_frechet(p, q)
+        assert want == math.hypot(8.9, 0.0)
+        lower, upper = bounds_of(p, q)
+        assert lower <= want == upper
+        assert distances_bytes(privacy._frechet_many([p], [q])) == distances_bytes([want])
+
+    def test_pair_longer_than_row_block_on_row_subsets(self):
+        # A walk with stops, past two row blocks, against kept rows of it and
+        # the other way round, at the module's own block and threshold.
+        rng = np.random.default_rng(27)
+        steps = rng.normal(scale=300.0, size=(2 * _ROW_BLOCK + 37, 2))
+        steps[rng.random(len(steps)) < 0.1] = 0.0
+        p = np.cumsum(steps, axis=0)
+        for keep in (slice(None, None, 9), slice(5, -3, 17)):
+            q = p[keep]
+            for a, b in ((p, q), (q, p)):
+                want = scalar_dp_frechet(a, b)
+                lower, upper = bounds_of(a, b)
+                assert lower <= want <= upper
+                assert distances_bytes([privacy._dfd_core(a, b)]) == distances_bytes([want])
+                assert distances_bytes(privacy._frechet_many([a], [b])) == distances_bytes([want])
+
+    def test_bounds_meet_on_most_subsampled_fleet_paths(self, fleet):
+        settled = total = 0
+        for traj in fleet:
+            origin = traj.centroid()
+            full = project_planar(traj, origin=origin).points
+            for f in DEFAULT_CALIBRATION_FREQS:
+                sub = full[trajectories._kept_index(traj, f)]
+                lower, upper = bounds_of(full, sub)
+                assert upper < math.inf
+                settled += lower == upper
+                total += 1
+        assert 2 * settled >= total, (settled, total)  # 223 of 360
+
+
 class TestPathSimilarity:
     def test_identical_is_one(self):
         p = PlanarPath(np.array([[0.0, 0.0], [50.0, 0.0], [100.0, 0.0]]))
@@ -341,6 +488,14 @@ class TestPathSimilarity:
         q = PlanarPath(np.array([[0.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(ValueError, match="diameter"):
             path_similarity(p, q)
+
+    @pytest.mark.parametrize("diameter", [math.nan, math.inf, -math.inf, 0.0, -1.0, -0.0])
+    def test_diameter_outside_open_positive_range_rejected(self, diameter):
+        # NaN and inf pass a `diam <= 0.0` test and would score 0.0 and 1.0.
+        p = PlanarPath(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        message = f"diameter must be positive and finite, got {diameter}"
+        with pytest.raises(ValueError, match=message):
+            path_similarity(p, p, diameter)
 
     def test_short_paths_rejected(self):
         p = PlanarPath(np.array([[0.0, 0.0], [1.0, 0.0]]))

@@ -10,10 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_impls import cell_of, map_total, native_rate, scalar_build_map, scalar_subsample
+from reference_impls import (
+    blocked_diameter,
+    cell_of,
+    map_total,
+    native_rate,
+    scalar_build_map,
+    scalar_subsample,
+)
 from vanetmarket import (
     GeoSample,
     GridSpec,
+    PlanarPath,
     TraceParseError,
     Trajectory,
     build_map,
@@ -533,6 +541,40 @@ class TestProjectPlanar:
             hav = _haversine(lat0, lon0, lat0 + dlat, lon0 + dlon)
             if hav > 1.0:
                 assert planar == pytest.approx(hav, rel=0.01)
+
+
+class TestPlanarPathDiameter:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        points=st.one_of(
+            st.lists(
+                st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=40
+            ),
+            # past one 512-row block, with repeated points
+            st.integers(513, 600).flatmap(
+                lambda n: st.lists(
+                    st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=n, max_size=n
+                )
+            ),
+        )
+    )
+    def test_bitwise_equal_to_blocked_reference(self, points):
+        pts = np.array(points, dtype=np.float64)
+        got = PlanarPath(pts).diameter()
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(blocked_diameter(pts)).tobytes()
+
+    def test_single_point_has_zero_diameter(self):
+        assert PlanarPath([[3.0, -4.0]]).diameter() == 0.0
+
+    def test_long_path_spans_blocks(self):
+        rng = np.random.default_rng(12)
+        pts = rng.normal(scale=1e3, size=(1300, 2))
+        pts[1299] = [1e5, 1e5]  # the farthest pair straddles the third block
+        pts[3] = [-1e5, -1e5]
+        got = PlanarPath(pts).diameter()
+        assert np.float64(got).tobytes() == np.float64(blocked_diameter(pts)).tobytes()
+        assert got == math.sqrt(2 * 2e5**2)
 
 
 def _haversine(lat1, lon1, lat2, lon2):
