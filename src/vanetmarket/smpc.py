@@ -13,7 +13,7 @@ import numpy as np
 
 from .privacy import _frechet_many, _full_paths, _similarity, path_similarity
 from .trajectories import GeoSample, PlanarPath, SpatioTemporalMap, Trajectory, _kept_index
-from .trajectories import _Fleet, project_planar, subsample
+from .trajectories import _check_distinct, _Fleet, project_planar, subsample
 
 FIELD_PRIME = 2**61 - 1  # Mersenne prime; counts stay far below it
 
@@ -56,11 +56,13 @@ def route_samples(
     independently, uniformly chosen server. Deterministic per seed.
 
     Each inbox receives the trajectories in input order, with each vehicle's
-    samples contiguous and in time order.
+    samples contiguous and in time order. A sample carries only its vehicle
+    id, so a repeated id is a ValueError that names it, as in `build_map`.
     """
     if s < 1:
         raise ValueError(f"server count must be >= 1, got {s}")
     kept = [subsample(traj, f_d) for traj in trajs]
+    _check_distinct(sub.vehicle_id for sub in kept)
     inboxes = [ServerInbox(i) for i in range(s)]
     for sub, picks in zip(kept, _draw_servers(kept, s, seed)):
         for sample, pick in zip(sub.samples, picks.tolist()):
@@ -186,7 +188,7 @@ def adversary_reconstruct(
     Pools captured samples per vehicle id, orders them by time, and scores the
     resulting polyline, projected about the full path's centroid, against the
     full path. Vehicles with fewer than 2 captured samples score 0, and those
-    with none have no path. Vehicle ids must be unique.
+    with none have no path.
     """
     compromised = sorted(set(compromised))
     if not compromised:
@@ -194,13 +196,7 @@ def adversary_reconstruct(
     for sid in compromised:
         if not (0 <= sid < len(inboxes)):
             raise ValueError(f"compromised server {sid} does not exist")
-    seen: set[str] = set()
-    for traj in trajs:
-        if traj.vehicle_id in seen:
-            raise ValueError(
-                f"duplicate vehicle id {traj.vehicle_id!r}: inboxes cannot tell its vehicles apart"
-            )
-        seen.add(traj.vehicle_id)
+    fleet = _Fleet.of(trajs)
 
     captured: dict[str, list[GeoSample]] = {}
     for sid in compromised:
@@ -208,12 +204,12 @@ def adversary_reconstruct(
             captured.setdefault(vid, []).append(sample)
 
     results: dict[str, VehicleReconstruction] = {}
-    for traj, full in zip(trajs, _full_paths(trajs)):
-        samples = sorted(captured.get(traj.vehicle_id, []), key=lambda g: g.t)
-        pooled = Trajectory(traj.vehicle_id, tuple(samples)) if samples else None
+    for vid, full in zip(fleet.ids, _full_paths(fleet)):
+        samples = sorted(captured.get(vid, []), key=lambda g: g.t)
+        pooled = Trajectory(vid, tuple(samples)) if samples else None
         path = None if pooled is None else project_planar(pooled, origin=full.origin)
         score = path_similarity(full.path, path, full.diameter) if len(samples) >= 2 else 0.0
-        results[traj.vehicle_id] = VehicleReconstruction(path, score)
+        results[vid] = VehicleReconstruction(path, score)
     return results
 
 
@@ -232,7 +228,6 @@ def empirical_privacy_curve(
 ) -> list[CurvePoint]:
     """Monte Carlo mean adversary similarity per (f_d, s) with the first
     `n_compromised` servers compromised, routing with `route_samples`' draw.
-    Each trajectory, or each track of a fleet, is scored on its own.
 
     Per f_d, each vehicle's kept samples are the rows of its projected full
     path that `subsample` keeps, and a capture is the rows its compromised

@@ -17,6 +17,7 @@ EARTH_RADIUS_M = 6371000.0
 
 # Default synthesis area, roughly a 20 km x 20 km urban box.
 DEFAULT_BBOX = (39.80, 40.00, 116.25, 116.50)
+SPEED_RANGE = (250.0, 750.0)  # synthetic vehicles' base speeds, meters per minute
 
 TRACE_HEADER = ["vehicle_id", "timestamp", "lat", "lon"]
 
@@ -84,11 +85,20 @@ class _Track(NamedTuple):
     times: list[float]
 
 
+def _check_distinct(ids: Iterable[str]) -> None:
+    """A vehicle id names one vehicle, as in a trace file: raise on the first repeat."""
+    seen: set[str] = set()
+    for vid in ids:
+        if vid in seen:
+            raise ValueError(f"duplicate vehicle id {vid!r}: a vehicle id names one vehicle")
+        seen.add(vid)
+
+
 class _Fleet(NamedTuple):
     """Trajectories as columns: track k is ids[k], with rows
     offsets[k]:offsets[k + 1] of txy, one (t, lat, lon) row per sample in time
-    order. Read from a trace file the ids are distinct, in the order they
-    first appear; built from trajectories they are theirs, repeats included."""
+    order. The ids are distinct: read from a trace file, in the order they
+    first appear; built from trajectories, in theirs."""
 
     ids: list[str]
     offsets: np.ndarray
@@ -96,10 +106,12 @@ class _Fleet(NamedTuple):
 
     @classmethod
     def of(cls, trajs: Iterable[Trajectory] | _Fleet) -> _Fleet:
-        """The fleet of the trajectories, or the fleet itself, unchanged."""
+        """The fleet of the trajectories, or the fleet itself, unchanged. A
+        repeated vehicle id is a ValueError that names it."""
         if isinstance(trajs, _Fleet):
             return trajs
         trajs = list(trajs)
+        _check_distinct(traj.vehicle_id for traj in trajs)
         lengths = [len(traj.samples) for traj in trajs]
         n = sum(lengths)
         txy = np.fromiter(
@@ -168,6 +180,13 @@ class PlanarPath:
         return math.sqrt(best)
 
 
+def _check_bbox(bbox: tuple[float, float, float, float]) -> None:
+    """A bbox (lat_min, lat_max, lon_min, lon_max) must have positive extent on both axes."""
+    lat_min, lat_max, lon_min, lon_max = bbox
+    if not (lat_min < lat_max and lon_min < lon_max):  # NaN fails too
+        raise ValueError(f"degenerate bbox {bbox}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Spatio-temporal grid: bbox in degrees, square cells in meters, time bins in minutes."""
@@ -177,9 +196,7 @@ class GridSpec:
     time_bin: float = 10.0
 
     def __post_init__(self) -> None:
-        lat_min, lat_max, lon_min, lon_max = self.bbox
-        if not (lat_min < lat_max and lon_min < lon_max):
-            raise ValueError(f"degenerate bbox {self.bbox}")
+        _check_bbox(self.bbox)
         if not self.cell_size > 0:  # NaN fails too
             raise ValueError("cell_size must be positive")
         if not self.time_bin > 0:
@@ -373,11 +390,10 @@ def generate_synthetic(
     duration: int,
     seed: int,
     bbox: tuple[float, float, float, float] = DEFAULT_BBOX,
-    speed_range: tuple[float, float] = (250.0, 750.0),
 ) -> list[Trajectory]:
     """Seeded random-waypoint walks sampled once per minute inside `bbox`.
 
-    Each vehicle draws a base speed (meters/minute) from `speed_range` and
+    Each vehicle draws a base speed (meters/minute) from `SPEED_RANGE` and
     drives between uniformly random waypoints, with per-minute speed jitter
     standing in for traffic; samples are taken at t = 0 .. duration-1.
     Deterministic for a fixed seed.
@@ -386,6 +402,7 @@ def generate_synthetic(
         raise ValueError("n_vehicles must be >= 1")
     if duration < 2:
         raise ValueError("duration must be >= 2 minutes")
+    _check_bbox(bbox)
     lat_min, lat_max, lon_min, lon_max = bbox
     mid_lat = 0.5 * (lat_min + lat_max)
     m_lat = EARTH_RADIUS_M * math.pi / 180.0
@@ -396,7 +413,7 @@ def generate_synthetic(
     trajs = []
     for i in range(n_vehicles):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        speed = float(rng.uniform(*speed_range))
+        speed = float(rng.uniform(*SPEED_RANGE))
         pos = np.array([rng.uniform(0, width), rng.uniform(0, height)])
         wp = np.array([rng.uniform(0, width), rng.uniform(0, height)])
         samples = []
@@ -477,7 +494,7 @@ def build_map(
 ) -> SpatioTemporalMap:
     """Aggregate trajectories, or a fleet's tracks, onto the grid.
 
-    `vehicles` mode counts distinct contributing vehicle ids per cell; `samples`
+    `vehicles` mode counts the vehicles with a sample in each cell; `samples`
     counts raw samples. Samples outside the bbox (bounds inclusive) are
     dropped and tallied. A sample's key is (cell_x, cell_y, time_idx) with
     cell_x = min((lon - lon_min) * m_lon // cell_size, nx - 1), likewise
@@ -506,8 +523,8 @@ def _grid(fleet: _Fleet, spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.nda
 
     keys holds the occupied (cell_x, cell_y, time_idx) keys as the columns of a
     (3, m) float64 array, in sorted order; cell[r] is row r's column in keys,
-    or -1 for a row outside the bbox; vehicles[k] is the number of distinct
-    vehicle ids with a row in key k; dropped counts the rows outside.
+    or -1 for a row outside the bbox; vehicles[k] is the number of vehicles
+    with a row in key k; dropped counts the rows outside.
     """
     n = len(fleet.txy)
     t, lat, lon = fleet.txy.T
@@ -536,9 +553,7 @@ def _grid(fleet: _Fleet, spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.nda
         raise ValueError(
             f"timestamp {float(t[overflow][0])!r} overflows time bin {spec.time_bin!r}"
         )
-    ids: dict[str, int] = {}
-    codes = [ids.setdefault(vid, len(ids)) for vid in fleet.ids]
-    owner = np.repeat(codes, np.diff(fleet.offsets))[inside]
+    owner = np.repeat(np.arange(len(fleet.ids)), np.diff(fleet.offsets))[inside]
     # Sort by cell, then time bin, then owner, so each key is one run of rows.
     order = np.lexsort((owner, columns[2], columns[1], columns[0]))
     columns = columns[:, order]

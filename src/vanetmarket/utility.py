@@ -95,8 +95,7 @@ def build_utility_surface(
 
     The fleet is gridded once. Each row's cell is its key's position in that
     full map, and a sub-fleet's map is one bincount over the cells of its
-    tracks' kept rows: each track's distinct cells in `vehicles` mode (tracks
-    that share a vehicle id count once per cell, as in `build_map`), every
+    tracks' kept rows: each track's distinct cells in `vehicles` mode, every
     kept row's cell in `samples` mode.
     """
     fleet = _Fleet.of(trajs)
@@ -122,11 +121,6 @@ def build_utility_surface(
     # A row outside the bbox counts in an extra last cell, which is dropped.
     row_cell = np.where(cell < 0, n_cells, cell).tolist()
 
-    distinct = count_mode == "vehicles"
-    shared_ids = distinct and len(set(fleet.ids)) < n_tracks
-    if shared_ids:
-        ids: dict[str, int] = {}
-        owner = [ids.setdefault(vid, len(ids)) for vid in fleet.ids]
     tracks = fleet.tracks()
     starts = fleet.offsets.tolist()
     kept: dict[tuple[int, float], Collection[int]] = {}  # (i, f) -> cells, made on first use
@@ -144,13 +138,8 @@ def build_utility_surface(
                 if (i, f) not in kept:
                     track_cells = row_cell[starts[i] : starts[i + 1]]
                     cells = itemgetter(*_kept_index(tracks[i], f))(track_cells)
-                    kept[i, f] = set(cells) if distinct else cells
-            parts = [kept[i, f] for i in chosen]
-            cells = np.fromiter(chain.from_iterable(parts), dtype=np.intp)
-            if shared_ids:
-                # Tracks that share a vehicle id count once per cell.
-                pairs = np.repeat([owner[i] for i in chosen], [len(p) for p in parts])
-                cells = np.unique(pairs * (n_cells + 1) + cells) % (n_cells + 1)
+                    kept[i, f] = set(cells) if count_mode == "vehicles" else cells
+            cells = np.fromiter(chain.from_iterable(kept[i, f] for i in chosen), dtype=np.intp)
             per_cell = np.bincount(cells, minlength=n_cells + 1)[:n_cells]
             values, multiplicity = np.unique(per_cell[per_cell > 0], return_counts=True)
             # One grid_utility per distinct count; fsum's exact sum ignores order.

@@ -37,8 +37,8 @@ def _read_back(trajs):
 @pytest.fixture(scope="session")
 def input_forms():
     """The forms a public trace function takes its input in, made from a list
-    of trajectories with distinct ids: the list itself, its `_Fleet`, and the
-    fleet read back from it written as a trace file, as the CLI reads one."""
+    of trajectories: the list itself, its `_Fleet`, and the fleet read back
+    from it written as a trace file, as the CLI reads one."""
     def forms(trajs):
         return {"trajectories": trajs, "fleet": _Fleet.of(trajs), "trace": _read_back(trajs)}
 

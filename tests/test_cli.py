@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -104,6 +106,24 @@ class TestCalibrateCommands:
         fit = json.loads((out / "utility_fit.json").read_text())
         assert set(fit) >= {"alpha", "beta", "residual_rms", "converged", "valid"}
 
+
+    @pytest.mark.parametrize("command", [["gen"], ["calibrate-loss", "--synthetic"]])
+    def test_zero_area_bbox_fails_instead_of_hanging(self, tmp_path, command):
+        # In a subprocess with a timeout, so a regression to the waypoint loop
+        # that never ends fails this test rather than hanging the suite.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bbox": [40.0, 40.0, 116.3, 116.3]}))
+        out = tmp_path / "o"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = [*command, "--config", str(cfg), "--out", str(out)]
+        done = subprocess.run(
+            [sys.executable, "-m", "vanetmarket.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        assert "bbox" in done.stderr
+        assert not out.exists()
 
     def test_frequency_without_a_finite_period_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

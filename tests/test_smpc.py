@@ -12,6 +12,9 @@ from vanetmarket import (
     Trajectory,
     adversary_reconstruct,
     aggregate_secure,
+    build_map,
+    build_utility_surface,
+    calibrate_per_server_loss,
     empirical_privacy_curve,
     generate_synthetic,
     mean_similarity_by_frequency,
@@ -353,7 +356,7 @@ class TestAdversary:
         # Inboxes carry only the id, so two vehicles under one id would be
         # pooled into one reconstruction.
         trajs = duplicated_fleet(shift)
-        inboxes = route_samples(trajs, 0.5, 2, seed=0)
+        inboxes = route_samples(trajs[:-1], 0.5, 2, seed=0)
         with pytest.raises(ValueError, match="duplicate vehicle id 'v0000'"):
             adversary_reconstruct(inboxes, frozenset({0}), trajs)
 
@@ -369,15 +372,35 @@ class TestAdversary:
         assert all(a <= b + 5e-3 for a, b in zip(means, means[1:]))
 
 
+# Each public function that takes trajectories, applied to the list `trajs`.
+TRACE_FUNCTIONS = {
+    "build_map": lambda trajs: build_map(trajs, SPEC),
+    "build_utility_surface": lambda trajs: build_utility_surface(trajs, SPEC, [2], [0.5]),
+    "mean_similarity_by_frequency": lambda trajs: mean_similarity_by_frequency(trajs, [0.5]),
+    "calibrate_per_server_loss": calibrate_per_server_loss,
+    "empirical_privacy_curve": lambda trajs: empirical_privacy_curve(trajs, [0.5], [2]),
+    "route_samples": lambda trajs: route_samples(trajs, 0.5, 2, seed=0),
+    "adversary_reconstruct": lambda trajs: adversary_reconstruct(
+        route_samples(trajs[:-1], 0.5, 2, seed=0), [0], trajs
+    ),
+}
+
+
+@pytest.mark.parametrize("shift", [0.5, 0.0])
+@pytest.mark.parametrize("function", sorted(TRACE_FUNCTIONS))
+def test_a_vehicle_id_names_one_vehicle(function, shift):
+    # A trace file cannot repeat a vehicle id, so a list that does is an error
+    # everywhere: not merged per cell in one place and scored apart in another.
+    with pytest.raises(ValueError, match="duplicate vehicle id 'v0000'"):
+        TRACE_FUNCTIONS[function](duplicated_fleet(shift))
+
+
 class TestEmpiricalCurve:
     def test_single_server_matches_calibration_exactly(self, fleet):
         freqs = (0.5, 0.25, 0.125)
-        # The duplicated fleet checks that the curve scores each trajectory
-        # on its own, not per vehicle id.
-        for trajs in (fleet, duplicated_fleet()):
-            curve = empirical_privacy_curve(trajs, freqs, [1], n_compromised=1, seeds=[0])
-            calibration = mean_similarity_by_frequency(trajs, freqs)
-            assert [(pt.f_d, pt.mean_similarity) for pt in curve] == calibration
+        curve = empirical_privacy_curve(fleet, freqs, [1], n_compromised=1, seeds=[0])
+        calibration = mean_similarity_by_frequency(fleet, freqs)
+        assert [(pt.f_d, pt.mean_similarity) for pt in curve] == calibration
 
     def test_native_rate_single_server_is_one(self, small_fleet):
         curve = empirical_privacy_curve(small_fleet, [1.0], [1], seeds=[3])

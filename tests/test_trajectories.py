@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -402,6 +403,18 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(1, 1, seed=1)
 
+    # A zero-area bbox, whose waypoint walk never ends without the check, is
+    # tested through the CLI in a subprocess with a timeout (test_cli.py).
+    @pytest.mark.parametrize(
+        "bbox", [(40.0, 40.0, 116.3, 116.4), (40.0, 39.9, 116.3, 116.4), (39.9, 40.0, math.nan, 116.4)]
+    )
+    def test_degenerate_bbox_rejected_as_grid_spec_rejects_it(self, bbox):
+        named = re.escape(f"degenerate bbox {bbox}")
+        with pytest.raises(ValueError, match=named):
+            generate_synthetic(2, 10, seed=1, bbox=bbox)
+        with pytest.raises(ValueError, match=named):
+            GridSpec(bbox)
+
 
 # The frequencies the package uses or that stress the rule (a period of 1/3
 # is inexact in binary; 7 keeps sub-minute samples), and drawn ones.
@@ -720,11 +733,13 @@ class TestBuildMapMatchesScalarLoop:
         self.check([crossing, moving_traj(range(30), vid="y")])
 
     def test_same_vehicle_id_in_two_trajectories(self):
+        # A vehicle id names one vehicle, as in a trace file.
         a1 = make_traj([0, 1], vid="a", lat=39.9, lon=116.3)
         a2 = make_traj([2, 3], vid="a", lat=39.9, lon=116.3)
         b = make_traj([4], vid="b", lat=39.9, lon=116.3)
-        assert list(build_map([a1, a2, b], self.spec).counts.values()) == [2]
-        self.check([a1, a2, b])
+        for mode in ("vehicles", "samples"):
+            with pytest.raises(ValueError, match="duplicate vehicle id 'a'"):
+                build_map([a1, b, a2], self.spec, count_mode=mode)
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_samples_on_the_upper_bbox_edges(self, axis):

@@ -192,11 +192,9 @@ class TestSurfaceMatchesLoop:
 
     @pytest.fixture(scope="class")
     def trajs(self, fleet):
-        # A second trajectory under fleet[0]'s id, a few meters off its path,
-        # so the two share cells and count once there in `vehicles` mode.
-        twin = Trajectory(
-            fleet[0].vehicle_id, tuple(s._replace(lat=s.lat + 1e-5) for s in fleet[0].samples)
-        )
+        # A second vehicle a few meters off fleet[0]'s path, so the two share
+        # cells and count twice there in `vehicles` mode.
+        twin = Trajectory("twin", tuple(s._replace(lat=s.lat + 1e-5) for s in fleet[0].samples))
         return [*fleet, twin]
 
     def test_fixture_reaches_outside_rows_and_a_shared_cell(self, trajs):
@@ -206,7 +204,8 @@ class TestSurfaceMatchesLoop:
         assert shared
         by_samples = build_map([trajs[0], trajs[-1]], self.spec, count_mode="samples").counts
         by_vehicles = build_map([trajs[0], trajs[-1]], self.spec).counts
-        assert any(by_samples[k] > by_vehicles[k] == 1 for k in shared)
+        assert all(by_vehicles[k] == 2 for k in shared)
+        assert any(by_samples[k] > by_vehicles[k] for k in shared)
 
     @pytest.mark.parametrize("count_mode", ["vehicles", "samples"])
     @pytest.mark.parametrize("average_over", ["ever_occupied", "occupied", "all"])
