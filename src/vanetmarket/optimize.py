@@ -59,21 +59,22 @@ DEFAULT_BOUNDS = Bounds()
 
 
 class NMResult(NamedTuple):
-    x: tuple[float, ...]
+    x: tuple[float, float, float]
     fun: float
     converged: bool
     nfev: int
 
 
 def nelder_mead(
-    objective: Callable[[tuple[float, ...]], float],
+    objective: Callable[[tuple[float, float, float]], float],
     x0: Sequence[float],
     lower: Sequence[float],
     upper: Sequence[float],
     diameter_tol: float = 1e-10,
     max_iter: int = 5000,
 ) -> NMResult:
-    """Maximize a function over a box with the Nelder-Mead simplex.
+    """Maximize a function of three coordinates, as the market search's
+    (log c1, f_d, s), over a box with the Nelder-Mead simplex.
 
     Reflection/expansion/contraction/shrink coefficients are (1, 2, 0.5, 0.5);
     candidate points are clipped coordinate-wise into the box. Terminates when
@@ -85,29 +86,18 @@ def nelder_mead(
     last slot and a shrink keeps the best in the first, so new vertices rank
     before old vertices of equal value. The final pick uses the same rule.
 
-    A start or bound that is not finite, or a box with a lower bound above
-    its upper bound, is a ValueError naming it. The inputs are converted to
-    Python floats once. Each point is a tuple of floats, computed with the
-    same operations in the same order as the elementwise numpy form, so
-    results are bitwise equal to it, with one exception: a coordinate equal
-    to a bound of the other zero sign (0.0 against a bound of -0.0, or the
-    reverse). Clipping here keeps the point, as min(max(v, lo), hi) does,
-    where `np.clip` returns the bound, so the two forms can differ in the
-    sign of that zero.
-
-    A start with three coordinates, as in the market search, runs a
-    straight-line step on plain floats with the coordinates unrolled
-    (`_nelder_mead_3`). It does the same float operations in the same order,
-    with the same tie rule and the same objective calls, so its result is
-    bitwise equal to the generic loop's. The start's length alone selects it.
+    Before any objective call, a start or bound that is not finite, or a
+    lower bound above its upper bound, is a ValueError naming it; then a start
+    or box whose length is not 3 is one naming the three lengths. The step
+    runs on Python floats with the coordinates unrolled; each point is a
+    tuple of floats. It does the operations of the elementwise numpy form
+    (`numpy_nelder_mead` in the tests) in the same order, so results are
+    bitwise equal to it, except for a coordinate equal to a bound of the other
+    zero sign (0.0 against -0.0, or the reverse): clipping here keeps the
+    point, as min(max(v, lo), hi) does, where `np.clip` returns the bound.
     """
     box = [(float(lo), float(hi)) for lo, hi in zip(lower, upper)]
     x0 = [float(v) for v in x0]
-    dim = len(x0)
-    if not len(lower) == len(upper) == dim:
-        raise ValueError(
-            f"x0, lower and upper must have one length, got {dim}, {len(lower)}, {len(upper)}"
-        )
     for k, v in enumerate(x0):
         if not math.isfinite(v):
             raise ValueError(f"start x0[{k}] must be finite, got {v}")
@@ -116,9 +106,16 @@ def nelder_mead(
             raise ValueError(f"bounds for coordinate {k} must be finite, got ({lo}, {hi})")
         if lo > hi:
             raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
+    if not len(x0) == len(lower) == len(upper) == 3:
+        raise ValueError(
+            "x0, lower and upper must each have 3 coordinates, "
+            f"got {len(x0)}, {len(lower)}, {len(upper)}"
+        )
+    (lo0, hi0), (lo1, hi1), (lo2, hi2) = box
+    tol = diameter_tol
     nfev = 0
 
-    def evaluate(x: tuple[float, ...]) -> float:
+    def evaluate(x: tuple[float, float, float]) -> float:
         nonlocal nfev
         nfev += 1
         val = objective(x)
@@ -126,111 +123,17 @@ def nelder_mead(
             raise NonFiniteObjective(f"objective returned {val} at {x}")
         return val
 
-    def clip(x: list[float]) -> tuple[float, ...]:
-        # min(max(v, lo), hi) as two comparisons; equal to it when lo <= hi.
-        return tuple([lo if v < lo else hi if v > hi else v for v, (lo, hi) in zip(x, box)])
-
-    def toward(a: Sequence[float], coef: float, b: Sequence[float]) -> tuple[float, ...]:
-        """The point a + coef * (b - a), clipped into the box."""
-        return clip([u + coef * (v - u) for u, v in zip(a, b)])
-
-    x0 = clip(x0)
-
-    # Initial simplex: perturb each coordinate by 5% of its box range,
-    # stepping inward when the positive step would leave the box.
-    simplex = [x0]
+    # Initial simplex: the clipped start, then each coordinate perturbed by 5%
+    # of its box range, inward when the positive step would leave the box.
+    start = tuple([lo if v < lo else hi if v > hi else v for v, (lo, hi) in zip(x0, box)])
+    simplex = [start]
     for k, (lo, hi) in enumerate(box):
         step = 0.05 * (hi - lo)
-        vertex = list(x0)
-        vertex[k] = x0[k] + step if x0[k] + step <= hi else x0[k] - step
+        vertex = list(start)
+        vertex[k] = start[k] + step if start[k] + step <= hi else start[k] - step
         simplex.append(tuple(vertex))
-    if dim == 3:
-        x, fun, converged = _nelder_mead_3(evaluate, simplex, box, diameter_tol, max_iter)
-        return NMResult(x, fun, converged, nfev)
     values = [evaluate(v) for v in simplex]
-    slots = range(dim + 1)
 
-    def spread_below_tol() -> bool:
-        """Whether every vertex is within diameter_tol of the best, relative
-        to max(1, |best|) per coordinate; stops at the first one that is not."""
-        best = simplex[0]  # the simplex is sorted best first
-        for v in simplex[1:]:
-            for a, b in zip(v, best):
-                scale = abs(b)
-                if not abs(a - b) / (scale if scale > 1.0 else 1.0) < diameter_tol:
-                    return False
-        return True
-
-    converged = False
-    for _ in range(max_iter):
-        # Descending by (value, slot); slots are unique, so points are never compared.
-        ranked = sorted(zip(values, slots, simplex), reverse=True)
-        values = [r[0] for r in ranked]
-        simplex = [r[2] for r in ranked]
-        if spread_below_tol():
-            converged = True
-            break
-
-        # Left fold from the first vertex, then one division: np.mean(axis=0).
-        total = list(simplex[0])
-        for v in simplex[1:-1]:
-            total = [t + a for t, a in zip(total, v)]
-        centroid = [t / dim for t in total]
-        worst = simplex[-1]
-        reflected = clip([c + 1.0 * (c - w) for c, w in zip(centroid, worst)])
-        f_reflected = evaluate(reflected)
-
-        if f_reflected > values[0]:
-            expanded = toward(centroid, 2.0, reflected)
-            f_expanded = evaluate(expanded)
-            if f_expanded > f_reflected:
-                simplex[-1], values[-1] = expanded, f_expanded
-            else:
-                simplex[-1], values[-1] = reflected, f_reflected
-            continue
-        if f_reflected > values[-2]:
-            simplex[-1], values[-1] = reflected, f_reflected
-            continue
-
-        if f_reflected > values[-1]:  # outside contraction
-            contracted = toward(centroid, 0.5, reflected)
-            f_contracted = evaluate(contracted)
-            accept = f_contracted >= f_reflected
-        else:  # inside contraction
-            contracted = toward(centroid, 0.5, worst)
-            f_contracted = evaluate(contracted)
-            accept = f_contracted > values[-1]
-        if accept:
-            simplex[-1], values[-1] = contracted, f_contracted
-            continue
-
-        best = simplex[0]
-        simplex = [best] + [toward(best, 0.5, v) for v in simplex[1:]]
-        values = [values[0]] + [evaluate(v) for v in simplex[1:]]
-
-    best_idx = max(slots, key=lambda i: (values[i], i))
-    return NMResult(simplex[best_idx], values[best_idx], converged, nfev)
-
-
-def _nelder_mead_3(
-    evaluate: Callable[[tuple[float, ...]], float],
-    simplex: list[tuple[float, ...]],
-    box: list[tuple[float, float]],
-    tol: float,
-    max_iter: int,
-) -> tuple[tuple[float, ...], float, bool]:
-    """`nelder_mead`'s loop for three coordinates, on plain floats; returns
-    the best point, its value and whether the simplex converged.
-
-    The coordinates are unrolled, but every float operation, comparison and
-    `evaluate` call is the generic loop's, in its order: the centroid is
-    ((b + v1) + v2) / 3, each candidate is clipped as
-    `lo if v < lo else hi if v > hi else v`, and vertices rank by descending
-    value with the higher slot first on a tie. So the result is bitwise
-    equal. `simplex` is the first simplex, the clipped start first.
-    """
-    (lo0, hi0), (lo1, hi1), (lo2, hi2) = box
-    values = [evaluate(v) for v in simplex]
     converged = False
     for _ in range(max_iter):
         # sorted stays stable under reverse=True, so listing the slots high
@@ -244,7 +147,7 @@ def _nelder_mead_3(
         w0, w1, w2 = worst
 
         # Every coordinate of every vertex within tol of the best, relative
-        # to max(1, |best|); a NaN distance fails `<`, as in the generic loop.
+        # to max(1, |best|); a NaN distance fails `<`.
         s0, s1, s2 = abs(b0), abs(b1), abs(b2)
         s0 = s0 if s0 > 1.0 else 1.0
         s1 = s1 if s1 > 1.0 else 1.0
@@ -316,7 +219,7 @@ def _nelder_mead_3(
         values = [f_best, f_second, f_third, f_new]
 
     best_idx = max((3, 2, 1, 0), key=values.__getitem__)  # the higher slot on a tie
-    return simplex[best_idx], values[best_idx], converged
+    return NMResult(simplex[best_idx], values[best_idx], converged, nfev)
 
 
 # JSON keys of the Solution fields whose JSON name differs.

@@ -18,6 +18,10 @@ EARTH_RADIUS_M = 6371000.0
 # Default synthesis area, roughly a 20 km x 20 km urban box.
 DEFAULT_BBOX = (39.80, 40.00, 116.25, 116.50)
 SPEED_RANGE = (250.0, 750.0)  # synthetic vehicles' base speeds, meters per minute
+# The shortest side, in meters, of a synthetic bbox. A minute's walk crosses
+# about speed / side waypoint legs, so its cost grows as the box shrinks; at
+# this floor a minute at the fastest base speed spans eight sides.
+MIN_SYNTHETIC_SIDE_M = SPEED_RANGE[1] / 8
 
 TRACE_HEADER = ["vehicle_id", "timestamp", "lat", "lon"]
 
@@ -396,7 +400,8 @@ def generate_synthetic(
     Each vehicle draws a base speed (meters/minute) from `SPEED_RANGE` and
     drives between uniformly random waypoints, with per-minute speed jitter
     standing in for traffic; samples are taken at t = 0 .. duration-1.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. A bbox with a side shorter than
+    `MIN_SYNTHETIC_SIDE_M` is a ValueError.
     """
     if n_vehicles < 1:
         raise ValueError("n_vehicles must be >= 1")
@@ -409,6 +414,11 @@ def generate_synthetic(
     m_lon = m_lat * math.cos(math.radians(mid_lat))
     width = (lon_max - lon_min) * m_lon
     height = (lat_max - lat_min) * m_lat
+    if min(width, height) < MIN_SYNTHETIC_SIDE_M:
+        raise ValueError(
+            f"synthetic bbox {bbox} has a side of {min(width, height):.3g} m, "
+            f"below the {MIN_SYNTHETIC_SIDE_M} m floor"
+        )
 
     trajs = []
     for i in range(n_vehicles):

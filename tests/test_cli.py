@@ -44,6 +44,26 @@ class TestGenIngest:
         assert "line 2" in capsys.readouterr().err
 
 
+def assert_bbox_fails_in_time(tmp_path, command, bbox):
+    """Run a synthetic command on `bbox`: exit 1 naming bbox, no output.
+
+    In a subprocess with a timeout, so a regression to a waypoint loop that
+    never ends, or crawls, fails the test rather than hanging the suite."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bbox": bbox}))
+    out = tmp_path / "o"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [*command, "--config", str(cfg), "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-m", "vanetmarket.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1, done.stderr
+    assert "bbox" in done.stderr
+    assert not out.exists()
+
+
 class TestCalibrateCommands:
     def test_loss_requires_some_input(self, tmp_path, capsys):
         assert run(["calibrate-loss", "--out", tmp_path / "c"]) == 1
@@ -109,21 +129,12 @@ class TestCalibrateCommands:
 
     @pytest.mark.parametrize("command", [["gen"], ["calibrate-loss", "--synthetic"]])
     def test_zero_area_bbox_fails_instead_of_hanging(self, tmp_path, command):
-        # In a subprocess with a timeout, so a regression to the waypoint loop
-        # that never ends fails this test rather than hanging the suite.
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bbox": [40.0, 40.0, 116.3, 116.3]}))
-        out = tmp_path / "o"
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        argv = [*command, "--config", str(cfg), "--out", str(out)]
-        done = subprocess.run(
-            [sys.executable, "-m", "vanetmarket.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert done.returncode == 1, done.stderr
-        assert "bbox" in done.stderr
-        assert not out.exists()
+        assert_bbox_fails_in_time(tmp_path, command, [40.0, 40.0, 116.3, 116.3])
+
+    @pytest.mark.parametrize("command", [["gen"], ["calibrate-loss", "--synthetic"]])
+    def test_sub_floor_bbox_fails_instead_of_crawling(self, tmp_path, command):
+        # About a millimetre a side: the waypoint walk would take days.
+        assert_bbox_fails_in_time(tmp_path, command, [40.0, 40.00000001, 116.3, 116.30000001])
 
     def test_frequency_without_a_finite_period_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -139,12 +139,12 @@ def assert_same_nm_result(got, want):
 
 @st.composite
 def plateau_problems(draw):
-    """A quantised bowl in 1-3 dimensions, its box and a start (maybe outside the box).
+    """A quantised bowl in three dimensions, its box and a start (maybe outside the box).
 
     Rounding the objective down to a multiple of `quantum` makes wide plateaus,
     so vertices tie exactly and contractions fail into shrink steps.
     """
-    dim = draw(st.integers(1, 3))
+    dim = 3
     # `+ 0.0` turns -0.0 into 0.0. On a point equal to a bound, min/max keep the
     # point and np.clip the bound, which differ only in the sign of a zero.
     lower = [draw(st.floats(-5.0, 0.0)) + 0.0 for _ in range(dim)]
@@ -227,49 +227,72 @@ def golden_section_max(f, lo, hi, tol=1e-12):
     return 0.5 * (a + b)
 
 
+# Three-coordinate objectives, each run against its documented optimum and
+# against the numpy reference.
+def parabola(x):
+    return -((x[0] - 2.0) ** 2) - (x[1] + 1.0) ** 2 - (x[2] - 0.5) ** 2
+
+
+def rosenbrock(x):  # the n = 3 form; its maximum is at (1, 1, 1)
+    return -sum(100 * (x[i + 1] - x[i] ** 2) ** 2 + (1 - x[i]) ** 2 for i in range(2))
+
+
+def payment_slice(x):
+    return profit(EconParams(), x[0], 2.0, 5.0) - (x[1] - 0.3) ** 2 - (x[2] + 0.2) ** 2
+
+
+def origin_peak(x):
+    return -(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
+
+
+def corner(x):
+    return x[0] + x[1] + x[2]
+
+
 class TestNelderMead:
     def test_parabola_maximum(self):
-        result = nelder_mead(lambda x: -((x[0] - 2.0) ** 2), [0.0], [-10.0], [10.0])
-        assert result.x[0] == pytest.approx(2.0, abs=1e-6)
+        result = nelder_mead(parabola, [0.0, 0.0, 0.0], [-10.0] * 3, [10.0] * 3)
+        assert result.x == pytest.approx((2.0, -1.0, 0.5), abs=1e-6)
         assert result.converged
 
     def test_negated_rosenbrock(self):
-        def rosen(x):
-            return -((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
-
-        result = nelder_mead(rosen, [-1.2, 1.0], [-5.0, -5.0], [5.0, 5.0])
-        assert result.x[0] == pytest.approx(1.0, abs=1e-4)
-        assert result.x[1] == pytest.approx(1.0, abs=1e-4)
+        result = nelder_mead(rosenbrock, [-1.2, 1.0, 0.5], [-5.0] * 3, [5.0] * 3)
+        assert result.x == pytest.approx((1.0, 1.0, 1.0), abs=1e-4)
 
     def test_matches_golden_section_on_payment_slice(self):
-        params = EconParams()
-        f_d, s = 2.0, 5.0
-        objective = lambda x: profit(params, x[0], f_d, s)
+        # Separable: the payment slice in x0 plus a quadratic in each of x1, x2.
+        # The slice is flat to the last bit below about 3e-4, where the
+        # quadratics alone rank the vertices, so the start is past the flat.
         lo, hi = 1e-7, 1e-3
-        nm = nelder_mead(objective, [2e-4], [lo], [hi])
-        gold = golden_section_max(lambda c: profit(params, c, f_d, s), lo, hi)
+        nm = nelder_mead(payment_slice, [6e-4, 0.0, 0.0], [lo, -1.0, -1.0], [hi, 1.0, 1.0])
+        gold = golden_section_max(lambda c: profit(EconParams(), c, 2.0, 5.0), lo, hi)
         assert nm.x[0] == pytest.approx(gold, abs=1e-8)
+        assert nm.x[1:] == pytest.approx((0.3, -0.2), abs=1e-6)
 
     def test_constant_objective_converges(self):
-        result = nelder_mead(lambda x: 7.5, [0.3, 0.4], [0.0, 0.0], [1.0, 1.0])
+        result = nelder_mead(lambda x: 7.5, [0.3, 0.4, 0.5], [0.0] * 3, [1.0] * 3)
         assert result.converged
         assert result.fun == 7.5
 
     def test_respects_box(self):
-        result = nelder_mead(lambda x: x[0] + x[1], [0.5, 0.5], [0.0, 0.0], [1.0, 1.0])
-        assert result.x[0] <= 1.0 and result.x[1] <= 1.0
-        assert result.fun == pytest.approx(2.0, abs=1e-8)
+        result = nelder_mead(corner, [0.5, 0.5, 0.5], [0.0] * 3, [1.0] * 3)
+        assert all(v <= 1.0 for v in result.x)
+        assert result.fun == pytest.approx(3.0, abs=1e-8)
 
     def test_non_finite_objective_identifies_point(self):
-        def bad(x):
-            return math.nan if x[0] > 0.5 else x[0]
+        seen = []
 
-        with pytest.raises(NonFiniteObjective, match="nan"):
-            nelder_mead(bad, [0.4], [0.0], [1.0])
+        def bad(x):
+            seen.append(x)
+            return math.nan if x[0] > 0.5 else x[0] - x[1] ** 2 - x[2] ** 2
+
+        with pytest.raises(NonFiniteObjective, match="nan") as raised:
+            nelder_mead(bad, [0.4, 0.0, 0.0], [0.0] * 3, [1.0] * 3)
+        assert seen[-1][0] > 0.5
+        assert str(raised.value) == f"objective returned nan at {seen[-1]}"
 
     def test_non_finite_objective_in_3d_after_the_reference_call_count(self):
-        # The three-coordinate path raises at the same call, on the same point,
-        # as the reference.
+        # Raised at the same call, on the same point, as the reference.
         def bad(x):
             return math.nan if x[0] + x[1] > 0.9 else -((x[0] - 1.0) ** 2) - x[2] ** 2
 
@@ -291,6 +314,8 @@ class TestNelderMead:
         assert calls["got"] == calls["want"]
         assert str(calls["got"][-1]) in str(raised.value)
 
+    # A one-coordinate input is also the wrong length, but the non-finite
+    # value is checked, and named, first.
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize(
         "where, bad, message",
@@ -319,19 +344,20 @@ class TestNelderMead:
             nelder_mead(lambda x: 0.0, [0.5] * 3, [0.0, -math.inf, 0.0], [1.0] * 3)
 
     def test_start_outside_box_is_clipped(self):
-        result = nelder_mead(lambda x: -(x[0] ** 2), [5.0], [-1.0, ], [1.0])
-        assert result.x[0] == pytest.approx(0.0, abs=1e-6)
+        result = nelder_mead(origin_peak, [5.0, -3.0, 2.0], [-1.0] * 3, [1.0] * 3)
+        assert result.x == pytest.approx((0.0, 0.0, 0.0), abs=1e-6)
 
     def test_points_are_tuples_of_floats(self):
+        # Plain Python ints and a tuple start, as well as numpy scalars.
         seen = []
 
         def objective(x):
             seen.append(x)
-            return -((x[0] - 0.25) ** 2) - x[1] ** 2
+            return -((x[0] - 0.25) ** 2) - x[1] ** 2 - x[2] ** 2
 
-        result = nelder_mead(objective, np.array([1, 0.5]), [0, -1], (1, np.float64(1.0)))
+        result = nelder_mead(objective, (1, 0, 0), np.array([0, -1, -1]), [1, 1, np.float32(1)])
         for x in [*seen, result.x]:
-            assert type(x) is tuple and [type(v) for v in x] == [float, float]
+            assert type(x) is tuple and [type(v) for v in x] == [float, float, float]
 
     def test_points_are_tuples_of_floats_in_3d(self):
         seen = []
@@ -347,22 +373,32 @@ class TestNelderMead:
             assert type(x) is tuple and [type(v) for v in x] == [float, float, float]
 
     def test_box_length_must_match_start(self):
-        with pytest.raises(ValueError, match="one length"):
-            nelder_mead(lambda x: x[0], [0.5, 0.5], [0.0], [1.0])
+        calls = []
+        with pytest.raises(ValueError, match=r"3 coordinates, got 3, 2, 3$"):
+            nelder_mead(calls.append, [0.5] * 3, [0.0] * 2, [1.0] * 3)
+        with pytest.raises(ValueError, match=r"3 coordinates, got 3, 3, 4$"):
+            nelder_mead(calls.append, [0.5] * 3, [0.0] * 3, [1.0] * 4)
+        assert calls == []
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_start_and_box_of_other_than_three_coordinates_are_rejected(self, dim):
+        # Even with finite inputs that a loop of that length could run on.
+        calls = []
+        with pytest.raises(ValueError, match=rf"each have 3 coordinates, got {dim}, {dim}, {dim}"):
+            nelder_mead(calls.append, [0.5] * dim, [0.0] * dim, [1.0] * dim)
+        with pytest.raises(ValueError, match=rf"got {dim}, 3, 3"):
+            nelder_mead(calls.append, [0.5] * dim, [0.0] * 3, [1.0] * 3)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "objective, x0, lower, upper",
         [
-            (lambda x: -((x[0] - 2.0) ** 2), [0.0], [-10.0], [10.0]),
-            (
-                lambda x: -((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2),
-                [-1.2, 1.0],
-                [-5.0, -5.0],
-                [5.0, 5.0],
-            ),
-            (lambda x: profit(EconParams(), x[0], 2.0, 5.0), [2e-4], [1e-7], [1e-3]),
-            (lambda x: -(x[0] ** 2), [5.0], [-1.0], [1.0]),
-            (lambda x: x[0] + x[1], [0.5, 0.5], [0.0, 0.0], [1.0, 1.0]),
+            (parabola, [0.0, 0.0, 0.0], [-10.0] * 3, [10.0] * 3),
+            (rosenbrock, [-1.2, 1.0, 0.5], [-5.0] * 3, [5.0] * 3),
+            (payment_slice, [2e-4, 0.0, 0.0], [1e-7, -1.0, -1.0], [1e-3, 1.0, 1.0]),
+            (origin_peak, [5.0, -3.0, 2.0], [-1.0] * 3, [1.0] * 3),
+            (corner, [0.5, 0.5, 0.5], [0.0] * 3, [1.0] * 3),
+            (lambda x: 7.5, [0.3, 0.4, 0.5], [0.0] * 3, [1.0] * 3),
             (
                 # Coordinate 0 starts outside the box and coordinate 1's +5%
                 # step leaves it, so both first steps go inward.
@@ -380,7 +416,7 @@ class TestNelderMead:
             ),
         ],
         ids=[
-            "parabola", "rosenbrock", "payment-slice", "clipped-start", "corner",
+            "parabola", "rosenbrock", "payment-slice", "clipped-start", "corner", "constant",
             "3d-inward-steps", "3d-profit",
         ],
     )
@@ -391,22 +427,22 @@ class TestNelderMead:
         )
 
     def test_signed_zero_bound_keeps_the_point(self):
-        # The documented exception to bitwise equality with the numpy form: on
-        # a coordinate equal to a bound of the other zero sign, min/max keep
-        # the point (0.0) where np.clip keeps the bound (-0.0).
+        # The exception below on a lower bound of -0.0 in coordinate 0.
         def objective(x):
-            return -(x[0] ** 2 + x[1] ** 2)
+            return -(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
 
-        box = ([0.0, 1.0], [0.0, -0.0], [1.0, 1.0])
+        box = ([1.0, 0.0, 0.5], [-0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
         got = nelder_mead(objective, *box)
         want = numpy_nelder_mead(objective, *box)
-        assert [math.copysign(1.0, v) for v in got.x] == [1.0, 1.0]
-        assert got.x == (0.0, 0.0)
-        assert [math.copysign(1.0, v) for v in want.x] == [1.0, -1.0]
+        assert [math.copysign(1.0, v) for v in got.x] == [1.0, 1.0, 1.0]
+        assert got.x == (0.0, 0.0, 0.0)
+        assert [math.copysign(1.0, v) for v in want.x] == [-1.0, 1.0, 1.0]
         assert (got.fun, got.converged, got.nfev) == (want.fun, want.converged, want.nfev)
 
     def test_signed_zero_bound_keeps_the_point_in_3d(self):
-        # The same exception on the three-coordinate path.
+        # The documented exception to bitwise equality with the numpy form: on
+        # a coordinate equal to a bound of the other zero sign, min/max keep
+        # the point (0.0) where np.clip keeps the bound (-0.0).
         def objective(x):
             return -(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
 
@@ -419,8 +455,8 @@ class TestNelderMead:
         assert (got.fun, got.converged, got.nfev) == (want.fun, want.converged, want.nfev)
 
     def test_inverted_box_is_rejected(self):
-        with pytest.raises(ValueError, match="exceeds upper bound"):
-            nelder_mead(lambda x: x[0], [0.5], [1.0], [0.0])
+        with pytest.raises(ValueError, match="lower bound 1.0 exceeds upper bound 0.0"):
+            nelder_mead(lambda x: x[0], [0.5] * 3, [0.0, 1.0, 0.0], [1.0, 0.0, 1.0])
 
     def test_bitwise_equal_to_numpy_reference_on_every_profit_start(self, monkeypatch):
         # Several runs sit on the loss-clamp plateau, where exact profit ties

@@ -34,7 +34,7 @@ from vanetmarket import (
 import vanetmarket.trajectories as trajectories
 from vanetmarket import cli
 from vanetmarket.config import RunConfig
-from vanetmarket.trajectories import _kept_index
+from vanetmarket.trajectories import MIN_SYNTHETIC_SIDE_M, _kept_index
 
 HEADER = "vehicle_id,timestamp,lat,lon\n"
 
@@ -414,6 +414,29 @@ class TestGenerateSynthetic:
             generate_synthetic(2, 10, seed=1, bbox=bbox)
         with pytest.raises(ValueError, match=named):
             GridSpec(bbox)
+
+    @pytest.mark.parametrize(
+        "bbox",
+        [
+            (40.0, 40.00000001, 116.3, 116.30000001),  # about a millimetre a side
+            (40.0, 40.00001, 116.3, 116.4),  # 1.1 m tall
+            (40.0, 40.1, 116.3, 116.301),  # 85 m wide: the lon side is the short one
+        ],
+    )
+    def test_bbox_below_the_side_floor_rejected(self, bbox):
+        # The walk's time per vehicle grows as 1/side, so a valid but tiny box
+        # would run for days. The grid keeps its rule: any positive extent.
+        floor = re.escape(f"below the {MIN_SYNTHETIC_SIDE_M} m floor")
+        with pytest.raises(ValueError, match=rf"^synthetic bbox {re.escape(str(bbox))} .*{floor}"):
+            generate_synthetic(2, 10, seed=1, bbox=bbox)
+        GridSpec(bbox)
+
+    def test_bbox_just_above_the_side_floor_is_walked(self):
+        bbox = (40.0, 40.0012, 116.3, 116.3012)  # 133 m by 102 m
+        for traj in generate_synthetic(2, 120, seed=3, bbox=bbox):
+            assert len(traj) == 120
+            for s in traj.samples:
+                assert bbox[0] <= s.lat <= bbox[1] and bbox[2] <= s.lon <= bbox[3]
 
 
 # The frequencies the package uses or that stress the rule (a period of 1/3
