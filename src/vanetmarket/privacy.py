@@ -10,7 +10,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .fitting import fit_least_squares
-from .trajectories import PlanarPath, Trajectory, _Fleet, _kept_index, _planar, _planar_points
+from .trajectories import PlanarPath, Trajectory, _distances, _Fleet, _planar, _planar_points
 
 # Sub-sampling ladder used for the per-server loss measurement: one sample
 # every 2, 3, ..., 10 minutes.
@@ -38,18 +38,6 @@ def _pack(ps: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> tuple[np.ndarra
         pts[:, k, : len(p)] = p.T
         qts[:, k, : len(q)] = q.T
     return pts, qts
-
-
-def _distances(px, py, qx, qy, out: np.ndarray | None = None) -> np.ndarray:
-    """Point distances sqrt(dx*dx + dy*dy) with p - q operands, broadcast over
-    the coordinate arrays: the one formula of every Fréchet kernel here, so
-    all of them read the same float64 for the same pair of points."""
-    dist = np.subtract(px, qx, out=out)
-    dy = py - qy
-    dist *= dist
-    dy *= dy
-    dist += dy
-    return np.sqrt(dist, out=dist)
 
 
 def _bounds(
@@ -472,12 +460,13 @@ def mean_similarity_by_frequency(
         raise ValueError("need at least one trajectory")
     if not freqs:
         raise ValueError("need at least one frequency")
-    sims: dict[float, list[float]] = {f: [] for f in freqs}
-    for track, full in zip(fleet.tracks(), _full_paths(fleet)):
-        for f in freqs:
-            rows = full.path.points[_kept_index(track, f)]
-            sims[f].append(path_similarity(full.path, rows, full.diameter))
-    return [(f, math.fsum(sims[f]) / len(sims[f])) for f in freqs]
+    fulls = _full_paths(fleet)
+    means = []
+    for f in freqs:
+        paths = zip(fleet.kept(f), fulls)
+        sims = [path_similarity(p.path, p.path.points[kept], p.diameter) for kept, p in paths]
+        means.append((f, math.fsum(sims) / len(sims)))
+    return means
 
 
 def calibrate_per_server_loss(

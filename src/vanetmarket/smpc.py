@@ -5,6 +5,7 @@ adversary's path-reconstruction experiment."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence, Sized
@@ -12,8 +13,8 @@ from typing import Iterable, NamedTuple, Sequence, Sized
 import numpy as np
 
 from .privacy import _frechet_many, _full_paths, _similarity, path_similarity
-from .trajectories import GeoSample, PlanarPath, SpatioTemporalMap, Trajectory, _kept_index
-from .trajectories import _check_distinct, _Fleet, project_planar, subsample
+from .trajectories import GeoSample, PlanarPath, SpatioTemporalMap, Trajectory, _check_distinct
+from .trajectories import _Fleet, project_planar, subsample
 
 FIELD_PRIME = 2**61 - 1  # Mersenne prime; counts stay far below it
 
@@ -42,6 +43,16 @@ class ServerInbox:
     received: list[tuple[str, GeoSample]] = field(default_factory=list)
 
 
+def _check_server_count(s: int) -> None:
+    """A server count is an integer, as `operator.index` takes one, of at least 1."""
+    try:
+        operator.index(s)
+    except TypeError:
+        raise ValueError(f"server count must be an integer, got {s!r}") from None
+    if s < 1:
+        raise ValueError(f"server count must be >= 1, got {s}")
+
+
 def _draw_servers(kept: Sequence[Sized], s: int, seed: int) -> list[np.ndarray]:
     """The server each kept sample goes to: one uniform draw over s servers per
     vehicle, in input order, from the seed's generator."""
@@ -59,8 +70,7 @@ def route_samples(
     samples contiguous and in time order. A sample carries only its vehicle
     id, so a repeated id is a ValueError that names it, as in `build_map`.
     """
-    if s < 1:
-        raise ValueError(f"server count must be >= 1, got {s}")
+    _check_server_count(s)
     kept = [subsample(traj, f_d) for traj in trajs]
     _check_distinct(sub.vehicle_id for sub in kept)
     inboxes = [ServerInbox(i) for i in range(s)]
@@ -74,9 +84,8 @@ def _route(fleet: _Fleet, f_d: float, s: int, seed: int) -> tuple[list[_Fleet], 
     """`route_samples` over a fleet's rows: each server's kept rows, as a fleet
     over the same tracks, and the number of kept rows. The draw is
     `route_samples`' draw, so server i's rows are inbox i's samples."""
-    if s < 1:
-        raise ValueError(f"server count must be >= 1, got {s}")
-    kept = [_kept_index(track, f_d) for track in fleet.tracks()]
+    _check_server_count(s)
+    kept = fleet.kept(f_d)
     rows = np.fromiter(chain.from_iterable(kept), dtype=np.intp)
     rows += np.repeat(fleet.offsets[:-1], list(map(len, kept)))
     servers = np.concatenate(_draw_servers(kept, s, seed))
@@ -243,14 +252,14 @@ def empirical_privacy_curve(
     if not seeds:
         raise ValueError("need at least one seed")
     for s in s_values:
+        _check_server_count(s)
         if n_compromised < 1 or n_compromised > s:
             raise ValueError(f"n_compromised={n_compromised} invalid for s={s} servers")
     # Each vehicle's full path and diameter are the same for every (f_d, s, seed).
     fulls = _full_paths(fleet)
-    tracks = fleet.tracks()
     points = []
     for f_d in f_d_values:
-        planar = [full.path.points[_kept_index(track, f_d)] for track, full in zip(tracks, fulls)]
+        planar = [full.path.points[kept] for kept, full in zip(fleet.kept(f_d), fulls)]
         # Per s, each capture as (vehicle index, captured rows).
         rounds = []
         for s in s_values:

@@ -14,6 +14,7 @@ from typing import IO, Iterable, NamedTuple, Sequence
 import numpy as np
 
 EARTH_RADIUS_M = 6371000.0
+_M_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0  # meters per degree of a great circle
 
 # Default synthesis area, roughly a 20 km x 20 km urban box.
 DEFAULT_BBOX = (39.80, 40.00, 116.25, 116.50)
@@ -82,13 +83,6 @@ class Trajectory:
         return lat, lon
 
 
-class _Track(NamedTuple):
-    """One track of a `_Fleet`, as `_kept_index` reads it."""
-
-    vehicle_id: str
-    times: list[float]
-
-
 def _check_distinct(ids: Iterable[str]) -> None:
     """A vehicle id names one vehicle, as in a trace file: raise on the first repeat."""
     seen: set[str] = set()
@@ -140,9 +134,22 @@ class _Fleet(NamedTuple):
         samples = list(map(GeoSample._make, zip(values, values, values)))
         return [Trajectory._trusted(vid, tuple(samples[a:b])) for vid, a, b in self._spans()]
 
-    def tracks(self) -> list[_Track]:
+    def kept(self, f_d: float) -> list[list[int]]:
+        """Each track's positions `_kept_index` keeps at f_d, in track order."""
         times = self.txy[:, 0].tolist()
-        return [_Track(vid, times[a:b]) for vid, a, b in self._spans()]
+        return [_kept_index(times[a:b], f_d, vid) for vid, a, b in self._spans()]
+
+
+def _distances(px, py, qx, qy, out: np.ndarray | None = None) -> np.ndarray:
+    """Point distances sqrt(dx*dx + dy*dy) with p - q operands, broadcast over
+    the coordinate arrays: the one formula of `PlanarPath.diameter` and the
+    Fréchet kernels, so all read the same float64 for the same pair of points."""
+    dist = np.subtract(px, qx, out=out)
+    dy = py - qy
+    dist *= dist
+    dy *= dy
+    dist += dy
+    return np.sqrt(dist, out=dist)
 
 
 def _planar_points(points) -> np.ndarray:
@@ -170,25 +177,12 @@ class PlanarPath:
 
     def diameter(self) -> float:
         """Maximum pairwise point distance."""
-        x = self.points[:, 0]
-        y = self.points[:, 1]
-        best = 0.0
+        x, y = self.points.T
         # Blockwise pairwise distances keep memory bounded on long paths.
-        for i in range(0, len(x), 512):
-            d2 = x[i : i + 512, None] - x
-            dy = y[i : i + 512, None] - y
-            d2 *= d2
-            dy *= dy
-            d2 += dy
-            best = max(best, float(d2.max()))
-        return math.sqrt(best)
-
-
-def _check_bbox(bbox: tuple[float, float, float, float]) -> None:
-    """A bbox (lat_min, lat_max, lon_min, lon_max) must have positive extent on both axes."""
-    lat_min, lat_max, lon_min, lon_max = bbox
-    if not (lat_min < lat_max and lon_min < lon_max):  # NaN fails too
-        raise ValueError(f"degenerate bbox {bbox}")
+        return max(
+            float(_distances(x[i : i + 512, None], y[i : i + 512, None], x, y).max())
+            for i in range(0, len(x), 512)
+        )
 
 
 @dataclass(frozen=True)
@@ -200,7 +194,9 @@ class GridSpec:
     time_bin: float = 10.0
 
     def __post_init__(self) -> None:
-        _check_bbox(self.bbox)
+        lat_min, lat_max, lon_min, lon_max = self.bbox
+        if not (lat_min < lat_max and lon_min < lon_max):  # NaN fails too
+            raise ValueError(f"degenerate bbox {self.bbox}")
         if not self.cell_size > 0:  # NaN fails too
             raise ValueError("cell_size must be positive")
         if not self.time_bin > 0:
@@ -208,11 +204,9 @@ class GridSpec:
 
     @property
     def _meters_per_deg(self) -> tuple[float, float]:
+        """Meters per degree of latitude and of longitude at the middle latitude."""
         lat_min, lat_max, _, _ = self.bbox
-        mid_lat = 0.5 * (lat_min + lat_max)
-        m_lat = EARTH_RADIUS_M * math.pi / 180.0
-        m_lon = m_lat * math.cos(math.radians(mid_lat))
-        return m_lat, m_lon
+        return _M_PER_DEG, _M_PER_DEG * math.cos(math.radians(0.5 * (lat_min + lat_max)))
 
     @property
     def n_cells(self) -> tuple[int, int]:
@@ -277,8 +271,8 @@ def _read_fleet(stream: IO[bytes] | IO[str]) -> _Fleet:
     iterating the stream gives. For a binary stream those lines come from a
     UTF-8 text wrapper with universal newlines, so an undecodable byte
     raises where the row loop reaches it; `_columns` sees the bytes decoded
-    whole, carriage returns kept, and leaves those to the row loop. The row
-    loop's values go into the fleet's float64 columns unchanged.
+    whole, carriage returns kept, and leaves those to the row loop. Both end
+    in `_assemble`.
     """
     if isinstance(stream, io.BufferedIOBase) or (
         hasattr(stream, "read") and isinstance(getattr(stream, "mode", ""), str) and "b" in getattr(stream, "mode", "")
@@ -295,7 +289,7 @@ def _read_fleet(stream: IO[bytes] | IO[str]) -> _Fleet:
         # Only a stream that splits lines at each "\n" splits them as _columns does.
         same_split = len(lines) == text.count("\n") + (not text.endswith("\n"))
         fleet = _columns(text) if same_split else None
-    return _Fleet.of(_parse_rows(lines)) if fleet is None else fleet
+    return _parse_rows(lines) if fleet is None else fleet
 
 
 def _columns(text: str) -> _Fleet | None:
@@ -332,12 +326,19 @@ def _columns(text: str) -> _Fleet | None:
     valid = np.isfinite(t) & (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
     if not valid.all() or "" in vids:
         return None
+    return _assemble(vids, txy)
+
+
+def _assemble(vids: list[str], txy: np.ndarray) -> _Fleet:
+    """The fleet of checked trace rows, row r being vehicle vids[r] at txy[r]:
+    vehicles in the order they first appear, each track sorted stably by
+    time, and of a duplicated timestamp (-0.0 and 0.0 are one) its first row."""
     # Each row's vehicle as the row number of its first appearance, so sorting
     # by it orders vehicles as they first appear.
     first_seen: dict[str, int] = {}
     vehicle = np.fromiter(map(first_seen.setdefault, vids, count()), dtype=np.intp, count=len(vids))
-    order = np.lexsort((t, vehicle))  # stable: a duplicated timestamp keeps its first row
-    vehicle, t = vehicle[order], t[order]
+    order = np.lexsort((txy[:, 0], vehicle))  # stable: a duplicated timestamp keeps its first row
+    vehicle, t = vehicle[order], txy[order, 0]
     new_vehicle = np.ones(len(order), dtype=bool)
     new_vehicle[1:] = vehicle[1:] != vehicle[:-1]
     keep = new_vehicle | np.concatenate(([True], t[1:] != t[:-1]))
@@ -345,8 +346,9 @@ def _columns(text: str) -> _Fleet | None:
     return _Fleet(list(first_seen), offsets, txy[order[keep]])
 
 
-def _parse_rows(lines: Iterable[str]) -> list[Trajectory]:
-    """The row loop: csv rows one at a time, each checked as it is read."""
+def _parse_rows(lines: Iterable[str]) -> _Fleet:
+    """The row loop: csv rows one at a time, each checked as it is read, then
+    assembled as `_columns` assembles its rows."""
     reader = csv.reader(lines)
     header = next(reader, None)
     if header is None:
@@ -356,7 +358,8 @@ def _parse_rows(lines: Iterable[str]) -> list[Trajectory]:
             f"line 1: expected header {','.join(TRACE_HEADER)!r}, got {','.join(header)!r}"
         )
 
-    per_vehicle: dict[str, dict[float, GeoSample]] = {}
+    vids: list[str] = []
+    values: list[float] = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -377,16 +380,12 @@ def _parse_rows(lines: Iterable[str]) -> list[Trajectory]:
             raise TraceParseError(f"line {lineno}: latitude {lat} out of range [-90, 90]")
         if not (-180.0 <= lon <= 180.0):
             raise TraceParseError(f"line {lineno}: longitude {lon} out of range [-180, 180]")
-        samples = per_vehicle.setdefault(vid, {})
-        if t not in samples:  # keep the first row for a duplicated timestamp
-            samples[t] = GeoSample(t, lat, lon)
+        vids.append(vid)
+        values += (t, lat, lon)
 
-    if not per_vehicle:
+    if not vids:
         raise TraceParseError("no trajectories: file has a header but no data rows")
-    return [
-        Trajectory(vid, tuple(samples[t] for t in sorted(samples)))
-        for vid, samples in per_vehicle.items()
-    ]
+    return _assemble(vids, np.array(values, dtype=np.float64).reshape(-1, 3))
 
 
 def generate_synthetic(
@@ -407,11 +406,8 @@ def generate_synthetic(
         raise ValueError("n_vehicles must be >= 1")
     if duration < 2:
         raise ValueError("duration must be >= 2 minutes")
-    _check_bbox(bbox)
+    m_lat, m_lon = GridSpec(bbox)._meters_per_deg  # the bbox is checked as a grid's
     lat_min, lat_max, lon_min, lon_max = bbox
-    mid_lat = 0.5 * (lat_min + lat_max)
-    m_lat = EARTH_RADIUS_M * math.pi / 180.0
-    m_lon = m_lat * math.cos(math.radians(mid_lat))
     width = (lon_max - lon_min) * m_lon
     height = (lat_max - lat_min) * m_lat
     if min(width, height) < MIN_SYNTHETIC_SIDE_M:
@@ -446,20 +442,18 @@ def generate_synthetic(
     return trajs
 
 
-def _kept_index(traj: Trajectory | _Track, f_d: float) -> list[int]:
-    """Positions of the samples `subsample(traj, f_d)` keeps: the first, each
-    one at or past the next due time t0 + n/f_d - 1e-9, and the last. A
-    `_Fleet` track gives its times as they are; a trajectory's are read off
-    its samples in one C-level pass."""
+def _kept_index(times: Sequence[float], f_d: float, vehicle_id: str) -> list[int]:
+    """Positions of the times of vehicle_id's track that `subsample` keeps at
+    f_d: the first, each one at or past the next due time t0 + n/f_d - 1e-9,
+    and the last."""
     if not f_d > 0:  # NaN fails too
         raise ValueError(f"sampling frequency must be positive, got {f_d}")
     period = 1.0 / f_d
     if not 0.0 < period < math.inf:
         raise ValueError(f"sampling frequency {f_d} has no finite, positive period 1/f_d")
-    times = traj.times if isinstance(traj, _Track) else list(map(_TIME, traj.samples))
     if len(times) < 2:
         raise ValueError(
-            f"vehicle {traj.vehicle_id!r}: cannot subsample a trajectory with fewer than 2 samples"
+            f"vehicle {vehicle_id!r}: cannot subsample a trajectory with fewer than 2 samples"
         )
     t0 = times[0]
     kept = []
@@ -478,8 +472,9 @@ def _kept_index(traj: Trajectory | _Track, f_d: float) -> list[int]:
 
 def subsample(traj: Trajectory, f_d: float) -> Trajectory:
     """Thin a trajectory to one sample per 1/f_d minutes, keeping the first and last samples."""
+    kept = _kept_index(list(map(_TIME, traj.samples)), f_d, traj.vehicle_id)
     # At least two positions (the first and last), so itemgetter gives a tuple.
-    return Trajectory._trusted(traj.vehicle_id, itemgetter(*_kept_index(traj, f_d))(traj.samples))
+    return Trajectory._trusted(traj.vehicle_id, itemgetter(*kept)(traj.samples))
 
 
 def project_planar(traj: Trajectory, origin: tuple[float, float] | None = None) -> PlanarPath:
@@ -493,10 +488,9 @@ def _planar(txy: np.ndarray, origin: tuple[float, float]) -> PlanarPath:
     (lon - lon0) * scale * cos0 and y is (lat - lat0) * scale, evaluated in that
     order, with cos0 from libm's cos as the scalar formula takes it."""
     lat0, lon0 = origin
-    scale = EARTH_RADIUS_M * math.pi / 180.0
     cos0 = math.cos(math.radians(lat0))
-    x = (txy[:, 2] - lon0) * scale * cos0
-    return PlanarPath(np.column_stack((x, (txy[:, 1] - lat0) * scale)))
+    x = (txy[:, 2] - lon0) * _M_PER_DEG * cos0
+    return PlanarPath(np.column_stack((x, (txy[:, 1] - lat0) * _M_PER_DEG)))
 
 
 def build_map(

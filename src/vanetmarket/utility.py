@@ -121,7 +121,7 @@ def build_utility_surface(
     # A row outside the bbox counts in an extra last cell, which is dropped.
     row_cell = np.where(cell < 0, n_cells, cell).tolist()
 
-    tracks = fleet.tracks()
+    times = fleet.txy[:, 0].tolist()
     starts = fleet.offsets.tolist()
     kept: dict[tuple[int, float], Collection[int]] = {}  # (i, f) -> cells, made on first use
     points = []
@@ -136,8 +136,8 @@ def build_utility_surface(
             chosen = sorted(rng.choice(n_tracks, size=count, replace=False))
             for i in chosen:
                 if (i, f) not in kept:
-                    track_cells = row_cell[starts[i] : starts[i + 1]]
-                    cells = itemgetter(*_kept_index(tracks[i], f))(track_cells)
+                    track = slice(starts[i], starts[i + 1])
+                    cells = itemgetter(*_kept_index(times[track], f, fleet.ids[i]))(row_cell[track])
                     kept[i, f] = set(cells) if count_mode == "vehicles" else cells
             cells = np.fromiter(chain.from_iterable(kept[i, f] for i in chosen), dtype=np.intp)
             per_cell = np.bincount(cells, minlength=n_cells + 1)[:n_cells]

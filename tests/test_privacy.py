@@ -453,7 +453,7 @@ class TestFrechetBounds:
             origin = traj.centroid()
             full = project_planar(traj, origin=origin).points
             for f in DEFAULT_CALIBRATION_FREQS:
-                sub = full[trajectories._kept_index(traj, f)]
+                sub = full[trajectories._Fleet.of([traj]).kept(f)[0]]
                 lower, upper = bounds_of(full, sub)
                 assert upper < math.inf
                 settled += lower == upper

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -77,6 +78,19 @@ def plaintext_sum(partials):
     return total
 
 
+# Server counts `operator.index` refuses: each would once have been truncated
+# by the draw or failed in numpy or range.
+NON_INTEGER_SERVER_COUNTS = [2.5, 2.0, math.nan, "2"]
+
+
+def not_an_integer(s):
+    return f"server count must be an integer, got {re.escape(repr(s))}$"
+
+
+def no_thinning(times, f_d, vehicle_id):
+    raise AssertionError("thinning started before the server count was checked")
+
+
 class TestRouting:
     def test_single_server_gets_everything(self, small_fleet):
         inboxes = route_samples(small_fleet, 0.5, 1, seed=0)
@@ -123,6 +137,12 @@ class TestRouting:
         with pytest.raises(ValueError):
             route_samples(small_fleet, 0.5, 0, seed=0)
 
+    @pytest.mark.parametrize("s", NON_INTEGER_SERVER_COUNTS)
+    def test_non_integer_server_count_rejected_before_any_work(self, small_fleet, monkeypatch, s):
+        monkeypatch.setattr(trajectories, "_kept_index", no_thinning)
+        with pytest.raises(ValueError, match=not_an_integer(s)):
+            route_samples(small_fleet, 0.5, s, seed=0)
+
 
 # (f_d, s, bbox): a round at the native rate, a single server, a thinned round,
 # a bbox that drops samples, and more servers than samples.
@@ -166,6 +186,13 @@ class TestRouteFleet:
     def test_server_count_validation(self, small_fleet):
         with pytest.raises(ValueError, match="server count must be >= 1, got 0"):
             smpc._route(trajectories._Fleet.of(small_fleet), 1.0, 0, seed=0)
+
+    @pytest.mark.parametrize("s", NON_INTEGER_SERVER_COUNTS)
+    def test_non_integer_server_count_rejected_before_any_work(self, small_fleet, monkeypatch, s):
+        fleet = trajectories._Fleet.of(small_fleet)
+        monkeypatch.setattr(trajectories, "_kept_index", no_thinning)
+        with pytest.raises(ValueError, match=not_an_integer(s)):
+            smpc._route(fleet, 1.0, s, seed=0)
 
 
 class TestSecretSharing:
@@ -432,14 +459,16 @@ class TestEmpiricalCurve:
     def test_subsamples_each_vehicle_once_per_frequency(self, small_fleet, monkeypatch):
         calls = []
 
-        def counting(traj, f_d):
-            calls.append((traj.vehicle_id, f_d))
-            return trajectories._kept_index(traj, f_d)
+        kept_index = trajectories._kept_index
+
+        def counting(times, f_d, vehicle_id):
+            calls.append((vehicle_id, f_d))
+            return kept_index(times, f_d, vehicle_id)
 
         def no_subsample(traj, f_d):
             raise AssertionError("the curve built a subsampled trajectory")
 
-        monkeypatch.setattr(smpc, "_kept_index", counting)
+        monkeypatch.setattr(trajectories, "_kept_index", counting)
         monkeypatch.setattr(smpc, "subsample", no_subsample)
         f_d_values = (0.5, 0.25, 0.2)
         empirical_privacy_curve(small_fleet, f_d_values, [1, 2, 4], n_compromised=1, seeds=[0, 1])
@@ -496,12 +525,23 @@ class TestEmpiricalCurve:
         assert batches == [[n for n in captured if n >= 2]]
 
     def test_server_counts_checked_before_any_work(self, small_fleet, monkeypatch):
-        def no_subsample(traj, f_d):
+        def no_subsample(times, f_d, vehicle_id):
             raise AssertionError("subsampling started before the server counts were checked")
 
-        monkeypatch.setattr(smpc, "_kept_index", no_subsample)
+        monkeypatch.setattr(trajectories, "_kept_index", no_subsample)
         with pytest.raises(ValueError, match="n_compromised=2 invalid for s=1"):
             empirical_privacy_curve(small_fleet, [0.5], [4, 1], n_compromised=2)
+
+    @pytest.mark.parametrize("s", NON_INTEGER_SERVER_COUNTS)
+    def test_non_integer_server_count_rejected_before_any_work(self, small_fleet, monkeypatch, s):
+        # 2.5 once drew servers from {0, 1} and was reported as s = 2.
+        monkeypatch.setattr(trajectories, "_kept_index", no_thinning)
+        with pytest.raises(ValueError, match=not_an_integer(s)):
+            empirical_privacy_curve(small_fleet, [0.5], [4, s])
+
+    def test_numpy_integer_server_count_is_that_count(self, small_fleet):
+        want = empirical_privacy_curve(small_fleet, [0.5], [2], seeds=[0, 1])
+        assert empirical_privacy_curve(small_fleet, [0.5], [np.int64(2)], seeds=[0, 1]) == want
 
     def test_validation(self, small_fleet):
         with pytest.raises(ValueError):

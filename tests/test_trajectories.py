@@ -146,12 +146,28 @@ def bytes_stream(text):
     return io.BytesIO(text.encode("utf-8"))
 
 
-def row_loop_reading(make_stream, parse_rows=trajectories._parse_rows):
-    """The row loop over a stream made as parse_traces reads it: a binary one
-    through a UTF-8 text wrapper, a text one as its lines."""
+def fleet_outcome(read, stream):
+    """read(stream)'s fleet as [ids, offsets bytes, txy bytes], or its
+    exception's type and text."""
+    try:
+        fleet = read(stream)
+    except (TraceParseError, csv.Error, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+    return [fleet.ids, fleet.offsets.tobytes(), fleet.txy.tobytes()]
+
+
+def row_loop_fleet(make_stream, parse_rows=trajectories._parse_rows):
+    """The row loop's fleet of a stream made as parse_traces reads it: a binary
+    one through a UTF-8 text wrapper, a text one as its lines."""
     if make_stream is bytes_stream:
         return lambda stream: parse_rows(io.TextIOWrapper(stream, encoding="utf-8"))
     return parse_rows
+
+
+def row_loop_reading(make_stream, parse_rows=trajectories._parse_rows):
+    """The row loop's trajectories of a stream made as parse_traces reads it."""
+    read = row_loop_fleet(make_stream, parse_rows)
+    return lambda stream: read(stream).trajectories()
 
 
 # The TraceParseError cases of TestParseTraces and the CLI's bad trace file,
@@ -250,7 +266,8 @@ def trace_texts(draw):
 
 class TestColumnarReader:
     """`parse_traces` reads a trace in one columnar pass and leaves anything
-    unusual to the row loop; either way it returns the row loop's result."""
+    unusual to the row loop; either way it returns the row loop's result,
+    since both readers end in one assembly of the fleet."""
 
     @pytest.mark.parametrize("make_stream", [text_stream, bytes_stream], ids=["text", "bytes"])
     def test_equals_the_row_loop_on_drawn_texts(self, monkeypatch, make_stream):
@@ -262,18 +279,18 @@ class TestColumnarReader:
             return row_loop(lines)
 
         monkeypatch.setattr(trajectories, "_parse_rows", watched)
-        reached = {"columns": 0, "row loop, trajectories": 0, "row loop, error": 0}
+        reached = {"columns": 0, "row loop, fleet": 0, "row loop, error": 0}
 
         @settings(max_examples=400, deadline=None, derandomize=True)
         @given(text=trace_texts())
         def check(text):
             used_loop.clear()
-            got = outcome(parse_traces, make_stream(text))
-            assert got == outcome(row_loop_reading(make_stream, row_loop), make_stream(text))
+            got = fleet_outcome(trajectories._read_fleet, make_stream(text))
+            assert got == fleet_outcome(row_loop_fleet(make_stream, row_loop), make_stream(text))
             if not used_loop:
                 reached["columns"] += 1
             elif isinstance(got, list):
-                reached["row loop, trajectories"] += 1
+                reached["row loop, fleet"] += 1
             else:
                 reached["row loop, error"] += 1
 
@@ -288,7 +305,7 @@ class TestColumnarReader:
             for s in traj.samples
         )
         assert text.count("\n") == 601
-        want = sample_bits(trajectories._parse_rows(io.StringIO(text)))
+        want = sample_bits(trajectories._parse_rows(io.StringIO(text)).trajectories())
         assert want == sample_bits(fleet)
 
         def no_row_loop(lines):
@@ -302,6 +319,36 @@ class TestColumnarReader:
         with open(path, "rb") as fh:
             assert sample_bits(trajectories._read_fleet(fh).trajectories()) == want
 
+    def test_quoted_ids_and_iso_times_give_the_plain_file_bytes(self):
+        # Rows out of time order, two vehicles interleaved, and a duplicated
+        # timestamp whose first row is kept, in three forms of one file.
+        stamps = ["2008-02-02T15:38:08Z", "2008-02-02T15:36:08Z", "2008-02-02T15:37:08Z"]
+        rows = [
+            ("b", 0, 40.1, 116.3),
+            ("a", 1, 40.2, 116.4),
+            ("b", 1, 40.3, 116.5),
+            ("a", 0, 40.4, 116.6),
+            ("a", 1, 40.5, 116.7),
+            ("b", 2, 40.6, 116.8),
+        ]
+        minutes = [trajectories._parse_timestamp(stamp) for stamp in stamps]
+        forms = {
+            "plain": [(vid, repr(minutes[k]), lat, lon) for vid, k, lat, lon in rows],
+            "quoted": [(f'"{vid}"', repr(minutes[k]), lat, lon) for vid, k, lat, lon in rows],
+            "iso": [(vid, stamps[k], lat, lon) for vid, k, lat, lon in rows],
+        }
+        texts = {
+            form: HEADER + "".join(",".join(map(str, row)) + "\n" for row in form_rows)
+            for form, form_rows in forms.items()
+        }
+        assert trajectories._columns(texts["plain"]) is not None
+        want = fleet_outcome(trajectories._read_fleet, io.StringIO(texts["plain"]))
+        assert want[0] == ["b", "a"] and want[1] == np.array([0, 3, 5]).tobytes()
+        for form in ("quoted", "iso"):
+            assert trajectories._columns(texts[form]) is None
+            assert fleet_outcome(trajectories._parse_rows, io.StringIO(texts[form])) == want, form
+            assert fleet_outcome(trajectories._read_fleet, io.BytesIO(texts[form].encode())) == want
+
     def test_fleet_of_a_fleet_is_that_fleet(self, fleet):
         columns = trajectories._Fleet.of(fleet)
         assert trajectories._Fleet.of(columns) is columns
@@ -310,7 +357,8 @@ class TestColumnarReader:
         rows = HEADER + "a,-0.0,40.0,116.3\na,0.0,41.0,116.3\nb,0,40.0,116.3\nb,-0.0,41.0,116.3\n"
         assert trajectories._columns(rows) is not None
         trajs = parse_traces(io.StringIO(rows))
-        assert sample_bits(trajs) == sample_bits(trajectories._parse_rows(io.StringIO(rows)))
+        row_loop = trajectories._parse_rows(io.StringIO(rows))
+        assert sample_bits(trajs) == sample_bits(row_loop.trajectories())
         # -0.0 == 0.0, so each vehicle keeps one sample: its first row, sign included.
         assert [(len(t), math.copysign(1.0, t.samples[0].t), t.samples[0].lat) for t in trajs] == [
             (1, -1.0, 40.0),
@@ -472,9 +520,10 @@ class TestSubsample:
     def test_kept_index_is_the_greedy_rule_on_irregular_times(self, data):
         f_d = data.draw(FREQUENCIES)
         traj = data.draw(irregular_trajectories(f_d))
-        kept = _kept_index(traj, f_d)
+        kept = _kept_index([s.t for s in traj.samples], f_d, traj.vehicle_id)
         sub = subsample(traj, f_d)
         assert sub.samples == tuple(traj.samples[i] for i in kept) == scalar_subsample(traj, f_d)
+        assert trajectories._Fleet.of([traj]).kept(f_d) == [kept]
         origin = (data.draw(st.floats(39.9, 40.1)), data.draw(st.floats(116.2, 116.4)))
         rows = project_planar(traj, origin=origin).points[kept]
         assert project_planar(sub, origin=origin).points.tobytes() == rows.tobytes()
@@ -501,12 +550,12 @@ class TestSubsample:
     def test_frequency_without_a_finite_period_rejected(self, f_d):
         # 1/1e-320 overflows to inf and 1/inf is 0: no sample would ever be due.
         traj = moving_traj(range(5))
-        for thin in (subsample, _kept_index):
-            with pytest.raises(ValueError, match=f"sampling frequency.*{f_d}"):
-                thin(traj, f_d)
-        track = trajectories._Fleet.of([traj]).tracks()[0]
         with pytest.raises(ValueError, match=f"sampling frequency.*{f_d}"):
-            _kept_index(track, f_d)
+            subsample(traj, f_d)
+        with pytest.raises(ValueError, match=f"sampling frequency.*{f_d}"):
+            _kept_index([s.t for s in traj.samples], f_d, traj.vehicle_id)
+        with pytest.raises(ValueError, match=f"sampling frequency.*{f_d}"):
+            trajectories._Fleet.of([traj]).kept(f_d)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):

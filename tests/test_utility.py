@@ -133,9 +133,9 @@ class TestUtilitySurface:
     def test_subsamples_each_vehicle_once_per_frequency(self, fleet, monkeypatch):
         calls = []
 
-        def counting(track, f_d):
-            calls.append((track.vehicle_id, f_d))
-            return trajectories._kept_index(track, f_d)
+        def counting(times, f_d, vehicle_id):
+            calls.append((vehicle_id, f_d))
+            return trajectories._kept_index(times, f_d, vehicle_id)
 
         monkeypatch.setattr(utility_module, "_kept_index", counting)
         n, freqs = len(fleet), (1.0, 0.5, 0.25)
