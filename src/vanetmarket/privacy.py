@@ -11,6 +11,7 @@ import numpy as np
 
 from .fitting import fit_least_squares
 from .trajectories import PlanarPath, Trajectory, _distances, _Fleet, _planar, _planar_points
+from .trajectories import _squared_distances
 
 # Sub-sampling ladder used for the per-server loss measurement: one sample
 # every 2, 3, ..., 10 minutes.
@@ -27,21 +28,56 @@ _ROW_BLOCK = 512
 _BOUNDED_CELLS = 1024
 
 
-def _pack(ps: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """A batch of pairs' coordinates as (2, B, n) and (2, B, m) arrays, n and m
-    the longest |p| and |q|. p is padded with +inf and q with -inf, so every
-    padded cell's distance is +inf and no subtraction meets inf - inf."""
-    b, n, m = len(ps), max(map(len, ps)), max(map(len, qs))
-    pts = np.full((2, b, n), np.inf)
-    qts = np.full((2, b, m), -np.inf)
-    for k, (p, q) in enumerate(zip(ps, qs)):
-        pts[:, k, : len(p)] = p.T
-        qts[:, k, : len(q)] = q.T
-    return pts, qts
+class _Pairs(NamedTuple):
+    """Fréchet pairs as rows of one coordinate table: pair k's p is the n_p[k]
+    columns of xy from p_start[k], and its q the columns listed in
+    q_rows[q_start[k] : q_start[k] + n_q[k]], which are rows of its p in
+    increasing order. xy is (2, N + 2), its last two columns the +inf and
+    -inf points that pad p and q."""
+
+    xy: np.ndarray
+    p_start: np.ndarray
+    n_p: np.ndarray
+    q_rows: np.ndarray
+    q_start: np.ndarray
+    n_q: np.ndarray
+
+
+def _pairs_of(points: Sequence[np.ndarray], p_start, n_p, q_rows, n_q) -> _Pairs:
+    """`_Pairs` over the rows of (n, 2) arrays of points, in order."""
+    xy = np.empty((2, sum(map(len, points)) + 2))
+    np.concatenate(points, out=xy[:, :-2].T)
+    xy[:, -2] = np.inf
+    xy[:, -1] = -np.inf
+    return _Pairs(xy, p_start, n_p, q_rows, np.cumsum(n_q) - n_q, n_q)
+
+
+def _pack(pairs: _Pairs, chunk: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`_bounds`' arguments for the pairs `chunk`: their coordinates as
+    (2, B, n) and (2, B, m) arrays, n and m the longest |p| and |q|, |p| and
+    |q|, and each q point's row of p (column j past |q| at n + j). p is
+    padded with +inf and q with -inf, so every padded cell's distance is +inf
+    and no subtraction meets inf - inf."""
+    n_p, n_q = pairs.n_p[chunk], pairs.n_q[chunk]
+    n, m = n_p.max(), n_q.max()
+    pad = pairs.xy.shape[1] - 2
+    p_start = pairs.p_start[chunk, None]
+    p_rows = p_start + np.arange(n)
+    if n_p.min() < n:
+        p_rows[np.arange(n) >= n_p[:, None]] = pad
+    past_q = np.arange(m) >= n_q[:, None]
+    q_rows = pairs.q_rows.take(pairs.q_start[chunk, None] + np.arange(m), mode="clip")
+    q_rows[past_q] = pad + 1
+    pts, qts = pairs.xy.take(p_rows, axis=1), pairs.xy.take(q_rows, axis=1)
+    return pts, qts, n_p, n_q, np.where(past_q, n + np.arange(m), q_rows - p_start)
 
 
 def _bounds(
-    pts: np.ndarray, qts: np.ndarray, n_p: np.ndarray, n_q: np.ndarray
+    pts: np.ndarray,
+    qts: np.ndarray,
+    n_p: np.ndarray,
+    n_q: np.ndarray,
+    anchor: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bounds L <= d_F <= U on the discrete Fréchet distance of each pair k of
     packed coordinates (its first n_p[k] points of p and n_q[k] of q), with
@@ -50,7 +86,8 @@ def _bounds(
     some q_j and holds both end pairs.
 
     U is the cost of the natural coupling of a q made of p's rows. q_j's
-    anchor a_j is its first row of p at the same point, a zero distance;
+    anchor a_j is a row of p at the same point, a zero distance: its own row
+    when the caller passes `anchor`, else the first row that equals it;
     rows up to a_0 go to q_0 and rows after the last anchor to q_m; the rows
     of each gap (a_{j-1}, a_j] split once, the first ones to q_{j-1} and the
     rest, a_j among them, to q_j. Any strictly increasing anchors give a
@@ -68,18 +105,19 @@ def _bounds(
     A row's min reaches U only if its distances to both its coupled points
     do, so L takes the end pairs and the mins of those rows alone, and no
     distance matrix is built. L and U are entries of the distance matrix, so
-    when they meet they are d_F to the bit. Points are compared, and those
-    rows' mins taken, _ROW_BLOCK rows at a time.
+    when they meet they are d_F to the bit, whichever anchors U took. Points
+    are compared, and those rows' mins taken, _ROW_BLOCK rows at a time.
     """
     b, n = pts.shape[1:]
     m = qts.shape[2]
-    anchor = np.arange(n, n + m)  # past p's rows until found, and in order
-    for start in range(0, n, _ROW_BLOCK):
-        # (2, B, 1, rows) of p against (2, B, m, 1) of q
-        blk = pts[:, :, None, start : start + _ROW_BLOCK]
-        equal = (blk[0] == qts[0, :, :, None]) & (blk[1] == qts[1, :, :, None])
-        first = np.where(equal.any(axis=2), equal.argmax(axis=2) + start, n + m)
-        anchor = np.minimum(anchor, first)
+    if anchor is None:
+        anchor = np.arange(n, n + m)  # past p's rows until found, and in order
+        for start in range(0, n, _ROW_BLOCK):
+            # (2, B, 1, rows) of p against (2, B, m, 1) of q
+            blk = pts[:, :, None, start : start + _ROW_BLOCK]
+            equal = (blk[0] == qts[0, :, :, None]) & (blk[1] == qts[1, :, :, None])
+            first = np.where(equal.any(axis=2), equal.argmax(axis=2) + start, n + m)
+            anchor = np.minimum(anchor, first)
     # Strictly increasing anchors, the last of a pair's own q found in p, are
     # all found; a pair's padded columns keep their increasing n + j.
     pairs = np.arange(b)
@@ -195,62 +233,75 @@ _dfd_kernel = _dfd_core
 
 
 # Padded DP cells (pairs times the chunk's longest |p| and |q|) that one
-# `_frechet_many` chunk holds; bounds its scratch memory to about two
+# `_frechet_rows` chunk holds; bounds its scratch memory to about two
 # float64 arrays of this many cells, as _ROW_BLOCK bounds `_dfd_core`'s.
 _FRECHET_CELLS = 1 << 16
 
 
-def _frechet_block(ps: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> list[float]:
+def _frechet_block(pairs: _Pairs, chunk: np.ndarray) -> np.ndarray:
     """`_dfd_core` of every pair of one chunk.
 
-    The pairs are packed by `_pack` into an (n, m, B) block of distances, n
-    and m the longest |p| and |q|, with the batch on the last axis; padded
-    cells never feed a pair's own cells. The block gets a +inf border row and
-    column with a -inf corner, so the DP needs no edge cases, and is
-    overwritten in place one anti-diagonal at a time, each reading the two
-    before it.
+    The pairs are packed by `_pack` into an (n, m, B) block of squared
+    distances, n and m the longest |p| and |q|, with the batch on the last
+    axis; padded cells never feed a pair's own cells. The block gets a +inf
+    border row and column with a -inf corner, so the DP needs no edge cases,
+    and its cells are laid out one anti-diagonal after another. The DP then
+    overwrites them in place a diagonal at a time, each reading the two
+    before it, and every operand is one contiguous run of memory. It takes
+    only min and max, which commute with the monotone, correctly rounded
+    sqrt, so the sqrt of a pair's corner cell (never the -inf one) is bitwise
+    the DP over `_distances`.
     """
-    pts, qts = _pack(ps, qs)
+    pts, qts, n_p, n_q, _ = _pack(pairs, chunk)
     b, n = pts.shape[1:]
     m = qts.shape[2]
     block = np.empty((n + 1, m + 1, b))
-    # (n, 1, B) against (1, m, B): the batch on the last axis.
-    _distances(pts[0].T[:, None], pts[1].T[:, None], qts[0].T, qts[1].T, out=block[1:, 1:])
+    # (n, 1, B) against (1, m, B): the batch on the last axis, contiguous.
+    px, py = np.ascontiguousarray(pts.transpose(0, 2, 1))
+    qx, qy = np.ascontiguousarray(qts.transpose(0, 2, 1))
+    _squared_distances(px[:, None], py[:, None], qx, qy, out=block[1:, 1:])
     block[0] = np.inf
     block[:, 0] = np.inf
     block[0, 0] = -np.inf
 
-    # Cell (i, j) is row (i + 1) * w + j + 1 of `flat`; one anti-diagonal is a
-    # slice with step m, and its upper, left and diagonal neighbours are the
-    # same slice shifted back by w, 1 and w + 1 rows.
-    w = m + 1
-    flat = block.reshape(-1, b)
-    low = np.empty((min(n, m), b))
-    for diag in range(n + m - 1):
-        first = max(0, diag - m + 1)
-        last = min(diag, n - 1)
-        start = (first + 1) * w + diag - first + 1
-        stop = (last + 1) * w + diag - last + 2
-        lows = low[: last - first + 1]
-        diagonal = flat[start - w - 1 : stop - w - 1 : m]
-        np.minimum(flat[start - w : stop - w : m], diagonal, out=lows)
-        np.minimum(lows, flat[start - 1 : stop - 1 : m], out=lows)
-        cells = flat[start:stop:m]
-        np.maximum(cells, lows, out=cells)
-    return [block[len(p), len(q), k].item() for k, (p, q) in enumerate(zip(ps, qs))]
+    # Anti-diagonal d holds cells (i, d - i), i from first[d], at rows
+    # start[d] onwards of `cells` (B values a row). Its inner cells i in
+    # lo..hi read their upper and left neighbours from diagonal d - 1 at
+    # positions i - 1 and i, and the diagonal one from d - 2 at i - 1.
+    diagonals = np.add.outer(np.arange(n + 1), np.arange(m + 1)).ravel()
+    cells = block.reshape(-1, b)[np.argsort(diagonals, kind="stable")].ravel()
+    start = np.concatenate(([0], np.cumsum(np.bincount(diagonals))))
+    first = np.maximum(0, np.arange(n + m + 1) - m)
+    d = np.arange(2, n + m + 1)
+    lo = np.maximum(1, d - m)
+    sizes = (np.minimum(d - 1, n) - lo + 1) * b
+    ups = (start[d - 1] + lo - 1 - first[d - 1]) * b
+    diags = (start[d - 2] + lo - 1 - first[d - 2]) * b
+    ats = (start[d] + lo - first[d]) * b
+    low = np.empty(min(n, m) * b)
+    for k, up, diagonal, at in zip(sizes.tolist(), ups.tolist(), diags.tolist(), ats.tolist()):
+        lows = low[:k]
+        np.minimum(cells[up : up + k], cells[up + b : up + b + k], out=lows)
+        np.minimum(lows, cells[diagonal : diagonal + k], out=lows)
+        here = cells[at : at + k]
+        np.maximum(here, lows, out=here)
+    corner = n_p + n_q
+    rows = start[corner] + n_p - first[corner]
+    return np.sqrt(cells[rows * b + np.arange(b)])
 
 
-def _chunks(order: Sequence[int], ps: Sequence[np.ndarray], qs: Sequence[np.ndarray]):
+def _chunks(order: np.ndarray, n_p: np.ndarray, n_q: np.ndarray):
     """Runs of `order` (pairs sorted by (|p|, |q|)) of at most _FRECHET_CELLS
     padded cells each, as (run, padded cells); a pair over that budget on its
     own is a run by itself."""
+    lens_p, lens_q = n_p[order].tolist(), n_q[order].tolist()
     start = 0
     while start < len(order):
-        n, m = len(ps[order[start]]), len(qs[order[start]])
+        n, m = lens_p[start], lens_q[start]
         stop = start + 1
         while stop < len(order):
-            grown_n = max(n, len(ps[order[stop]]))
-            grown_m = max(m, len(qs[order[stop]]))
+            grown_n = max(n, lens_p[stop])
+            grown_m = max(m, lens_q[stop])
             if grown_n * grown_m * (stop + 1 - start) > _FRECHET_CELLS:
                 break
             n, m, stop = grown_n, grown_m, stop + 1
@@ -258,39 +309,44 @@ def _chunks(order: Sequence[int], ps: Sequence[np.ndarray], qs: Sequence[np.ndar
         start = stop
 
 
-def _frechet_many(ps: Sequence[np.ndarray], qs: Sequence[np.ndarray]) -> list[float]:
-    """Discrete Fréchet distance of every pair (ps[k], qs[k]) of checked
-    (n, 2) float64 arrays, each bitwise `_dfd_core(ps[k], qs[k])`.
+def _frechet_rows(
+    points: Sequence[np.ndarray],
+    p_start: np.ndarray,
+    n_p: np.ndarray,
+    q_rows: np.ndarray,
+    n_q: np.ndarray,
+) -> list[float]:
+    """Discrete Fréchet distance of every pair k over one table, the rows of
+    the (n, 2) arrays `points` in order: p the n_p[k] rows from p_start[k],
+    q the next n_q[k] rows listed in `q_rows`, which are rows of p in
+    increasing order. Each result is bitwise `_dfd_core` of the pair's points.
 
     The pairs run in chunks of similar sizes (sorted by (|p|, |q|)), each of at
-    most _FRECHET_CELLS padded cells. `_bounds` takes each chunk's L and U and
-    settles every pair with L == U. The rest are chunked again under the same
-    budget and swept by `_frechet_block`. A pair over that budget on its own
-    goes through `_dfd_core`. Min and max are exact and the distances are the
-    same float64 operations, so neither the bounds nor batching changes a bit.
+    most _FRECHET_CELLS padded cells. `_bounds` takes each chunk's L and U,
+    with q's own rows as anchors, so no point is compared, and settles every
+    pair with L == U. The rest are chunked again under the same budget and
+    swept by `_frechet_block`. A pair over that budget on its own goes
+    through `_dfd_core`. Min and max are exact and the distances are the same
+    float64 operations, so neither the bounds nor batching changes a bit.
     """
-    out = [0.0] * len(ps)
-    order = sorted(range(len(ps)), key=lambda k: (len(ps[k]), len(qs[k])))
+    pairs = _pairs_of(points, p_start, n_p, q_rows, n_q)
+    out = np.empty(len(n_p))
+    order = np.lexsort((n_q, n_p))
     unresolved = []
-    for chunk, cells in _chunks(order, ps, qs):
+    for chunk, cells in _chunks(order, n_p, n_q):
         if cells > _FRECHET_CELLS:
-            for k in chunk:
-                out[k] = _dfd_core(ps[k], qs[k])
+            (k,) = chunk.tolist()
+            a, c = p_start[k], pairs.q_start[k]
+            out[k] = _dfd_core(pairs.xy[:, a : a + n_p[k]].T, pairs.xy[:, q_rows[c : c + n_q[k]]].T)
             continue
-        cps = [ps[k] for k in chunk]
-        cqs = [qs[k] for k in chunk]
-        lower, upper = _bounds(
-            *_pack(cps, cqs), np.array(list(map(len, cps))), np.array(list(map(len, cqs)))
-        )
-        for k, low, up in zip(chunk, lower.tolist(), upper.tolist()):
-            if low == up:
-                out[k] = low
-            else:
-                unresolved.append(k)
-    for chunk, _ in _chunks(unresolved, ps, qs):
-        for k, d in zip(chunk, _frechet_block([ps[k] for k in chunk], [qs[k] for k in chunk])):
-            out[k] = d
-    return out
+        lower, upper = _bounds(*_pack(pairs, chunk))
+        settled = lower == upper
+        out[chunk[settled]] = lower[settled]
+        unresolved.append(chunk[~settled])
+    if unresolved:
+        for chunk, _ in _chunks(np.concatenate(unresolved), n_p, n_q):
+            out[chunk] = _frechet_block(pairs, chunk)
+    return out.tolist()
 
 
 def discrete_frechet(p: PlanarPath | np.ndarray, q: PlanarPath | np.ndarray) -> float:

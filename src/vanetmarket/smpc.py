@@ -8,11 +8,11 @@ import math
 import operator
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence, Sized
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .privacy import _frechet_many, _full_paths, _similarity, path_similarity
+from .privacy import _frechet_rows, _full_paths, _similarity, path_similarity
 from .trajectories import GeoSample, PlanarPath, SpatioTemporalMap, Trajectory, _check_distinct
 from .trajectories import _Fleet, project_planar, subsample
 
@@ -53,11 +53,13 @@ def _check_server_count(s: int) -> None:
         raise ValueError(f"server count must be >= 1, got {s}")
 
 
-def _draw_servers(kept: Sequence[Sized], s: int, seed: int) -> list[np.ndarray]:
-    """The server each kept sample goes to: one uniform draw over s servers per
-    vehicle, in input order, from the seed's generator."""
+def _draw_servers(n: int, s: int, seed: int) -> np.ndarray:
+    """The server each of n kept samples goes to, in input order: uniform over
+    s servers, from the seed's generator, in one call. numpy draws the same
+    stream when that call is split into one per vehicle (a test pins this),
+    so it is the per-vehicle draw of `route_samples`' documented routing."""
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    return [rng.integers(0, s, size=len(sub)) for sub in kept]
+    return rng.integers(0, s, size=n)
 
 
 def route_samples(
@@ -74,22 +76,37 @@ def route_samples(
     kept = [subsample(traj, f_d) for traj in trajs]
     _check_distinct(sub.vehicle_id for sub in kept)
     inboxes = [ServerInbox(i) for i in range(s)]
-    for sub, picks in zip(kept, _draw_servers(kept, s, seed)):
-        for sample, pick in zip(sub.samples, picks.tolist()):
+    sizes = [len(sub) for sub in kept]
+    picks = np.split(_draw_servers(sum(sizes), s, seed), np.cumsum(sizes[:-1]))
+    for sub, servers in zip(kept, picks):
+        for sample, pick in zip(sub.samples, servers.tolist()):
             inboxes[pick].received.append((sub.vehicle_id, sample))
     return inboxes
 
 
-def _route(fleet: _Fleet, f_d: float, s: int, seed: int) -> tuple[list[_Fleet], int]:
+def _route(fleet: _Fleet, f_d: float, s: int, seed: int) -> list[_Fleet]:
     """`route_samples` over a fleet's rows: each server's kept rows, as a fleet
-    over the same tracks, and the number of kept rows. The draw is
-    `route_samples`' draw, so server i's rows are inbox i's samples."""
+    over the same tracks. The draw is `route_samples`' draw, so server i's
+    rows are inbox i's samples."""
     _check_server_count(s)
-    kept = fleet.kept(f_d)
-    rows = np.fromiter(chain.from_iterable(kept), dtype=np.intp)
-    rows += np.repeat(fleet.offsets[:-1], list(map(len, kept)))
-    servers = np.concatenate(_draw_servers(kept, s, seed))
-    return [fleet._rows(rows[servers == i]) for i in range(s)], len(rows)
+    rows = fleet._kept_rows(f_d)
+    servers = _draw_servers(len(rows), s, seed)
+    return [fleet._rows(rows[servers == i]) for i in range(s)]
+
+
+def _is_partition(servers: Sequence[_Fleet], fleet: _Fleet) -> bool:
+    """Whether the servers' rows, all together, are the fleet's rows, each
+    exactly once: the two multisets of (track, t, lat, lon) rows compared in
+    one sorted order."""
+
+    def sorted_rows(parts: Sequence[_Fleet]) -> np.ndarray:
+        rows = np.concatenate([
+            np.column_stack([np.repeat(np.arange(len(part.ids)), np.diff(part.offsets)), part.txy])
+            for part in parts
+        ])
+        return rows[np.lexsort(rows.T[::-1])]
+
+    return sorted_rows(servers).tobytes() == sorted_rows([fleet]).tobytes()
 
 
 def secret_share(x: int, n: int, seed: int | np.random.Generator = 0) -> list[int]:
@@ -240,8 +257,9 @@ def empirical_privacy_curve(
 
     Per f_d, each vehicle's kept samples are the rows of its projected full
     path that `subsample` keeps, and a capture is the rows its compromised
-    servers drew. Captures of fewer than 2 samples score 0; all others of one
-    f_d are scored in one `_frechet_many` batch. At s = n_compromised the
+    servers drew, one draw per round for the whole fleet. Captures of fewer
+    than 2 samples score 0; all others of one f_d are scored in one
+    `_frechet_rows` batch, as rows of the full paths. At s = n_compromised the
     adversary captures every kept sample whatever the seed, so that capture is
     scored once and counted for every seed."""
     fleet = _Fleet.of(trajs)
@@ -257,29 +275,39 @@ def empirical_privacy_curve(
             raise ValueError(f"n_compromised={n_compromised} invalid for s={s} servers")
     # Each vehicle's full path and diameter are the same for every (f_d, s, seed).
     fulls = _full_paths(fleet)
+    table = [full.path.points for full in fulls]
+    diameters = [full.diameter for full in fulls]
+    lengths = np.diff(fleet.offsets)
     points = []
     for f_d in f_d_values:
-        planar = [full.path.points[kept] for kept, full in zip(fleet.kept(f_d), fulls)]
-        # Per s, each capture as (vehicle index, captured rows).
-        rounds = []
-        for s in s_values:
-            if s == n_compromised:
-                rounds.append(list(enumerate(planar)))
-                continue
-            rounds.append([
-                (v, rows[servers < n_compromised])
-                for seed in seeds
-                for v, (rows, servers) in enumerate(zip(planar, _draw_servers(planar, s, seed)))
-            ])
-        scored = [(v, rows) for captures in rounds for v, rows in captures if len(rows) >= 2]
-        dists = iter(
-            _frechet_many([fulls[v].path.points for v, _ in scored], [rows for _, rows in scored])
-        )
-        for s, captures in zip(s_values, rounds):
-            sims = [
-                _similarity(next(dists), fulls[v].diameter) if len(rows) >= 2 else 0.0
-                for v, rows in captures
+        rows = fleet._kept_rows(f_d)
+        vehicle = np.searchsorted(fleet.offsets, rows, side="right") - 1
+        # Per s, each round's capture as a mask over the kept rows.
+        rounds = [
+            [np.ones(len(rows), dtype=bool)] if s == n_compromised
+            else [_draw_servers(len(rows), s, seed) < n_compromised for seed in seeds]
+            for s in s_values
+        ]
+        masks = list(chain.from_iterable(rounds))
+        counts = [np.bincount(vehicle[mask], minlength=len(fleet.ids)) for mask in masks]
+        scored = np.concatenate([np.flatnonzero(count >= 2) for count in counts])
+        captured = [rows[mask & (count >= 2)[vehicle]] for mask, count in zip(masks, counts)]
+        dists = iter(_frechet_rows(
+            table,
+            fleet.offsets[scored],
+            lengths[scored],
+            np.concatenate(captured),
+            np.concatenate([count[count >= 2] for count in counts]),
+        ))
+        scores = iter([
+            [
+                _similarity(next(dists), diameter) if n >= 2 else 0.0
+                for n, diameter in zip(count.tolist(), diameters)
             ]
+            for count in counts
+        ])
+        for s, captures in zip(s_values, rounds):
+            sims = list(chain.from_iterable(next(scores) for _ in captures))
             if s == n_compromised:
                 sims *= len(seeds)
             points.append(CurvePoint(float(f_d), int(s), math.fsum(sims) / len(sims)))

@@ -139,16 +139,30 @@ class _Fleet(NamedTuple):
         times = self.txy[:, 0].tolist()
         return [_kept_index(times[a:b], f_d, vid) for vid, a, b in self._spans()]
 
+    def _kept_rows(self, f_d: float) -> np.ndarray:
+        """The rows of txy that `kept` keeps at f_d, in increasing order."""
+        kept = self.kept(f_d)
+        rows = np.fromiter(chain.from_iterable(kept), dtype=np.intp)
+        rows += np.repeat(self.offsets[:-1], list(map(len, kept)))
+        return rows
 
-def _distances(px, py, qx, qy, out: np.ndarray | None = None) -> np.ndarray:
-    """Point distances sqrt(dx*dx + dy*dy) with p - q operands, broadcast over
-    the coordinate arrays: the one formula of `PlanarPath.diameter` and the
-    Fréchet kernels, so all read the same float64 for the same pair of points."""
+
+def _squared_distances(px, py, qx, qy, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared point distances dx*dx + dy*dy with p - q operands, broadcast
+    over the coordinate arrays."""
     dist = np.subtract(px, qx, out=out)
     dy = py - qy
     dist *= dist
     dy *= dy
     dist += dy
+    return dist
+
+
+def _distances(px, py, qx, qy, out: np.ndarray | None = None) -> np.ndarray:
+    """Point distances sqrt(dx*dx + dy*dy), the square root of
+    `_squared_distances`: the one formula of `PlanarPath.diameter` and the
+    Fréchet kernels, so all read the same float64 for the same pair of points."""
+    dist = _squared_distances(px, py, qx, qy, out=out)
     return np.sqrt(dist, out=dist)
 
 

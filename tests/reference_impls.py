@@ -35,7 +35,6 @@ from vanetmarket import (
 )
 from vanetmarket.optimize import _finalize
 from vanetmarket.privacy import _full_paths
-from vanetmarket.smpc import _draw_servers
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -240,9 +239,10 @@ def regrouped_partial_maps(trajs, f_d, s, seed, spec, count_mode="vehicles"):
 
 def per_seed_privacy_curve(trajs, f_d_values, s_values, n_compromised=1, seeds=(0,)):
     """`empirical_privacy_curve` one capture at a time: every (s, seed) draws
-    its servers, projects each vehicle's captured samples about its full
-    path's centroid, and scores them with `path_similarity`; a capture of
-    fewer than 2 samples scores 0."""
+    its servers one vehicle at a time from the seed's generator, projects
+    each vehicle's captured samples about its full path's centroid, and
+    scores them with `path_similarity`; a capture of fewer than 2 samples
+    scores 0."""
     fulls = _full_paths(trajs)
     points = []
     for f_d in f_d_values:
@@ -250,7 +250,9 @@ def per_seed_privacy_curve(trajs, f_d_values, s_values, n_compromised=1, seeds=(
         for s in s_values:
             sims = []
             for seed in seeds:
-                for sub, full, servers in zip(kept, fulls, _draw_servers(kept, s, seed)):
+                rng = np.random.default_rng(np.random.SeedSequence([seed]))
+                draws = [rng.integers(0, s, size=len(sub)) for sub in kept]
+                for sub, full, servers in zip(kept, fulls, draws):
                     samples = tuple(compress(sub.samples, (servers < n_compromised).tolist()))
                     if len(samples) < 2:
                         sims.append(0.0)

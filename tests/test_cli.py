@@ -7,7 +7,10 @@ import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanetmarket import Bounds, EconParams, LossModel, UtilityModel, cli, privacy, smpc
 from vanetmarket import DEFAULT_CALIBRATION_FREQS, calibrate_per_server_loss, parse_traces
@@ -316,6 +319,34 @@ class TestSimulateCommand:
         summary = json.loads((out / "simulation_summary.json").read_text())
         assert summary["n_routed_samples"] == 6 * 20
         assert summary["routing_partition_ok"] is True
+
+    @pytest.mark.parametrize("fault", ["drop", "repeat"])
+    def test_partition_check_catches_a_routing_fault(self, tmp_path, monkeypatch, fault):
+        # The check compares the servers' rows with the kept rows, so a split
+        # that loses or doubles a row fails it; which server holds a row does
+        # not matter.
+        route = cli._route
+
+        def faulty(fleet, f_d, s, seed):
+            servers = route(fleet, f_d, s, seed)
+            k = next(i for i, rows in enumerate(servers) if len(rows.txy))
+            n = len(servers[k].txy)
+            keep = np.arange(1, n) if fault == "drop" else np.arange(-1, n).clip(0)
+            servers[k] = servers[k]._rows(keep)
+            return servers
+
+        def reordered(fleet, f_d, s, seed):
+            return route(fleet, f_d, s, seed)[::-1]
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synthetic_vehicles": 6, "synthetic_duration": 20}))
+        argv = ["simulate", "--config", cfg, "--synthetic", "--s-values", "1,4", "--trials", 1]
+        for routing, ok in ((faulty, False), (reordered, True)):
+            monkeypatch.setattr(cli, "_route", routing)
+            out = tmp_path / routing.__name__
+            assert run([*argv, "--out", out]) == 0
+            summary = json.loads((out / "simulation_summary.json").read_text())
+            assert summary["routing_partition_ok"] is ok
 
     def test_keep_shares_flag(self, tmp_path):
         out = tmp_path / "ks"
@@ -820,6 +851,63 @@ class TestManifestAndConfig:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+
+
+# Values `_json_text` must write as json.dumps does: nested containers, empty
+# ones, non-ASCII and escaped text, bools next to ints, numpy floats.
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.text()
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    max_leaves=30,
+)
+# A dict's keys of one kind, which json sorts and writes as strings.
+JSON_KEYED = st.one_of(
+    st.dictionaries(kind, JSON_SCALARS, max_size=4)
+    for kind in (st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.booleans())
+)
+
+
+class TestJsonText:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(obj=JSON_VALUES | JSON_KEYED)
+    def test_same_bytes_as_json_dumps(self, obj):
+        want = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert _json_text(obj) == want
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            float("nan"),
+            float("inf"),
+            -float("inf"),
+            np.float64("nan"),
+            np.int64(3),
+            {"a": [1, np.int32(2)]},
+            {"k": {1.5: float("-inf")}},
+            {float("nan"): 1},
+            {(1, 2): 3},
+            {1: 1, "1": 2},
+            object(),
+        ],
+        ids=["nan", "inf", "-inf", "np-nan", "np-int", "nested-np-int", "key-inf-value",
+             "nan-key", "tuple-key", "mixed-keys", "object"],
+    )
+    def test_raises_where_json_dumps_raises(self, bad):
+        with pytest.raises((TypeError, ValueError)) as want:
+            json.dumps(bad, indent=2, sort_keys=True, allow_nan=False)
+        with pytest.raises(want.type) as got:
+            _json_text(bad)
+        assert str(got.value) == str(want.value)
 
 
 # sha256 of the gridding and utility-surface outputs for a 40-vehicle, 30-minute

@@ -215,111 +215,174 @@ class TestDiscreteFrechet:
         assert discrete_frechet(p, q) == discrete_frechet(PlanarPath(p), PlanarPath(q))
 
 
-@st.composite
-def frechet_pairs(draw):
-    """A (p, q) pair of 1–12 points each, either way round in length, with
-    coordinates on a 3 × 3 lattice (repeated points, zero distances and ties)
-    or spread over a 2 km square."""
-    if draw(st.booleans()):
-        coord = st.integers(0, 2).map(float)
-    else:
-        coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-    path = st.lists(st.tuples(coord, coord), min_size=1, max_size=12)
-    return tuple(np.array(draw(path), dtype=np.float64) for _ in range(2))
-
-
 def distances_bytes(dists):
     return np.array(dists, dtype=np.float64).tobytes()
 
 
+@st.composite
+def fleet_captures(draw):
+    """Full paths, some with stops (a point held over several rows), in one
+    table of points, and captures of them: each a strictly increasing set of
+    one path's rows, as the privacy curve draws them."""
+    coord = st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3, allow_nan=False)
+    paths = []
+    for _ in range(draw(st.integers(1, 4))):
+        points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=20, unique=True))
+        stops = st.lists(st.sampled_from([1, 1, 2, 4]), min_size=len(points), max_size=len(points))
+        paths.append(np.repeat(np.array(points), draw(stops), axis=0))
+    offsets = np.cumsum([0] + [len(p) for p in paths])
+    captures = []
+    for _ in range(draw(st.integers(0, 10))):
+        v = draw(st.integers(0, len(paths) - 1))
+        kept = draw(st.lists(st.booleans(), min_size=len(paths[v]), max_size=len(paths[v])))
+        rows = np.flatnonzero(kept) if any(kept) else np.array([len(paths[v]) - 1])
+        captures.append((v, offsets[v] + rows))
+    return paths, offsets, captures
+
+
+def row_args(pairs):
+    """`_frechet_rows`' arguments for (p, rows) pairs, q being p[rows]: the
+    table is the ps in order."""
+    ps = [p for p, _ in pairs]
+    n_p = np.array([len(p) for p in ps], dtype=np.intp)
+    starts = np.cumsum(n_p) - n_p
+    q_rows = [np.asarray(rows, dtype=np.intp) + a for (_, rows), a in zip(pairs, starts)]
+    n_q = np.array([len(rows) for rows in q_rows], dtype=np.intp)
+    return ps, starts, n_p, np.concatenate(q_rows), n_q
+
+
+def frechet_rows(pairs):
+    """`_frechet_rows` of a nonempty batch of (p, rows) pairs."""
+    return privacy._frechet_rows(*row_args(pairs))
+
+
 class TestFrechetMany:
-    """`_frechet_many` is bitwise `_dfd_core` on every pair, whatever the batch."""
+    """`_frechet_rows`, the batched kernel, is bitwise `_dfd_core` on every
+    pair, whatever the batch."""
 
     def test_bitwise_equal_to_dfd_core_on_drawn_batches(self, monkeypatch):
         blocks = []
+        anchored = []
         block = privacy._frechet_block
+        bounds = privacy._bounds
 
-        def counting_block(ps, qs):
-            blocks.append(len(ps))
-            return block(ps, qs)
+        def counting_block(pairs, chunk):
+            blocks.append(len(chunk))
+            return block(pairs, chunk)
+
+        def recording_bounds(pts, qts, n_p, n_q, anchor=None):
+            lower, upper = bounds(pts, qts, n_p, n_q, anchor)
+            if anchor is None:  # a pair of points: `_dfd_core` searches
+                return lower, upper
+            # Each q point sits at its anchor's row of p, so U is always finite.
+            for k, (a, m) in enumerate(zip(anchor, n_q)):
+                assert (pts[:, k, a[:m]] == qts[:, k, :m]).all()
+                assert (np.diff(a[:m]) > 0).all()
+            anchored.append(upper.tolist())
+            return lower, upper
 
         monkeypatch.setattr(privacy, "_frechet_block", counting_block)
-        reached = {"empty": 0, "one point": 0, "|p| < |q|": 0, "zero distance": 0,
-                   "chunk boundary": 0, "over budget alone": 0}
+        monkeypatch.setattr(privacy, "_bounds", recording_bounds)
+        reached = {"empty": 0, "|q| = 1": 0, "q = p": 0, "anchor not the first equal row": 0,
+                   "chunk boundary": 0, "swept": 0, "over budget alone": 0}
 
         # Budgets small enough to cut every batch into chunks, or to leave a
-        # single pair over budget, and the module's own.
+        # single pair over budget, and the module's own. A zero threshold
+        # sends every reference `_dfd_core` pair through the bounds' search
+        # for the first equal row, which a capture's own rows need not be.
         @settings(max_examples=200, deadline=None, derandomize=True)
         @given(
-            batch=st.lists(frechet_pairs(), max_size=16),
+            drawn=fleet_captures(),
             budget=st.sampled_from([1, 6, 30, 150, privacy._FRECHET_CELLS]),
+            threshold=st.sampled_from([0, privacy._BOUNDED_CELLS]),
         )
-        def check(batch, budget):
+        def check(drawn, budget, threshold):
+            paths, offsets, captures = drawn
             monkeypatch.setattr(privacy, "_FRECHET_CELLS", budget)
-            ps = [p for p, _ in batch]
-            qs = [q for _, q in batch]
+            monkeypatch.setattr(privacy, "_BOUNDED_CELLS", threshold)
+            points = np.concatenate(paths)  # the table `_frechet_rows` reads from `paths`
+            vehicles = np.array([v for v, _ in captures], dtype=np.intp)
+            n_q = np.array([len(rows) for _, rows in captures], dtype=np.intp)
+            q_rows = np.concatenate([rows for _, rows in captures] + [np.empty(0, np.intp)])
             blocks.clear()
+            anchored.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # whatever pytest's own filters say
-                got = privacy._frechet_many(ps, qs)
+                got = privacy._frechet_rows(
+                    paths, offsets[vehicles], np.diff(offsets)[vehicles], q_rows, n_q
+                )
+            assert all(upper < math.inf for chunk in anchored for upper in chunk)
             assert all(type(d) is float for d in got)
             assert distances_bytes(got) == distances_bytes(
-                [privacy._dfd_core(p, q) for p, q in batch]
+                [privacy._dfd_core(paths[v], points[rows]) for v, rows in captures]
             )
-            reached["empty"] += not batch
-            reached["one point"] += any(min(len(p), len(q)) == 1 for p, q in batch)
-            reached["|p| < |q|"] += any(len(p) < len(q) for p, q in batch)
-            reached["zero distance"] += any(
-                (p[:, None] == q[None]).all(axis=2).any() for p, q in batch
-            )
-            reached["chunk boundary"] += len(blocks) >= 2
-            reached["over budget alone"] += any(len(p) * len(q) > budget for p, q in batch)
+            reached["empty"] += not captures
+            reached["chunk boundary"] += len(anchored) >= 2
+            reached["swept"] += len(blocks) >= 1
+            for v, rows in captures:
+                local = rows - offsets[v]
+                first_equal = [
+                    np.flatnonzero((paths[v] == pt).all(axis=1))[0] for pt in points[rows]
+                ]
+                reached["anchor not the first equal row"] += first_equal != list(local)
+                reached["|q| = 1"] += len(rows) == 1 < len(paths[v])
+                reached["q = p"] += len(rows) == len(paths[v])
+                reached["over budget alone"] += len(paths[v]) * len(rows) > budget
 
         check()
         assert all(count >= 1 for count in reached.values()), reached
 
     def test_fleet_pairs_in_one_batch(self, fleet):
-        ps, qs = [], []
+        pairs = []
         for traj in fleet:
-            origin = traj.centroid()
-            full = project_planar(traj, origin=origin).points
-            for f in DEFAULT_CALIBRATION_FREQS:
-                ps.append(full)
-                qs.append(project_planar(subsample(traj, f), origin=origin).points)
-        want = [privacy._dfd_core(p, q) for p, q in zip(ps, qs)]
-        assert distances_bytes(privacy._frechet_many(ps, qs)) == distances_bytes(want)
-        assert distances_bytes(privacy._frechet_many(qs, ps)) == distances_bytes(
-            [privacy._dfd_core(q, p) for p, q in zip(ps, qs)]
-        )
+            full = project_planar(traj, origin=traj.centroid()).points
+            kept = trajectories._Fleet.of([traj])
+            pairs.extend((full, rows) for f in DEFAULT_CALIBRATION_FREQS for rows in kept.kept(f))
+        want = [privacy._dfd_core(p, p[rows]) for p, rows in pairs]
+        assert distances_bytes(frechet_rows(pairs)) == distances_bytes(want)
 
     def test_empty_batch(self):
-        assert privacy._frechet_many([], []) == []
+        none = np.empty(0, dtype=np.intp)
+        assert privacy._frechet_rows([np.zeros((3, 2))], none, none, none, none) == []
 
     @pytest.mark.parametrize("n_pairs", [8, 40])
-    def test_peak_memory_is_one_chunk(self, n_pairs):
+    def test_peak_memory_is_one_chunk(self, n_pairs, monkeypatch):
         # 8 pairs of 120 × 64 points fill one chunk (61,440 of 65,536 cells);
         # 40 such pairs run as 5 chunks in the same memory.
         assert privacy._FRECHET_CELLS == 1 << 16
+        swept = []
+        block = privacy._frechet_block
+
+        def counting_block(pairs, chunk):
+            swept.append(len(chunk))
+            return block(pairs, chunk)
+
+        monkeypatch.setattr(privacy, "_frechet_block", counting_block)
         rng = np.random.default_rng(26)
-        ps = [rng.uniform(-1e3, 1e3, size=(120, 2)) for _ in range(n_pairs)]
-        qs = [rng.uniform(-1e3, 1e3, size=(64, 2)) for _ in range(n_pairs)]
+        pairs = [
+            (rng.uniform(-1e3, 1e3, size=(120, 2)), np.sort(rng.choice(120, 64, replace=False)))
+            for _ in range(n_pairs)
+        ]
+        args = row_args(pairs)
         tracemalloc.start()
         try:
-            privacy._frechet_many(ps, qs)
+            privacy._frechet_rows(*args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert max(swept) == 8  # the sweep runs on full chunks
         # The padded distance block and one temporary, 8 bytes a cell, plus
-        # numpy's ufunc buffers: 1.22 MB measured.
+        # numpy's ufunc buffers: 1.27 MB (8 pairs) and 1.33 MB (40) measured.
         assert peak <= 3 * 8 * privacy._FRECHET_CELLS
 
 
 @st.composite
 def subset_pairs(draw):
-    """A (p, q) pair where q is p's rows at strictly increasing positions (the
-    form every pair the package scores takes), or an unrelated path, either
-    way round. p may hold runs of one repeated point (a stationary vehicle),
-    so that a column of the distance matrix holds several zeros."""
+    """A (p, q, rows) triple where q is p[rows], rows strictly increasing (the
+    form every pair the package scores takes), or (p, q, None) for an
+    unrelated path or a pair either way round. p may hold runs of one
+    repeated point (a stationary vehicle), so that a column of the distance
+    matrix holds several zeros."""
     coord = draw(st.sampled_from([
         st.integers(0, 4).map(float),  # ties and equal distances
         st.integers(-100, 100).map(float),
@@ -334,20 +397,27 @@ def subset_pairs(draw):
     n = len(p)
     kind = draw(st.sampled_from(["rows", "rows", "rows", "whole", "one", "unrelated"]))
     if kind == "whole":
-        q = p.copy()
+        rows = np.arange(n)
     elif kind == "one":
-        q = p[[draw(st.integers(0, n - 1))]]
+        rows = np.array([draw(st.integers(0, n - 1))])
     elif kind == "rows":
         kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        q = p[np.flatnonzero(kept)] if any(kept) else p[[n - 1]]
+        rows = np.flatnonzero(kept) if any(kept) else np.array([n - 1])
     else:
         q = np.array(draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=24)))
-    return (q, p) if draw(st.booleans()) else (p, q)
+        return (q, p, None) if draw(st.booleans()) else (p, q, None)
+    return (p[rows], p, None) if draw(st.booleans()) else (p, p[rows], rows)
+
+
+def packed(pairs):
+    """`_bounds`' arguments for a batch of (p, rows) pairs, as `_frechet_rows` packs them."""
+    return privacy._pack(privacy._pairs_of(*row_args(pairs)), np.arange(len(pairs)))
 
 
 def bounds_of(p, q):
-    """`_bounds` of one pair, as Python floats."""
-    lower, upper = privacy._bounds(*privacy._pack([p], [q]), np.array([len(p)]), np.array([len(q)]))
+    """`_bounds` of one pair of points, as `_dfd_core` takes them, as Python floats."""
+    n_p, n_q = np.array([len(p)]), np.array([len(q)])
+    lower, upper = privacy._bounds(p.T[:, None], q.T[:, None], n_p, n_q)
     return lower.item(), upper.item()
 
 
@@ -359,8 +429,8 @@ class TestFrechetBounds:
         seen = []
         bounds = privacy._bounds
 
-        def recording_bounds(pts, qts, n_p, n_q):
-            lower, upper = bounds(pts, qts, n_p, n_q)
+        def recording_bounds(pts, qts, n_p, n_q, anchor=None):
+            lower, upper = bounds(pts, qts, n_p, n_q, anchor)
             seen.extend(zip(lower.tolist(), upper.tolist()))
             return lower, upper
 
@@ -380,30 +450,35 @@ class TestFrechetBounds:
         def check(batch, row_block, threshold):
             monkeypatch.setattr(privacy, "_ROW_BLOCK", row_block)
             monkeypatch.setattr(privacy, "_BOUNDED_CELLS", threshold)
-            want = [scalar_dp_frechet(p, q) for p, q in batch]
+            want = [scalar_dp_frechet(p, q) for p, q, _ in batch]
+            by_rows = [(p, rows) for p, _, rows in batch if rows is not None]
             seen.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                core = [privacy._dfd_core(p, q) for p, q in batch]
-                many = privacy._frechet_many([p for p, _ in batch], [q for _, q in batch])
+                core = [privacy._dfd_core(p, q) for p, q, _ in batch]
+                many = frechet_rows(by_rows) if by_rows else []
             assert all(type(d) is float for d in core + many)
             assert distances_bytes(core) == distances_bytes(want)
-            assert distances_bytes(many) == distances_bytes(want)
-            for (p, q), d in zip(batch, want):
+            assert distances_bytes(many) == distances_bytes(
+                [d for (_, _, rows), d in zip(batch, want) if rows is not None]
+            )
+            for (p, q, _), d in zip(batch, want):
                 lower, upper = bounds_of(p, q)
                 assert lower <= d <= upper
-            # A batch's padding changes no pair's bounds.
-            lower, upper = privacy._bounds(
-                *privacy._pack([p for p, _ in batch], [q for _, q in batch]),
-                np.array([len(p) for p, _ in batch]), np.array([len(q) for _, q in batch]),
-            )
-            assert distances_bytes(lower) == distances_bytes([bounds_of(p, q)[0] for p, q in batch])
-            assert distances_bytes(upper) == distances_bytes([bounds_of(p, q)[1] for p, q in batch])
+            if by_rows:
+                # A batch's padding changes no pair's bounds, and q's own rows
+                # as anchors bound d_F too.
+                lower, upper = privacy._bounds(*packed(by_rows))
+                alone = [privacy._bounds(*packed([pair])) for pair in by_rows]
+                assert distances_bytes(lower) == distances_bytes([lo.item() for lo, _ in alone])
+                assert distances_bytes(upper) == distances_bytes([up.item() for _, up in alone])
+                rows_want = [d for (_, _, rows), d in zip(batch, want) if rows is not None]
+                assert (lower <= rows_want).all() and (rows_want <= upper).all()
 
             reached["settled"] += any(lo == up for lo, up in seen)
             reached["pruned DP"] += any(lo < up < math.inf for lo, up in seen)
             reached["no finite U"] += any(up == math.inf for _, up in seen)
-            for p, q in batch:
+            for p, q, _ in batch:
                 rows = [np.flatnonzero((p == point).all(axis=1)) for point in q]
                 subset = all(len(r) for r in rows)
                 swapped = not subset and all(len(np.flatnonzero((q == pt).all(axis=1))) for pt in p)
@@ -429,7 +504,7 @@ class TestFrechetBounds:
         assert want == math.hypot(8.9, 0.0)
         lower, upper = bounds_of(p, q)
         assert lower <= want == upper
-        assert distances_bytes(privacy._frechet_many([p], [q])) == distances_bytes([want])
+        assert distances_bytes(frechet_rows([(p, [0, 3])])) == distances_bytes([want])
 
     def test_pair_longer_than_row_block_on_row_subsets(self):
         # A walk with stops, past two row blocks, against kept rows of it and
@@ -439,13 +514,15 @@ class TestFrechetBounds:
         steps[rng.random(len(steps)) < 0.1] = 0.0
         p = np.cumsum(steps, axis=0)
         for keep in (slice(None, None, 9), slice(5, -3, 17)):
-            q = p[keep]
+            rows = np.arange(len(p))[keep]
+            q = p[rows]
             for a, b in ((p, q), (q, p)):
                 want = scalar_dp_frechet(a, b)
                 lower, upper = bounds_of(a, b)
                 assert lower <= want <= upper
                 assert distances_bytes([privacy._dfd_core(a, b)]) == distances_bytes([want])
-                assert distances_bytes(privacy._frechet_many([a], [b])) == distances_bytes([want])
+            want = scalar_dp_frechet(p, q)
+            assert distances_bytes(frechet_rows([(p, rows)])) == distances_bytes([want])
 
     def test_bounds_meet_on_most_subsampled_fleet_paths(self, fleet):
         settled = total = 0

@@ -87,8 +87,26 @@ def not_an_integer(s):
     return f"server count must be an integer, got {re.escape(repr(s))}$"
 
 
-def no_thinning(times, f_d, vehicle_id):
+def no_thinning(*args):
     raise AssertionError("thinning started before the server count was checked")
+
+
+class TestServerDraw:
+    """`_draw_servers` makes one numpy call per round; the routing it stands
+    for draws one vehicle at a time from the same generator."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 8, 2**32, 2**32 + 1, 2**40])
+    def test_one_call_is_the_per_vehicle_draws(self, s):
+        rng = np.random.default_rng(41)
+        size_lists = [[0], [5], [0, 0, 3], [3, 0, 0], [1] * 9] + [
+            rng.integers(0, 6, size=int(rng.integers(1, 12))).tolist() for _ in range(40)
+        ]
+        for seed, sizes in enumerate(size_lists):
+            per_vehicle = np.random.default_rng(np.random.SeedSequence([seed]))
+            want = [per_vehicle.integers(0, s, size=n) for n in sizes]
+            got = smpc._draw_servers(sum(sizes), s, seed)
+            assert got.dtype == np.int64
+            assert got.tobytes() == np.concatenate(want).tobytes(), (s, sizes)
 
 
 class TestRouting:
@@ -162,11 +180,12 @@ class TestRouteFleet:
     @pytest.mark.parametrize("f_d, s, bbox", ROUTE_CASES)
     def test_partial_maps_equal_the_inbox_regroup(self, small_fleet, count_mode, f_d, s, bbox):
         spec = GridSpec(bbox)
-        servers, n_kept = smpc._route(trajectories._Fleet.of(small_fleet), f_d, s, seed=6)
+        servers = smpc._route(trajectories._Fleet.of(small_fleet), f_d, s, seed=6)
         got = [trajectories.build_map(rows, spec, count_mode) for rows in servers]
         want = regrouped_partial_maps(small_fleet, f_d, s, 6, spec, count_mode)
         assert [list(p.counts.items()) for p in got] == [list(p.counts.items()) for p in want]
         assert [p.dropped_outside for p in got] == [p.dropped_outside for p in want]
+        n_kept = sum(len(rows.txy) for rows in servers)
         assert n_kept == sum(len(subsample(t, f_d)) for t in small_fleet)
         if bbox != SPEC.bbox:
             assert sum(p.dropped_outside for p in want) > 0
@@ -175,7 +194,7 @@ class TestRouteFleet:
 
     @pytest.mark.parametrize("f_d, s", [(f_d, s) for f_d, s, _ in ROUTE_CASES])
     def test_server_rows_are_the_inbox_samples(self, small_fleet, f_d, s):
-        servers, _ = smpc._route(trajectories._Fleet.of(small_fleet), f_d, s, seed=2)
+        servers = smpc._route(trajectories._Fleet.of(small_fleet), f_d, s, seed=2)
         inboxes = route_samples(small_fleet, f_d, s, seed=2)
         assert len(servers) == len(inboxes) == s
         for rows, inbox in zip(servers, inboxes):
@@ -190,7 +209,7 @@ class TestRouteFleet:
     @pytest.mark.parametrize("s", NON_INTEGER_SERVER_COUNTS)
     def test_non_integer_server_count_rejected_before_any_work(self, small_fleet, monkeypatch, s):
         fleet = trajectories._Fleet.of(small_fleet)
-        monkeypatch.setattr(trajectories, "_kept_index", no_thinning)
+        monkeypatch.setattr(trajectories._Fleet, "_kept_rows", no_thinning)
         with pytest.raises(ValueError, match=not_an_integer(s)):
             smpc._route(fleet, 1.0, s, seed=0)
 
@@ -459,16 +478,16 @@ class TestEmpiricalCurve:
     def test_subsamples_each_vehicle_once_per_frequency(self, small_fleet, monkeypatch):
         calls = []
 
-        kept_index = trajectories._kept_index
+        kept_rows = trajectories._Fleet._kept_rows
 
-        def counting(times, f_d, vehicle_id):
-            calls.append((vehicle_id, f_d))
-            return kept_index(times, f_d, vehicle_id)
+        def counting(fleet, f_d):
+            calls.extend((vehicle_id, f_d) for vehicle_id in fleet.ids)
+            return kept_rows(fleet, f_d)
 
         def no_subsample(traj, f_d):
             raise AssertionError("the curve built a subsampled trajectory")
 
-        monkeypatch.setattr(trajectories, "_kept_index", counting)
+        monkeypatch.setattr(trajectories._Fleet, "_kept_rows", counting)
         monkeypatch.setattr(smpc, "subsample", no_subsample)
         f_d_values = (0.5, 0.25, 0.2)
         empirical_privacy_curve(small_fleet, f_d_values, [1, 2, 4], n_compromised=1, seeds=[0, 1])
@@ -507,35 +526,35 @@ class TestEmpiricalCurve:
     def test_captures_of_one_sample_start_no_frechet_work(self, small_fleet, monkeypatch):
         batches = []
 
-        def recording(ps, qs):
-            batches.append([len(q) for q in qs])
-            return privacy._frechet_many(ps, qs)
+        def recording(points, p_start, n_p, q_rows, n_q):
+            batches.append(n_q.tolist())
+            return privacy._frechet_rows(points, p_start, n_p, q_rows, n_q)
 
-        monkeypatch.setattr(smpc, "_frechet_many", recording)
+        monkeypatch.setattr(smpc, "_frechet_rows", recording)
         f_d, s_values, seeds = 0.1, [4, 8], [0, 1, 2]
         empirical_privacy_curve(small_fleet, [f_d], s_values, n_compromised=1, seeds=seeds)
-        kept = [subsample(t, f_d) for t in small_fleet]
+        sizes = [len(subsample(t, f_d)) for t in small_fleet]
         captured = [
             int((servers < 1).sum())
             for s in s_values
             for seed in seeds
-            for servers in smpc._draw_servers(kept, s, seed)
+            for servers in np.split(smpc._draw_servers(sum(sizes), s, seed), np.cumsum(sizes)[:-1])
         ]
         assert 1 in captured  # the case is reached, not just allowed for
         assert batches == [[n for n in captured if n >= 2]]
 
     def test_server_counts_checked_before_any_work(self, small_fleet, monkeypatch):
-        def no_subsample(times, f_d, vehicle_id):
+        def no_subsample(fleet, f_d):
             raise AssertionError("subsampling started before the server counts were checked")
 
-        monkeypatch.setattr(trajectories, "_kept_index", no_subsample)
+        monkeypatch.setattr(trajectories._Fleet, "_kept_rows", no_subsample)
         with pytest.raises(ValueError, match="n_compromised=2 invalid for s=1"):
             empirical_privacy_curve(small_fleet, [0.5], [4, 1], n_compromised=2)
 
     @pytest.mark.parametrize("s", NON_INTEGER_SERVER_COUNTS)
     def test_non_integer_server_count_rejected_before_any_work(self, small_fleet, monkeypatch, s):
         # 2.5 once drew servers from {0, 1} and was reported as s = 2.
-        monkeypatch.setattr(trajectories, "_kept_index", no_thinning)
+        monkeypatch.setattr(trajectories._Fleet, "_kept_rows", no_thinning)
         with pytest.raises(ValueError, match=not_an_integer(s)):
             empirical_privacy_curve(small_fleet, [0.5], [4, s])
 
