@@ -316,7 +316,8 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
     # One full routing + secure-aggregation round at the native rate: each
     # server grids the fleet rows the curve's draw sent it.
     s_demo = max(config.sim_s_values)
-    servers = _route(fleet, 1.0, s_demo, config.seed)
+    kept = fleet._kept_rows(1.0)
+    servers = _route(fleet, kept, s_demo, config.seed)
     partials = [build_map(rows, spec, config.count_mode) for rows in servers]
     transcript = aggregate_secure(partials, seed=config.seed)
 
@@ -324,9 +325,9 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> dict[str, str]:
         "n_vehicles": len(fleet.ids),
         "n_servers": s_demo,
         "n_routed_samples": sum(len(rows.txy) for rows in servers),
-        # The servers' rows against the kept rows, as `_route` thins them:
-        # this checks the draw's split, not the thinning.
-        "routing_partition_ok": _is_partition(servers, fleet._rows(fleet._kept_rows(1.0))),
+        # The servers' rows against the kept rows they were drawn from: this
+        # checks the draw's split, not the thinning.
+        "routing_partition_ok": _is_partition(servers, fleet._rows(kept)),
         "aggregated_cells": len(transcript.reconstructed.counts),
         "seeds": seeds,
     }

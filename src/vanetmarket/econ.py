@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,41 +82,58 @@ def _check_point(c1: float, f_d: float, s: float) -> None:
         raise ValueError(f"server count must be >= 1, got {s}")
 
 
-def _profit_parts(
-    params: EconParams, c1: float, f_d: float, s: float
-) -> tuple[float, float, float, float]:
-    """(utility, server cost, payments, profit) in one straight line.
+def _profit_function(
+    params: EconParams,
+) -> Callable[[float, float, float], tuple[float, float, float, float]]:
+    """(c1, f_d, s) -> (utility, server cost, payments, profit) for these
+    parameters, in one straight line.
 
+    Every parameter is read and both mode branches are settled once, here.
     Every term is bitwise equal to composing the scalar helper chain of
     `tests/reference_impls.py` (clamped loss, log-normal participation,
-    utility, per-server cost). `profit_slabs` is the same formula over arrays.
+    utility, per-server cost). Each min/max is written as the conditional
+    that picks what the builtin picks, NaN included. `profit_slabs` is the
+    same formula over arrays.
     """
-    _check_point(c1, f_d, s)
-    loss = params.loss
-    raw = 1.0 - math.exp(-loss.k * f_d / s) - math.exp(-loss.p * f_d) - math.exp(-loss.q / s)
-    ratio = c1 * f_d / min(1.0, max(loss.eps_clamp, raw))
-    if ratio <= 0:
-        share = 0.0
-    elif params.participation_model == "cdf":
-        share = 0.5 * (1.0 + math.erf((math.log(ratio) - params.mu) / params.sigma / _SQRT2))
-    else:
-        sigma = params.sigma
-        z = (math.log(ratio) - params.mu) / sigma
-        try:
-            share = math.exp(-0.5 * z * z) / (ratio * sigma * _SQRT_2PI)
-        except ZeroDivisionError:
-            raise ZeroDivisionError(
-                f"pdf participation: ratio * sigma underflows to 0 at (c1, f_d, s) = {(c1, f_d, s)}"
-            ) from None
-    V = params.V
-    v = min(max(V * share, 0.0), V)
-    utility_model = params.utility
-    utility = utility_model.alpha * (1.0 - math.exp(-utility_model.beta * v * f_d))
-    server = params.c2 * v * f_d / s + params.c3
-    if params.server_cost_model == "total_times_s":
-        server *= s
-    payments = c1 * v * f_d
-    return utility, server, payments, utility - server - payments
+    loss, utility_model = params.loss, params.utility
+    neg_k, neg_p, neg_q, eps = -loss.k, -loss.p, -loss.q, loss.eps_clamp
+    mu, sigma, V = params.mu, params.sigma, params.V
+    alpha, neg_beta = utility_model.alpha, -utility_model.beta
+    c2, c3 = params.c2, params.c3
+    cdf = params.participation_model == "cdf"
+    times_s = params.server_cost_model == "total_times_s"
+    exp, log, erf = math.exp, math.log, math.erf
+
+    def parts(c1: float, f_d: float, s: float) -> tuple[float, float, float, float]:
+        if not (c1 >= 0 and f_d > 0 and s >= 1):  # NaN fails too
+            _check_point(c1, f_d, s)
+        raw = 1.0 - exp(neg_k * f_d / s) - exp(neg_p * f_d) - exp(neg_q / s)
+        clamped = raw if raw > eps else eps  # min(1.0, max(eps, raw))
+        ratio = c1 * f_d / (clamped if clamped < 1.0 else 1.0)
+        if ratio <= 0:
+            share = 0.0
+        elif cdf:
+            share = 0.5 * (1.0 + erf((log(ratio) - mu) / sigma / _SQRT2))
+        else:
+            z = (log(ratio) - mu) / sigma
+            try:
+                share = exp(-0.5 * z * z) / (ratio * sigma * _SQRT_2PI)
+            except ZeroDivisionError:
+                raise ZeroDivisionError(
+                    "pdf participation: ratio * sigma underflows to 0 at"
+                    f" (c1, f_d, s) = {(c1, f_d, s)}"
+                ) from None
+        v = V * share
+        v = 0.0 if 0.0 > v else v  # min(max(v, 0.0), V)
+        v = V if V < v else v
+        utility = alpha * (1.0 - exp(neg_beta * v * f_d))
+        server = c2 * v * f_d / s + c3
+        if times_s:
+            server *= s
+        payments = c1 * v * f_d
+        return utility, server, payments, utility - server - payments
+
+    return parts
 
 
 def _libm(f, a: np.ndarray) -> np.ndarray:
@@ -131,7 +148,7 @@ def profit_slabs(
 
     Cell [j, k] of slab i is bitwise `profit(params, c1s[i], f_ds[j], ss[k])`.
     numpy does only what IEEE 754 rounds exactly (+, -, *, /, comparisons and
-    selections), in `_profit_parts`' operand order; every exp, log and erf goes
+    selections), in `_profit_function`'s operand order; every exp, log and erf goes
     through libm, because numpy's own differ from it and vary with the CPU.
     The clamped loss is computed once on the (f_d, s) plane, so memory is a
     few planes whatever len(c1s) is. Raises what the scalar loop over the
@@ -174,7 +191,7 @@ def profit_slabs(
                 denominator = r * params.sigma * _SQRT_2PI
                 if not denominator.all():  # raise as the scalar loop does at its first zero
                     j, k = np.argwhere(live)[np.argmin(denominator)]
-                    _profit_parts(params, c1, f_ds[j], ss[k])
+                    _profit_function(params)(c1, f_ds[j], ss[k])
                 part = _libm(math.exp, -0.5 * z * z) / denominator
             share = np.zeros(ratio.shape)
             share[live] = part
@@ -195,11 +212,11 @@ def profit_terms(params: EconParams, c1: float, f_d: float, s: float) -> ProfitB
 
     The decomposition is exact: profit = utility - server_cost - payments.
     """
-    return ProfitBreakdown(*_profit_parts(params, c1, f_d, s))
+    return ProfitBreakdown(*_profit_function(params)(c1, f_d, s))
 
 
 def profit(params: EconParams, c1: float, f_d: float, s: float) -> float:
-    return _profit_parts(params, c1, f_d, s)[3]
+    return _profit_function(params)(c1, f_d, s)[3]
 
 
 def validate_params(params: EconParams, c1: float, s: float) -> list[str]:

@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .econ import EconParams, profit, profit_slabs
+from .econ import EconParams, _profit_function, profit, profit_slabs
 
 SWEEPABLE = ("c2", "c3", "beta", "V", "sigma")
 
@@ -333,6 +333,7 @@ def _run_start(task: _Task) -> _Outcome:
     endpoint; the better of the two is kept."""
     params, bounds, lower, upper, z0 = task
     c1_lo, c1_hi = float(bounds.c1[0]), float(bounds.c1[1])
+    profit_parts = _profit_function(params)  # built here: a closure does not pickle
 
     def objective(z: tuple[float, float, float]) -> float:
         # nelder_mead passes only points in [lower, upper] (it clips every
@@ -341,7 +342,7 @@ def _run_start(task: _Task) -> _Outcome:
         log_c1, f_d, s = z
         c1 = math.exp(log_c1)
         c1 = c1_lo if c1 < c1_lo else c1_hi if c1 > c1_hi else c1
-        return profit(params, c1, f_d, s)
+        return profit_parts(c1, f_d, s)[3]
 
     result = nelder_mead(objective, z0, lower, upper)
     restarted = nelder_mead(objective, result.x, lower, upper)

@@ -84,12 +84,11 @@ def route_samples(
     return inboxes
 
 
-def _route(fleet: _Fleet, f_d: float, s: int, seed: int) -> list[_Fleet]:
-    """`route_samples` over a fleet's rows: each server's kept rows, as a fleet
-    over the same tracks. The draw is `route_samples`' draw, so server i's
-    rows are inbox i's samples."""
+def _route(fleet: _Fleet, rows: np.ndarray, s: int, seed: int) -> list[_Fleet]:
+    """`route_samples` over a fleet's kept rows (`fleet._kept_rows(f_d)`):
+    each server's share of them, as a fleet over the same tracks. The draw is
+    `route_samples`' draw, so server i's rows are inbox i's samples."""
     _check_server_count(s)
-    rows = fleet._kept_rows(f_d)
     servers = _draw_servers(len(rows), s, seed)
     return [fleet._rows(rows[servers == i]) for i in range(s)]
 

@@ -473,11 +473,17 @@ def _kept_index(times: Sequence[float], f_d: float, vehicle_id: str) -> list[int
     kept = []
     n_target = 0
     due = t0 + n_target * period - 1e-9
-    for i, t in enumerate(times):
-        if t >= due:
-            kept.append(i)
-            n_target = math.floor((t - t0) / period + 1e-9) + 1
-            due = t0 + n_target * period - 1e-9
+    try:
+        for i, t in enumerate(times):
+            if t >= due:
+                kept.append(i)
+                n_target = math.floor((t - t0) / period + 1e-9) + 1
+                due = t0 + n_target * period - 1e-9
+    except OverflowError:  # math.floor of an infinite count of periods
+        raise ValueError(
+            f"vehicle {vehicle_id!r}: sampling frequency {f_d} is too high for its track:"
+            f" the periods 1/f_d from {t0} to {times[-1]} overflow a float"
+        ) from None
     last = len(times) - 1
     if kept[-1] != last:
         kept.append(last)

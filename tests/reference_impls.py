@@ -1,7 +1,7 @@
 """Scalar reference implementations that the package's fused or array code is
 checked against, bitwise where the tests say so.
 
-The package computes profit in one straight line (`econ._profit_parts`),
+The package computes profit in one straight line (`econ._profit_function`),
 evaluates the certifying grid over arrays (`econ.profit_slabs`), projects
 and grids samples over arrays (`trajectories.project_planar`,
 `trajectories.build_map`), counts the utility surface

@@ -151,6 +151,29 @@ class TestCalibrateCommands:
         assert "1e-320" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("calibrate-loss", "calibration_freqs"),
+            ("simulate", "calibration_freqs"),
+            ("calibrate-utility", "surface_freqs"),
+        ],
+    )
+    def test_frequency_whose_period_count_overflows_is_named(self, tmp_path, capsys, command, key):
+        # 1e307 has a finite period, which _check_freqs accepts, but a
+        # 30-minute track holds more periods than a float counts.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({key: [0.5, 1e307], "synthetic_vehicles": 3, "synthetic_duration": 30})
+        )
+        out = tmp_path / "c"
+        assert run([command, "--synthetic", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: vehicle 'v000")
+        assert "sampling frequency 1e+307 is too high for its track" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestOptimizeCommand:
     def test_solution_and_reference_block(self, tmp_path):
@@ -327,16 +350,16 @@ class TestSimulateCommand:
         # not matter.
         route = cli._route
 
-        def faulty(fleet, f_d, s, seed):
-            servers = route(fleet, f_d, s, seed)
+        def faulty(fleet, rows, s, seed):
+            servers = route(fleet, rows, s, seed)
             k = next(i for i, rows in enumerate(servers) if len(rows.txy))
             n = len(servers[k].txy)
             keep = np.arange(1, n) if fault == "drop" else np.arange(-1, n).clip(0)
             servers[k] = servers[k]._rows(keep)
             return servers
 
-        def reordered(fleet, f_d, s, seed):
-            return route(fleet, f_d, s, seed)[::-1]
+        def reordered(fleet, rows, s, seed):
+            return route(fleet, rows, s, seed)[::-1]
 
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"synthetic_vehicles": 6, "synthetic_duration": 20}))

@@ -35,7 +35,13 @@ from vanetmarket import (
     validate_params,
 )
 from vanetmarket.config import RunConfig
-from vanetmarket.econ import PARTICIPATION_MODELS, SERVER_COST_MODELS, profit_slabs
+from vanetmarket.econ import (
+    PARTICIPATION_MODELS,
+    SERVER_COST_MODELS,
+    _check_point,
+    _profit_function,
+    profit_slabs,
+)
 
 T1 = (3.57e-6, 7.31, 15.12)
 
@@ -334,6 +340,34 @@ class TestStraightLineProfit:
             with pytest.raises(ValueError) as fused:
                 evaluate(EconParams(), c1, f_d, s)
             assert str(fused.value) == str(chain.value)
+
+    @pytest.mark.parametrize(
+        "c1, f_d, s, name",
+        [
+            (-1e-6, 0.0, 0.5, "c1"),
+            (math.nan, math.nan, math.nan, "c1"),
+            (1e-6, 0.0, 0.5, "f_d"),
+            (0.0, math.nan, math.nan, "f_d"),
+            (1e-6, 1.0, 0.5, "server count"),
+            (0.0, 1.0, math.nan, "server count"),
+        ],
+    )
+    def test_compiled_function_checks_the_point_in_order(self, c1, f_d, s, name):
+        # One combined test, then _check_point's message: c1, then f_d, then s.
+        with pytest.raises(ValueError) as check:
+            _check_point(c1, f_d, s)
+        assert str(check.value).startswith(f"{name} must be ")
+        compiled = _profit_function(EconParams())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(check.value))}$"):
+            compiled(c1, f_d, s)
+
+    def test_compiled_function_names_the_pdf_underflow(self):
+        params = EconParams(participation_model="pdf_as_written", sigma=1e-12)
+        message = (
+            "pdf participation: ratio * sigma underflows to 0 at (c1, f_d, s) = (5e-324, 1.0, 1.0)"
+        )
+        with pytest.raises(ZeroDivisionError, match=f"^{re.escape(message)}$"):
+            _profit_function(params)(5e-324, 1.0, 1.0)
 
 
 @st.composite

@@ -592,6 +592,33 @@ class TestOptimizeProfit:
         sol = optimize_profit(self.params.with_modes(*modes), seed=0)
         assert sol.profit_star >= self.BEST_KNOWN[modes] - 1e-9
 
+    @pytest.mark.parametrize("modes", ALL_MODES, ids="-".join)
+    def test_every_search_evaluation_is_bitwise_profit(self, modes, monkeypatch):
+        # The search compiles the profit once per start; every point it
+        # evaluates, restarts included, must get the bits `profit` gives.
+        params = self.params.with_modes(*modes)
+        seen = []
+
+        def recording(objective, x0, lower, upper):
+            def tracked(z):
+                value = objective(z)
+                seen.append((z, value))
+                return value
+
+            return nelder_mead(tracked, x0, lower, upper)
+
+        monkeypatch.setattr(optimize_module, "nelder_mead", recording)
+        # Forked workers would record into their own copies of `seen`.
+        monkeypatch.setattr(optimize_module, "_cpu_count", lambda: 1)
+        sol = optimize_profit(params, seed=0)
+        assert len(seen) == sol.n_evaluations
+        differ = [
+            (z, value)
+            for z, value in seen
+            if value.hex() != profit(params, *DEFAULT_BOUNDS.clip(math.exp(z[0]), z[1], z[2])).hex()
+        ]
+        assert differ == []
+
     def test_flat_objective_still_converges(self):
         # alpha tiny and a degenerate-width payment box: profit barely varies
         params = EconParams(utility=UtilityModel(alpha=1e-12, beta=1e-9))

@@ -91,6 +91,10 @@ def no_thinning(*args):
     raise AssertionError("thinning started before the server count was checked")
 
 
+def no_drawing(*args):
+    raise AssertionError("the draw started before the server count was checked")
+
+
 class TestServerDraw:
     """`_draw_servers` makes one numpy call per round; the routing it stands
     for draws one vehicle at a time from the same generator."""
@@ -180,7 +184,8 @@ class TestRouteFleet:
     @pytest.mark.parametrize("f_d, s, bbox", ROUTE_CASES)
     def test_partial_maps_equal_the_inbox_regroup(self, small_fleet, count_mode, f_d, s, bbox):
         spec = GridSpec(bbox)
-        servers = smpc._route(trajectories._Fleet.of(small_fleet), f_d, s, seed=6)
+        fleet = trajectories._Fleet.of(small_fleet)
+        servers = smpc._route(fleet, fleet._kept_rows(f_d), s, seed=6)
         got = [trajectories.build_map(rows, spec, count_mode) for rows in servers]
         want = regrouped_partial_maps(small_fleet, f_d, s, 6, spec, count_mode)
         assert [list(p.counts.items()) for p in got] == [list(p.counts.items()) for p in want]
@@ -194,7 +199,8 @@ class TestRouteFleet:
 
     @pytest.mark.parametrize("f_d, s", [(f_d, s) for f_d, s, _ in ROUTE_CASES])
     def test_server_rows_are_the_inbox_samples(self, small_fleet, f_d, s):
-        servers = smpc._route(trajectories._Fleet.of(small_fleet), f_d, s, seed=2)
+        fleet = trajectories._Fleet.of(small_fleet)
+        servers = smpc._route(fleet, fleet._kept_rows(f_d), s, seed=2)
         inboxes = route_samples(small_fleet, f_d, s, seed=2)
         assert len(servers) == len(inboxes) == s
         for rows, inbox in zip(servers, inboxes):
@@ -203,15 +209,17 @@ class TestRouteFleet:
             assert received == inbox.received
 
     def test_server_count_validation(self, small_fleet):
+        fleet = trajectories._Fleet.of(small_fleet)
         with pytest.raises(ValueError, match="server count must be >= 1, got 0"):
-            smpc._route(trajectories._Fleet.of(small_fleet), 1.0, 0, seed=0)
+            smpc._route(fleet, fleet._kept_rows(1.0), 0, seed=0)
 
     @pytest.mark.parametrize("s", NON_INTEGER_SERVER_COUNTS)
     def test_non_integer_server_count_rejected_before_any_work(self, small_fleet, monkeypatch, s):
         fleet = trajectories._Fleet.of(small_fleet)
-        monkeypatch.setattr(trajectories._Fleet, "_kept_rows", no_thinning)
+        rows = fleet._kept_rows(1.0)
+        monkeypatch.setattr(smpc, "_draw_servers", no_drawing)
         with pytest.raises(ValueError, match=not_an_integer(s)):
-            smpc._route(fleet, 1.0, s, seed=0)
+            smpc._route(fleet, rows, s, seed=0)
 
 
 class TestSecretSharing:

@@ -557,6 +557,22 @@ class TestSubsample:
         with pytest.raises(ValueError, match=f"sampling frequency.*{f_d}"):
             trajectories._Fleet.of([traj]).kept(f_d)
 
+    def test_frequency_whose_period_count_overflows_is_named(self):
+        # 1/1e307 is a finite period, but 29 minutes hold more of them than a
+        # float counts, where math.floor raised OverflowError; 4 minutes do not.
+        short, long = moving_traj(range(5), vid="v6"), moving_traj(range(30), vid="v7")
+        assert _kept_index([s.t for s in short.samples], 1e307, "v6") == [0, 1, 2, 3, 4]
+        message = re.escape(
+            "vehicle 'v7': sampling frequency 1e+307 is too high for its track:"
+            " the periods 1/f_d from 0.0 to 29.0 overflow a float"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _kept_index([s.t for s in long.samples], 1e307, "v7")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            trajectories._Fleet.of([short, long]).kept(1e307)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            subsample(long, 1e307)
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             subsample(make_traj([0]), 1.0)
