@@ -3,8 +3,11 @@ multi-start, a brute-force grid certifier, and parameter sensitivity sweeps."""
 
 from __future__ import annotations
 
+import io
 import math
 import os
+import pickle
+import sys
 from dataclasses import asdict, dataclass, replace
 from itertools import product
 from typing import Callable, NamedTuple, Sequence
@@ -296,7 +299,7 @@ def _latin_hypercube(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 
 
 class _Task(NamedTuple):
-    """One start pair of the market search; picklable, so a worker can run it."""
+    """One start pair of the market search."""
 
     params: EconParams
     bounds: Bounds
@@ -333,7 +336,7 @@ def _run_start(task: _Task) -> _Outcome:
     endpoint; the better of the two is kept."""
     params, bounds, lower, upper, z0 = task
     c1_lo, c1_hi = float(bounds.c1[0]), float(bounds.c1[1])
-    profit_parts = _profit_function(params)  # built here: a closure does not pickle
+    profit_parts = _profit_function(params)  # compiled once per start pair
 
     def objective(z: tuple[float, float, float]) -> float:
         # nelder_mead passes only points in [lower, upper] (it clips every
@@ -361,31 +364,145 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _fork_map(function: Callable, items: Sequence, workers: int) -> list:
+    """`list(map(function, items))` on this process and `workers - 1` forked
+    children, results in item order.
+
+    Every process takes the next item index from one token: eight bytes in a
+    pipe, read by one process and written back one higher, so items go out one
+    at a time to whichever process is free. Each child sends pickled
+    (index, ok, result or exception) records over a pipe of its own, which
+    this process reads while it waits for the token and after its own work.
+
+    After an exception no process takes a new item, and the exception of the
+    lowest index is raised: the one the serial map raises. A child that ends
+    without reporting all its items is a ChildProcessError naming its pid and
+    wait status. On every way out, this process kills any unfinished child
+    and reaps every child.
+    """
+    import select
+
+    n = len(items)
+    done: dict[int, tuple[bool, object]] = {}  # index -> (ok, result or exception)
+    children: dict[int, int] = {}  # a child's pipe -> its pid, until it is reaped
+    received: dict[int, bytearray] = {}
+    token_r, token_w = os.pipe()
+    # A process reads the token only after select finds it, and another may
+    # have taken it in between, so a read must not wait.
+    os.set_blocking(token_r, False)
+    os.write(token_w, bytes(8))
+
+    def take(stop: bool = False) -> int:
+        """The next item index (n when none is left); with `stop`, leaves none.
+
+        While it waits, this process reads what its children sent, so no
+        child waits long on a full pipe, and a child that died, even holding
+        the token, is seen at once."""
+        while True:
+            ready = select.select([token_r, *children], [], [])[0]
+            for fd in ready:
+                if fd != token_r:
+                    receive(fd)
+            if token_r in ready:
+                try:
+                    i = int.from_bytes(os.read(token_r, 8), "little")
+                except BlockingIOError:
+                    continue
+                os.write(token_w, (n if stop else min(i + 1, n)).to_bytes(8, "little"))
+                return i
+
+    def work():
+        """(index, ok, result or exception) for each item this process runs."""
+        while (i := take()) < n:
+            try:
+                result = function(items[i])
+            except Exception as exc:
+                take(stop=True)
+                yield i, False, exc
+                return
+            yield i, True, result
+
+    def receive(fd: int) -> None:
+        data = os.read(fd, 1 << 16)
+        if data:
+            received[fd] += data
+            return
+        pid = children[fd]
+        status = os.waitpid(pid, 0)[1]
+        del children[fd]
+        os.close(fd)
+        if status:
+            raise ChildProcessError(
+                f"worker process {pid} ended without reporting all its tasks "
+                f"(wait status {status})"
+            )
+        stream = io.BytesIO(received.pop(fd))
+        while stream.tell() < len(stream.getbuffer()):
+            i, ok, value = pickle.load(stream)
+            done[i] = ok, value
+
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in (r, *children):
+                        os.close(fd)
+                    children.clear()
+                    with open(w, "wb") as out:
+                        for outcome in work():
+                            pickle.dump(outcome, out)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children[r] = pid
+            received[r] = bytearray()
+        for i, ok, value in work():
+            done[i] = ok, value
+        while children:
+            for fd in select.select(list(children), [], [])[0]:
+                receive(fd)
+    finally:
+        if children:
+            import signal
+
+            for fd, pid in children.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(fd)
+        os.close(token_r)
+        os.close(token_w)
+    failed = [i for i, (ok, _) in done.items() if not ok]
+    if failed:
+        raise done[min(failed)][1]
+    return [done[i][1] for i in range(n)]
+
+
 def _run_starts(tasks: Sequence[_Task]) -> list[_Outcome]:
     """`_run_start` over every task, results in task order.
 
-    With more than one CPU the tasks go to a pool of forked workers, one per
-    CPU. Forking, unlike spawning, re-imports nothing, so a worker costs a
-    few milliseconds and runs the parent's code as it is. With one CPU, in a
-    daemonic process (which may not have children) or where fork does not
-    exist, the same function runs here. Each task is computed alone, so the
-    results do not depend on which process ran it.
+    With more than one CPU the tasks run on this process and one forked child
+    per further CPU (`_fork_map`). Forking, unlike spawning, re-imports
+    nothing, so a child costs about a millisecond and runs this process's code
+    as it is. With one CPU, where fork does not exist, or in a daemonic
+    multiprocessing process (which is killed without cleanup, so its children
+    would outlive it), the tasks run here in order. Each task is computed
+    alone, so the results do not depend on which process ran it.
     """
-    import multiprocessing
-
     workers = min(_cpu_count(), len(tasks))
-    if (
-        workers < 2
-        or multiprocessing.current_process().daemon
-        or "fork" not in multiprocessing.get_all_start_methods()
-    ):
+    mp = sys.modules.get("multiprocessing")  # imported only if the caller uses it
+    daemonic = mp is not None and mp.current_process().daemon
+    if workers < 2 or not hasattr(os, "fork") or daemonic:
         return list(map(_run_start, tasks))
-    # Leaving the block terminates the workers, also when a task raised.
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        outcomes = pool.map(_run_start, tasks, chunksize=1)
-        pool.close()
-        pool.join()
-    return outcomes
+    return _fork_map(_run_start, tasks, workers)
 
 
 def _best_of(params: EconParams, bounds: Bounds, outcomes: Sequence[_Outcome]) -> Solution:
@@ -416,7 +533,8 @@ def optimize_profit(
     endpoint with a fresh simplex, which undoes premature simplex collapse
     against a clipped face. The best run wins, with exact profit ties broken
     toward the lexicographically smallest (c1, f_d, s). The starts run on
-    one process per available CPU; the result does not depend on the count.
+    this process and one forked child per further available CPU
+    (`_run_starts`); the result does not depend on the count.
     """
     tasks = _search_tasks(params, bounds, n_starts, seed)
     return _best_of(params, bounds, _run_starts(tasks))
@@ -487,7 +605,8 @@ def sweep(
     results do not depend on evaluation order.
 
     Every value's parameters are built, and so checked, before any search.
-    The start pairs of all values then share one pool (see `optimize_profit`).
+    The start pairs of all values then go to one `_run_starts` call, so its
+    processes serve every value (see `optimize_profit`).
     """
     if parameter not in SWEEPABLE:
         raise ValueError(f"sweep parameter must be one of {SWEEPABLE}, got {parameter!r}")

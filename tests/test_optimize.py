@@ -1,6 +1,9 @@
 import math
 import multiprocessing
 import os
+import select
+import signal
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -630,24 +633,71 @@ class TestOptimizeProfit:
 
 # Never ask for more worker processes than this process may run on.
 POOL = min(2, optimize_module._cpu_count())
-needs_two_cpus = pytest.mark.skipif(POOL < 2, reason="the pool path needs two CPUs")
+needs_two_cpus = pytest.mark.skipif(POOL < 2, reason="the fork runner needs two CPUs")
 
 
-def on_workers(monkeypatch, n, search, *args, **kwargs):
+def assert_no_children():
+    """This process has no child left, running or unreaped. Unlike
+    `multiprocessing.active_children`, this sees raw `os.fork` children."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def report_pipe():
+    """A pipe on which forked workers report to this process."""
+    r, w = os.pipe()
+    yield r, w
+    os.close(r)
+    os.close(w)
+
+
+def wait_for_data(fd):
+    """Wait until another process has written to, or closed, the pipe `fd`
+    (at most a minute)."""
+    assert select.select([fd], [], [], 60)[0], "nothing on the pipe within a minute"
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test, instead of hanging it, if it runs for two minutes."""
+
+    def expire(signum, frame):
+        pytest.fail("still running after 120 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def on_workers(monkeypatch, n, search, *args, forks=True, **kwargs):
     """Run `search` with the start pairs spread over n processes. Returns the
     result and the nelder_mead calls this process saw; a worker's calls land
-    in its own copy of the list."""
+    in its own copy of the list. With n > 1 and `forks`, this process's first
+    call waits until a worker has made one, so runs happen in both."""
     calls = []
+    parent = os.getpid()
+    r, w = os.pipe()
 
     def counting(*a, **kw):
+        if os.getpid() != parent:
+            os.write(w, b"w")
+        elif forks and n > 1 and not calls:
+            wait_for_data(r)
         calls.append(os.getpid())
         return nelder_mead(*a, **kw)
 
-    with monkeypatch.context() as m:
-        m.setattr(optimize_module, "_cpu_count", lambda: n)
-        m.setattr(optimize_module, "nelder_mead", counting)
-        result = search(*args, **kwargs)
-    assert multiprocessing.active_children() == []
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(optimize_module, "_cpu_count", lambda: n)
+            m.setattr(optimize_module, "nelder_mead", counting)
+            result = search(*args, **kwargs)
+    finally:
+        os.close(r)
+        os.close(w)
+    assert_no_children()
     return result, calls
 
 
@@ -661,7 +711,7 @@ def assert_same_bits(a, b):
 
 @needs_two_cpus
 class TestStartPool:
-    """The start pairs give the same result in one process and on the pool."""
+    """The start pairs give the same result in one process and on the fork runner."""
 
     @pytest.mark.parametrize("modes", ALL_MODES, ids="-".join)
     def test_same_solution_on_one_and_two_workers(self, modes, monkeypatch):
@@ -669,20 +719,28 @@ class TestStartPool:
         one, calls_here = on_workers(monkeypatch, 1, optimize_profit, params, seed=0)
         two, calls_pooled = on_workers(monkeypatch, POOL, optimize_profit, params, seed=0)
         assert len(calls_here) == 2 * (32 + 9)
-        assert calls_pooled == []  # every run happened in a worker
+        # on_workers saw a worker's run; this process ran some, not all.
+        assert 0 < len(calls_pooled) < len(calls_here)
         assert_same_bits(one, two)
 
     def test_sweep_same_on_one_and_two_workers(self, monkeypatch):
         args = (EconParams(), SMALL_BOUNDS, "sigma", [0.3, 0.5, 0.8])
-        one, _ = on_workers(monkeypatch, 1, sweep, *args, n_starts=8, seed=0)
+        one, calls_here = on_workers(monkeypatch, 1, sweep, *args, n_starts=8, seed=0)
         two, calls_pooled = on_workers(monkeypatch, POOL, sweep, *args, n_starts=8, seed=0)
-        assert calls_pooled == []
+        assert 0 < len(calls_pooled) < len(calls_here)
         assert one == two
         for a, b in zip(one.solutions, two.solutions):
             assert_same_bits(a, b)
 
-    def test_worker_error_reaches_the_caller(self, monkeypatch):
+    def test_worker_error_reaches_the_caller(self, monkeypatch, report_pipe, deadline):
+        r, w = report_pipe
+        parent = os.getpid()
+
         def failing(objective, x0, lower, upper):
+            if os.getpid() == parent:  # only workers fail; this process waits for one
+                wait_for_data(r)
+                return nelder_mead(objective, x0, lower, upper)
+            os.write(w, f"{os.getpid()}\n".encode())
             raise NonFiniteObjective(f"objective returned nan in process {os.getpid()}")
 
         monkeypatch.setattr(optimize_module, "_cpu_count", lambda: POOL)
@@ -691,24 +749,172 @@ class TestStartPool:
         with pytest.raises(NonFiniteObjective, match=pattern) as err:
             optimize_profit(EconParams(), SMALL_BOUNDS, n_starts=4, seed=0)
         assert type(err.value) is NonFiniteObjective
-        assert not str(err.value).endswith(f" {os.getpid()}")
-        assert multiprocessing.active_children() == []
+        workers = os.read(r, 4096).decode().split()
+        assert str(err.value).rsplit(" ", 1)[1] in workers
+        assert str(parent) not in workers
+        assert_no_children()
+
+    def test_killed_worker_fails_the_command(self, monkeypatch, report_pipe, tmp_path, capsys,
+                                             deadline):
+        # A worker killed by a signal leaves its task unreported: the command
+        # must fail at once, with one error line, and leave no child behind.
+        r, w = report_pipe
+        parent = os.getpid()
+
+        def killed(*a, **kw):
+            if os.getpid() != parent:
+                os.write(w, f"{os.getpid()}\n".encode())
+                os.kill(os.getpid(), signal.SIGKILL)
+            wait_for_data(r)
+            return nelder_mead(*a, **kw)
+
+        monkeypatch.setattr(optimize_module, "_cpu_count", lambda: POOL)
+        monkeypatch.setattr(optimize_module, "nelder_mead", killed)
+        out = tmp_path / "opt"
+        assert cli.main(["optimize", "--out", str(out)]) == 1
+        (worker,) = os.read(r, 4096).decode().split()
+        assert capsys.readouterr().err == (
+            f"error: worker process {worker} ended without reporting all its tasks "
+            f"(wait status {signal.SIGKILL})\n"
+        )
+        assert not out.exists()
+        assert_no_children()
 
     @pytest.mark.parametrize("where", ["no-fork", "daemonic"])
     def test_runs_in_process_where_it_cannot_fork(self, where, monkeypatch):
         if where == "no-fork":
-            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+            monkeypatch.delattr(os, "fork")
         else:
             monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
         params = EconParams()
-        got, calls = on_workers(monkeypatch, POOL, optimize_profit, params, SMALL_BOUNDS, 2)
+        got, calls = on_workers(
+            monkeypatch, POOL, optimize_profit, params, SMALL_BOUNDS, 2, forks=False
+        )
         monkeypatch.undo()
-        assert len(calls) == 2 * (2 + 9)
+        assert calls == [os.getpid()] * 2 * (2 + 9)
         assert got == optimize_profit(params, SMALL_BOUNDS, 2)
 
     def test_cpu_count_without_sched_getaffinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert optimize_module._cpu_count() == (os.cpu_count() or 1)
+
+
+@needs_two_cpus
+class TestForkMap:
+    """The fork runner on any function and items: order, errors, clean-up."""
+
+    def test_more_results_than_a_pipe_holds_come_back_in_order(self, report_pipe, deadline):
+        r, w = report_pipe
+        parent = os.getpid()
+        reported = []
+
+        def tagged(x):
+            if os.getpid() == parent:
+                wait_for_data(r)
+            elif not reported:
+                os.write(w, b"w")
+                reported.append(x)
+            return x, os.getpid()
+
+        got = optimize_module._fork_map(tagged, range(100_000), POOL)
+        assert [x for x, _ in got] == list(range(100_000))
+        assert parent in {pid for _, pid in got} and len({pid for _, pid in got}) > 1
+        assert_no_children()
+
+    def test_long_exception_message_arrives_intact(self, report_pipe, deadline):
+        r, w = report_pipe
+        parent = os.getpid()
+        message = "".join(chr(65 + k % 26) for k in range(10_000))
+
+        def failing(x):
+            if os.getpid() == parent:
+                wait_for_data(r)
+                return x
+            os.write(w, b"w")
+            raise ValueError(message + f" in process {os.getpid()}")
+
+        with pytest.raises(ValueError) as err:
+            optimize_module._fork_map(failing, range(10), POOL)
+        assert type(err.value) is ValueError
+        assert str(err.value).startswith(message + " in process ")
+        assert str(err.value) != message + f" in process {parent}"
+        assert_no_children()
+
+    def test_lowest_index_exception_wins(self, report_pipe, deadline):
+        # The worker fails on its first item only after this process has
+        # failed on a higher one, so the higher index is recorded first.
+        r, w = report_pipe
+        failed_r, failed_w = os.pipe()
+        parent = os.getpid()
+        worker_item = []
+
+        def failing(i):
+            if os.getpid() != parent:
+                os.write(w, f"{i}\n".encode())
+                wait_for_data(failed_r)
+                raise ValueError(f"item {i}")
+            if not worker_item:
+                wait_for_data(r)
+                worker_item.append(int(os.read(r, 64)))
+            if i > worker_item[0]:
+                os.write(failed_w, b"f")
+                raise ValueError(f"item {i}")
+            return i
+
+        try:
+            with pytest.raises(ValueError) as err:
+                optimize_module._fork_map(failing, range(50), POOL)
+        finally:
+            os.close(failed_r)
+            os.close(failed_w)
+        assert str(err.value) == f"item {worker_item[0]}"
+        assert_no_children()
+
+    def test_no_item_starts_after_a_failure(self, deadline):
+        # The worker fails on its first item; this process finishes its own
+        # first item only after the worker has exited, then must stop too.
+        ran_r, ran_w = os.pipe()
+        alive_r, alive_w = os.pipe()  # once this process closes alive_w, the worker holds it
+        parent = os.getpid()
+        open_here = [alive_w]
+
+        def failing(i):
+            os.write(ran_w, bytes([i]))
+            if os.getpid() != parent:
+                raise ValueError(f"item {i}")
+            if open_here:
+                os.close(open_here.pop())
+                wait_for_data(alive_r)
+                assert os.read(alive_r, 1) == b""  # end of file: the worker has exited
+            return i
+
+        try:
+            with pytest.raises(ValueError, match=r"^item [01]$"):
+                optimize_module._fork_map(failing, range(50), POOL)
+            ran = sorted(os.read(ran_r, 4096))
+        finally:
+            for fd in (ran_r, ran_w, alive_r, *open_here):
+                os.close(fd)
+        assert ran == [0, 1]
+        assert_no_children()
+
+    def test_interrupt_kills_and_reaps_the_workers(self, report_pipe, deadline):
+        r, w = report_pipe
+        parent = os.getpid()
+
+        def stuck(x):
+            if os.getpid() == parent:
+                wait_for_data(r)
+                raise KeyboardInterrupt
+            os.write(w, b"w")
+            time.sleep(60)
+            return x
+
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            optimize_module._fork_map(stuck, range(10), POOL)
+        assert time.monotonic() - started < 30
+        assert_no_children()
 
 
 class TestGridOracle:
