@@ -364,6 +364,14 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _unpicklable(i: int, ok: bool, value: object, exc: Exception) -> ChildProcessError:
+    """A worker's report of item i when pickle refuses its result or exception."""
+    what = f"returned a {type(value).__name__}" if ok else f"raised {type(value).__name__}: {value}"
+    return ChildProcessError(
+        f"worker process {os.getpid()}: item {i} {what}, which will not pickle ({exc})"
+    )
+
+
 def _fork_map(function: Callable, items: Sequence, workers: int) -> list:
     """`list(map(function, items))` on this process and `workers - 1` forked
     children, results in item order.
@@ -372,7 +380,8 @@ def _fork_map(function: Callable, items: Sequence, workers: int) -> list:
     pipe, read by one process and written back one higher, so items go out one
     at a time to whichever process is free. Each child sends pickled
     (index, ok, result or exception) records over a pipe of its own, which
-    this process reads while it waits for the token and after its own work.
+    this process reads while it waits for the token and after its own work;
+    a result or exception that will not pickle comes as a ChildProcessError.
 
     After an exception no process takes a new item, and the exception of the
     lowest index is raised: the one the serial map raises. A child that ends
@@ -457,8 +466,13 @@ def _fork_map(function: Callable, items: Sequence, workers: int) -> list:
                         os.close(fd)
                     children.clear()
                     with open(w, "wb") as out:
-                        for outcome in work():
-                            pickle.dump(outcome, out)
+                        for i, ok, value in work():
+                            try:
+                                record = pickle.dumps((i, ok, value))
+                            except Exception as exc:  # pickle's errors vary with the object
+                                take(stop=True)  # a failure: no process takes a new item
+                                record = pickle.dumps((i, False, _unpicklable(i, ok, value, exc)))
+                            out.write(record)
                     code = 0
                 finally:
                     os._exit(code)

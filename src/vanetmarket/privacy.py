@@ -232,68 +232,58 @@ def _dfd_core(p, q):
 _dfd_kernel = _dfd_core
 
 
-# Padded DP cells (pairs times the chunk's longest |p| and |q|) that one
-# `_frechet_rows` chunk holds; bounds its scratch memory to about two
-# float64 arrays of this many cells, as _ROW_BLOCK bounds `_dfd_core`'s.
-_FRECHET_CELLS = 1 << 16
+# Padded points (pairs times the chunk's longest |p| plus longest |q|) that one
+# `_frechet_rows` chunk holds: `_bounds`, anchored at a capture's own rows, and
+# `_frechet_block` each keep a few float64 arrays of about this many values.
+_FRECHET_POINTS = 1 << 13
 
 
 def _frechet_block(pairs: _Pairs, chunk: np.ndarray) -> np.ndarray:
-    """`_dfd_core` of every pair of one chunk.
+    """`_dfd_core` of every pair of one chunk, packed by `_pack`.
 
-    The pairs are packed by `_pack` into an (n, m, B) block of squared
-    distances, n and m the longest |p| and |q|, with the batch on the last
-    axis; padded cells never feed a pair's own cells. The block gets a +inf
-    border row and column with a -inf corner, so the DP needs no edge cases,
-    and its cells are laid out one anti-diagonal after another. The DP then
-    overwrites them in place a diagonal at a time, each reading the two
-    before it, and every operand is one contiguous run of memory. It takes
-    only min and max, which commute with the monotone, correctly rounded
-    sqrt, so the sqrt of a pair's corner cell (never the -inf one) is bitwise
-    the DP over `_distances`.
+    The DP table, n and m the longest |p| and |q|, has a +inf border row and
+    column and a -inf corner, so it needs no edge cases; padded cells are +inf
+    and never feed a pair's own. It is swept one anti-diagonal t = i + j at a
+    time with the batch on the last axis, keeping three (n + 1, B) diagonals
+    indexed by i: cell (i, t - i) reads diagonal t - 1 at rows i - 1 and i and
+    t - 2 at row i - 1. Its squared distances are a run of p's rows against a
+    reversed run of q's, so every operand is contiguous, and a pair's corner is
+    read as diagonal n_p + n_q passes. The DP takes only min and max, which
+    commute with the monotone, correctly rounded sqrt, so the sqrt of a corner
+    is bitwise the DP over `_distances`.
     """
     pts, qts, n_p, n_q, _ = _pack(pairs, chunk)
     b, n = pts.shape[1:]
     m = qts.shape[2]
-    block = np.empty((n + 1, m + 1, b))
-    # (n, 1, B) against (1, m, B): the batch on the last axis, contiguous.
+    # (n, B) of p and (m, B) of q reversed: the batch on the last axis, contiguous.
     px, py = np.ascontiguousarray(pts.transpose(0, 2, 1))
-    qx, qy = np.ascontiguousarray(qts.transpose(0, 2, 1))
-    _squared_distances(px[:, None], py[:, None], qx, qy, out=block[1:, 1:])
-    block[0] = np.inf
-    block[:, 0] = np.inf
-    block[0, 0] = -np.inf
-
-    # Anti-diagonal d holds cells (i, d - i), i from first[d], at rows
-    # start[d] onwards of `cells` (B values a row). Its inner cells i in
-    # lo..hi read their upper and left neighbours from diagonal d - 1 at
-    # positions i - 1 and i, and the diagonal one from d - 2 at i - 1.
-    diagonals = np.add.outer(np.arange(n + 1), np.arange(m + 1)).ravel()
-    cells = block.reshape(-1, b)[np.argsort(diagonals, kind="stable")].ravel()
-    start = np.concatenate(([0], np.cumsum(np.bincount(diagonals))))
-    first = np.maximum(0, np.arange(n + m + 1) - m)
-    d = np.arange(2, n + m + 1)
-    lo = np.maximum(1, d - m)
-    sizes = (np.minimum(d - 1, n) - lo + 1) * b
-    ups = (start[d - 1] + lo - 1 - first[d - 1]) * b
-    diags = (start[d - 2] + lo - 1 - first[d - 2]) * b
-    ats = (start[d] + lo - first[d]) * b
-    low = np.empty(min(n, m) * b)
-    for k, up, diagonal, at in zip(sizes.tolist(), ups.tolist(), diags.tolist(), ats.tolist()):
-        lows = low[:k]
-        np.minimum(cells[up : up + k], cells[up + b : up + b + k], out=lows)
-        np.minimum(lows, cells[diagonal : diagonal + k], out=lows)
-        here = cells[at : at + k]
-        np.maximum(here, lows, out=here)
-    corner = n_p + n_q
-    rows = start[corner] + n_p - first[corner]
-    return np.sqrt(cells[rows * b + np.arange(b)])
+    qx, qy = np.ascontiguousarray(qts[:, :, ::-1].transpose(0, 2, 1))
+    ends: dict[int, list[int]] = {}  # diagonal -> the pairs whose corner is on it
+    for k, end in enumerate((n_p + n_q).tolist()):
+        ends.setdefault(end, []).append(k)
+    corners = np.empty(b)
+    diagonals = np.full((3, n + 1, b), np.inf)
+    diagonals[0, 0] = -np.inf
+    for t in range(2, n + m + 1):
+        here, up, diagonal = diagonals[t % 3], diagonals[(t - 1) % 3], diagonals[(t - 2) % 3]
+        lo, hi = max(1, t - m), min(n, t - 1)
+        # p's rows lo - 1 .. hi - 1 against q's t - lo - 1 down to t - hi - 1
+        p_run, q_run = slice(lo - 1, hi), slice(m - t + lo, m - t + hi + 1)
+        dist = _squared_distances(px[p_run], py[p_run], qx[q_run], qy[q_run])
+        lows = np.minimum(up[p_run], up[lo : hi + 1])
+        np.minimum(lows, diagonal[p_run], out=lows)
+        np.maximum(dist, lows, out=here[lo : hi + 1])
+        if t == 2:
+            diagonal[0] = np.inf  # diagonal 3 takes these rows: (0, 3) is border
+        if t in ends:
+            k = ends[t]
+            corners[k] = here[n_p[k], k]
+    return np.sqrt(corners)
 
 
 def _chunks(order: np.ndarray, n_p: np.ndarray, n_q: np.ndarray):
-    """Runs of `order` (pairs sorted by (|p|, |q|)) of at most _FRECHET_CELLS
-    padded cells each, as (run, padded cells); a pair over that budget on its
-    own is a run by itself."""
+    """Runs of `order` (pairs sorted by (|p|, |q|)) of at most _FRECHET_POINTS
+    padded points each; a pair over that budget is a run by itself."""
     lens_p, lens_q = n_p[order].tolist(), n_q[order].tolist()
     start = 0
     while start < len(order):
@@ -302,10 +292,10 @@ def _chunks(order: np.ndarray, n_p: np.ndarray, n_q: np.ndarray):
         while stop < len(order):
             grown_n = max(n, lens_p[stop])
             grown_m = max(m, lens_q[stop])
-            if grown_n * grown_m * (stop + 1 - start) > _FRECHET_CELLS:
+            if (grown_n + grown_m) * (stop + 1 - start) > _FRECHET_POINTS:
                 break
             n, m, stop = grown_n, grown_m, stop + 1
-        yield order[start:stop], n * m
+        yield order[start:stop]
         start = stop
 
 
@@ -322,29 +312,22 @@ def _frechet_rows(
     increasing order. Each result is bitwise `_dfd_core` of the pair's points.
 
     The pairs run in chunks of similar sizes (sorted by (|p|, |q|)), each of at
-    most _FRECHET_CELLS padded cells. `_bounds` takes each chunk's L and U,
-    with q's own rows as anchors, so no point is compared, and settles every
-    pair with L == U. The rest are chunked again under the same budget and
-    swept by `_frechet_block`. A pair over that budget on its own goes
-    through `_dfd_core`. Min and max are exact and the distances are the same
+    most _FRECHET_POINTS padded points or one pair. `_bounds` takes each
+    chunk's L and U, with q's own rows as anchors, so no point is compared,
+    and settles every pair with L == U. The rest are chunked again and swept
+    by `_frechet_block`. Min and max are exact and the distances are the same
     float64 operations, so neither the bounds nor batching changes a bit.
     """
     pairs = _pairs_of(points, p_start, n_p, q_rows, n_q)
     out = np.empty(len(n_p))
-    order = np.lexsort((n_q, n_p))
     unresolved = []
-    for chunk, cells in _chunks(order, n_p, n_q):
-        if cells > _FRECHET_CELLS:
-            (k,) = chunk.tolist()
-            a, c = p_start[k], pairs.q_start[k]
-            out[k] = _dfd_core(pairs.xy[:, a : a + n_p[k]].T, pairs.xy[:, q_rows[c : c + n_q[k]]].T)
-            continue
+    for chunk in _chunks(np.lexsort((n_q, n_p)), n_p, n_q):
         lower, upper = _bounds(*_pack(pairs, chunk))
         settled = lower == upper
         out[chunk[settled]] = lower[settled]
         unresolved.append(chunk[~settled])
     if unresolved:
-        for chunk, _ in _chunks(np.concatenate(unresolved), n_p, n_q):
+        for chunk in _chunks(np.concatenate(unresolved), n_p, n_q):
             out[chunk] = _frechet_block(pairs, chunk)
     return out.tolist()
 

@@ -147,10 +147,10 @@ class _Fleet(NamedTuple):
         return rows
 
 
-def _squared_distances(px, py, qx, qy, out: np.ndarray | None = None) -> np.ndarray:
+def _squared_distances(px, py, qx, qy) -> np.ndarray:
     """Squared point distances dx*dx + dy*dy with p - q operands, broadcast
     over the coordinate arrays."""
-    dist = np.subtract(px, qx, out=out)
+    dist = px - qx
     dy = py - qy
     dist *= dist
     dy *= dy
@@ -158,11 +158,11 @@ def _squared_distances(px, py, qx, qy, out: np.ndarray | None = None) -> np.ndar
     return dist
 
 
-def _distances(px, py, qx, qy, out: np.ndarray | None = None) -> np.ndarray:
+def _distances(px, py, qx, qy) -> np.ndarray:
     """Point distances sqrt(dx*dx + dy*dy), the square root of
     `_squared_distances`: the one formula of `PlanarPath.diameter` and the
     Fréchet kernels, so all read the same float64 for the same pair of points."""
-    dist = _squared_distances(px, py, qx, qy, out=out)
+    dist = _squared_distances(px, py, qx, qy)
     return np.sqrt(dist, out=dist)
 
 

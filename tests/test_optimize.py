@@ -1,8 +1,10 @@
 import math
 import multiprocessing
 import os
+import re
 import select
 import signal
+import threading
 import time
 from dataclasses import fields, replace
 
@@ -896,6 +898,52 @@ class TestForkMap:
             for fd in (ran_r, ran_w, alive_r, *open_here):
                 os.close(fd)
         assert ran == [0, 1]
+        assert_no_children()
+
+    def test_unpicklable_exception_is_named(self, report_pipe, deadline):
+        # The worker's exception holds a lock, which pickle refuses; the
+        # worker must report the item, not end with it unreported.
+        r, w = report_pipe
+        parent = os.getpid()
+
+        def failing(i):
+            if os.getpid() == parent:
+                wait_for_data(r)
+                return i
+            os.write(w, f"{os.getpid()} {i}\n".encode())
+            raise ValueError("bad", threading.Lock())
+
+        with pytest.raises(ChildProcessError) as err:
+            optimize_module._fork_map(failing, range(10), POOL)
+        worker, item = os.read(r, 4096).decode().split()
+        assert re.fullmatch(
+            rf"worker process {worker}: item {item} raised ValueError: \('bad', <unlocked "
+            r"_thread.lock object at 0x[0-9a-f]+>\), which will not pickle "
+            r"\(cannot pickle '_thread.lock' object\)",
+            str(err.value),
+        ), str(err.value)
+        assert worker != str(parent)
+        assert_no_children()
+
+    def test_unpicklable_result_is_named(self, report_pipe, deadline):
+        r, w = report_pipe
+        parent = os.getpid()
+
+        def locking(i):
+            if os.getpid() == parent:
+                wait_for_data(r)
+                return i
+            os.write(w, f"{os.getpid()} {i}\n".encode())
+            return threading.Lock()
+
+        with pytest.raises(ChildProcessError) as err:
+            optimize_module._fork_map(locking, range(10), POOL)
+        worker, item = os.read(r, 4096).decode().split()
+        assert str(err.value) == (
+            f"worker process {worker}: item {item} returned a lock, which will not "
+            "pickle (cannot pickle '_thread.lock' object)"
+        )
+        assert worker != str(parent)
         assert_no_children()
 
     def test_interrupt_kills_and_reaps_the_workers(self, report_pipe, deadline):

@@ -293,12 +293,12 @@ class TestFrechetMany:
         @settings(max_examples=200, deadline=None, derandomize=True)
         @given(
             drawn=fleet_captures(),
-            budget=st.sampled_from([1, 6, 30, 150, privacy._FRECHET_CELLS]),
+            budget=st.sampled_from([1, 6, 30, 150, privacy._FRECHET_POINTS]),
             threshold=st.sampled_from([0, privacy._BOUNDED_CELLS]),
         )
         def check(drawn, budget, threshold):
             paths, offsets, captures = drawn
-            monkeypatch.setattr(privacy, "_FRECHET_CELLS", budget)
+            monkeypatch.setattr(privacy, "_FRECHET_POINTS", budget)
             monkeypatch.setattr(privacy, "_BOUNDED_CELLS", threshold)
             points = np.concatenate(paths)  # the table `_frechet_rows` reads from `paths`
             vehicles = np.array([v for v, _ in captures], dtype=np.intp)
@@ -345,19 +345,24 @@ class TestFrechetMany:
         none = np.empty(0, dtype=np.intp)
         assert privacy._frechet_rows([np.zeros((3, 2))], none, none, none, none) == []
 
-    @pytest.mark.parametrize("n_pairs", [8, 40])
+    @pytest.mark.parametrize("n_pairs", [44, 220])
     def test_peak_memory_is_one_chunk(self, n_pairs, monkeypatch):
-        # 8 pairs of 120 × 64 points fill one chunk (61,440 of 65,536 cells);
-        # 40 such pairs run as 5 chunks in the same memory.
-        assert privacy._FRECHET_CELLS == 1 << 16
-        swept = []
-        block = privacy._frechet_block
+        # 44 pairs of 120 + 64 points fill one chunk (8,096 of 8,192 padded
+        # points); 220 such pairs run as 5 chunks in the same memory.
+        assert privacy._FRECHET_POINTS == 1 << 13
+        bounded, swept = [], []
+        block, bounds = privacy._frechet_block, privacy._bounds
 
         def counting_block(pairs, chunk):
             swept.append(len(chunk))
             return block(pairs, chunk)
 
+        def counting_bounds(pts, qts, n_p, n_q, anchor=None):
+            bounded.append(len(n_p))
+            return bounds(pts, qts, n_p, n_q, anchor)
+
         monkeypatch.setattr(privacy, "_frechet_block", counting_block)
+        monkeypatch.setattr(privacy, "_bounds", counting_bounds)
         rng = np.random.default_rng(26)
         pairs = [
             (rng.uniform(-1e3, 1e3, size=(120, 2)), np.sort(rng.choice(120, 64, replace=False)))
@@ -370,10 +375,47 @@ class TestFrechetMany:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert max(swept) == 8  # the sweep runs on full chunks
-        # The padded distance block and one temporary, 8 bytes a cell, plus
-        # numpy's ufunc buffers: 1.27 MB (8 pairs) and 1.33 MB (40) measured.
-        assert peak <= 3 * 8 * privacy._FRECHET_CELLS
+        # Both passes run on full chunks; the sweep gets the pairs the bounds
+        # did not settle.
+        assert bounded == [44] * (n_pairs // 44)
+        assert max(swept) == min(44, sum(swept))
+        # The packed points, three diagonals and numpy's ufunc buffers, with
+        # the table and the results: 0.80 MB (44 pairs) and 1.14 MB (220)
+        # measured. The bound is the one the 2**16-cell distance block met.
+        assert peak <= 3 * 8 * (1 << 16)
+
+    def test_pair_over_the_budget_is_swept_in_bounded_memory(self, monkeypatch):
+        # One pair of 1,500 × 300 = 450,000 cells, far over the 65,536 that
+        # once sent a pair to `_dfd_core`: it runs alone through the bounds
+        # and the sweep, in memory linear in |p| + |q|.
+        swept = []
+        block = privacy._frechet_block
+
+        def counting_block(pairs, chunk):
+            swept.append(len(chunk))
+            return block(pairs, chunk)
+
+        def no_core(p, q):
+            raise AssertionError("_frechet_rows called _dfd_core")
+
+        rng = np.random.default_rng(32)
+        p = np.cumsum(rng.uniform(-10.0, 10.0, size=(1500, 2)), axis=0)
+        rows = np.sort(rng.choice(1500, 300, replace=False))
+        want = privacy._dfd_core(p, p[rows])
+        monkeypatch.setattr(privacy, "_frechet_block", counting_block)
+        monkeypatch.setattr(privacy, "_dfd_core", no_core)
+        args = row_args([(p, rows)])
+        tracemalloc.start()
+        try:
+            got = privacy._frechet_rows(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert swept == [1]  # the bounds did not settle it
+        assert distances_bytes(got) == distances_bytes([want])
+        # 0.23 MB measured, some 16 float64 values a point; `_dfd_core` peaks
+        # at 8.6 MB on this pair, and one float64 per cell would be 3.6 MB.
+        assert peak <= 32 * 8 * (len(p) + len(rows))
 
 
 @st.composite

@@ -450,11 +450,26 @@ def test_a_vehicle_id_names_one_vehicle(function, shift):
 
 
 class TestEmpiricalCurve:
-    def test_single_server_matches_calibration_exactly(self, fleet):
-        freqs = (0.5, 0.25, 0.125)
-        curve = empirical_privacy_curve(fleet, freqs, [1], n_compromised=1, seeds=[0])
+    def test_single_server_matches_calibration_exactly(self, fleet, monkeypatch):
+        # The curve's batched sweep against calibration's per-pair kernel, at
+        # the module's chunk budget and with every pair in a chunk alone.
+        swept = []
+        block = privacy._frechet_block
+
+        def counting_block(pairs, chunk):
+            swept.append(len(chunk))
+            return block(pairs, chunk)
+
+        monkeypatch.setattr(privacy, "_frechet_block", counting_block)
+        freqs = privacy.DEFAULT_CALIBRATION_FREQS
         calibration = mean_similarity_by_frequency(fleet, freqs)
-        assert [(pt.f_d, pt.mean_similarity) for pt in curve] == calibration
+        for budget in (privacy._FRECHET_POINTS, 1):
+            monkeypatch.setattr(privacy, "_FRECHET_POINTS", budget)
+            swept.clear()
+            curve = empirical_privacy_curve(fleet, freqs, [1], n_compromised=1, seeds=[0])
+            assert [(pt.f_d, pt.mean_similarity) for pt in curve] == calibration
+            assert swept
+        assert set(swept) == {1}
 
     def test_native_rate_single_server_is_one(self, small_fleet):
         curve = empirical_privacy_curve(small_fleet, [1.0], [1], seeds=[3])
